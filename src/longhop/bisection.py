@@ -5,9 +5,8 @@ transform of the hop indicator vector, and every Walsh function with a
 nonzero index splits the node set into two equal halves.  Such a split
 cuts C_k = (m - lambda_k) / 2 links per node pair, i.e. C_k * n/2 links
 in total, and no balanced split does better, so scanning the spectrum
-yields the exact bisection.  Two engines compute the same scan: a
-direct per-index parity sum and the fast transform; an enumeration
-oracle for tiny n keeps both honest.
+yields the exact bisection.  One fast transform computes the scan; an
+enumeration oracle for tiny n keeps it honest.
 """
 from __future__ import annotations
 
@@ -19,9 +18,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DisconnectedGraph, DomainError
 from .graph import GeneratorSet, distance_profile
-from .walsh import fwht, parity_u32, walsh_values
-
-_SCAN_CHUNK = 1 << 18
+from .walsh import fwht, walsh_values
 
 
 def eigenvalues(gens: GeneratorSet) -> np.ndarray:
@@ -148,27 +145,11 @@ def bisection_fwht(gens: GeneratorSet) -> BisectionReport:
     return _report(gens, cut_counts(gens))
 
 
-def bisection_direct(gens: GeneratorSet) -> BisectionReport:
-    """Exact bisection by summing parities per index, O(m n).
-
-    Same report as bisection_fwht, computed without the transform.
-    """
-    n = gens.n
-    hops = np.array(gens.hops, dtype=np.uint32)
-    counts = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, _SCAN_CHUNK):
-        block = np.arange(lo, min(lo + _SCAN_CHUNK, n), dtype=np.uint32)
-        counts[lo : lo + block.size] = parity_u32(
-            block[:, None] & hops[None, :]
-        ).sum(axis=1)
-    return _report(gens, counts)
-
-
 def brute_force_bisection(gens: GeneratorSet, max_nodes: int = 16):
     """Minimum cut over every balanced partition, by sheer enumeration.
 
-    Independent of all Walsh machinery, so it can referee the other two
-    engines.  Only sensible for tiny graphs; refuses n > max_nodes.
+    Independent of all Walsh machinery, so it can referee the
+    transform.  Only sensible for tiny graphs; refuses n > max_nodes.
     Returns (B, achieving PartitionVector), the partition being the
     first optimum in lexicographic order of the +1 side.
     """

@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import compare, constructions, designer, ecc, soldb
 from .bisection import (
-    bisection_direct,
     bisection_fwht,
     brute_force_bisection,
     cut_counts,
@@ -67,8 +66,7 @@ def _parse_range(spec: str, base: int = 10) -> tuple[int, int]:
 
 def cmd_bisect(args) -> int:
     gens = load_hops(args.file)
-    engine = bisection_direct if args.engine == "direct" else bisection_fwht
-    rep = engine(gens)
+    rep = bisection_fwht(gens)
     print(f"b={rep.b} B={rep.B} t={rep.t:X}")
     return 0
 
@@ -168,7 +166,7 @@ def cmd_wire(args) -> int:
     rec = db.query(d, m)
     if rec is None:
         raise LongHopError(f"no record (d={d}, m={m}) in the database")
-    table = designer.wiring_table(rec, args.radix)
+    table = designer.WiringTable(rec.gens, args.radix)
     lo, hi = (0, table.n - 1)
     if args.rows:
         lo, hi = _parse_range(args.rows, base=16)
@@ -249,7 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bisect", help="exact bisection of a hop-list file")
     p.add_argument("file")
-    p.add_argument("--engine", choices=("fwht", "direct"), default="fwht")
     p.set_defaults(func=cmd_bisect)
 
     p = sub.add_parser("oracle", help="brute-force bisection (tiny n only)")

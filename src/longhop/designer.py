@@ -144,7 +144,3 @@ class WiringTable:
         for v in range(lo, hi + 1):
             stream.write(self.line(v) + "\n")
 
-
-def wiring_table(rec: SolutionRecord, radix: int) -> WiringTable:
-    """Wiring for a stored record at the given radix."""
-    return WiringTable(rec.gens, radix)

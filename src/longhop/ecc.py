@@ -115,17 +115,6 @@ def hops_to_code(gens: GeneratorSet) -> LinearCode:
     return LinearCode(m, tuple(rows))
 
 
-def _popcount64(words: np.ndarray) -> np.ndarray:
-    v = words.astype(np.uint64)
-    m1 = np.uint64(0x5555555555555555)
-    m2 = np.uint64(0x3333333333333333)
-    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    v = v - ((v >> np.uint64(1)) & m1)
-    v = (v & m2) + ((v >> np.uint64(2)) & m2)
-    v = (v + (v >> np.uint64(4))) & m4
-    return (v * np.uint64(0x0101010101010101)) >> np.uint64(56)
-
-
 def codewords(code: LinearCode) -> np.ndarray:
     """All 2^k codewords as ints (with repetition if rows are dependent)."""
     if code.k > MAX_DIM:
@@ -143,7 +132,7 @@ def min_weight(code: LinearCode) -> int:
     are independent.
     """
     words = codewords(code)
-    weights = _popcount64(words)
+    weights = np.bitwise_count(words)
     nonzero = weights[words != 0]
     if nonzero.size == 0:
         raise DomainError("code has no nonzero codeword")
@@ -206,15 +195,6 @@ class EquivalenceMap:
 
     def inverse(self) -> "EquivalenceMap":
         return EquivalenceMap(self.d, tuple(gf2.invert(list(self.rows), self.d)))
-
-
-def apply_equivalence(gens: GeneratorSet, emap: EquivalenceMap) -> GeneratorSet:
-    """Relabel every hop through an invertible map.
-
-    Preserves b, the whole cut multiset, and the distance histogram;
-    only the node naming changes.
-    """
-    return emap.apply_to(gens)
 
 
 def diagonalize(gens: GeneratorSet):

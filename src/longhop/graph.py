@@ -7,7 +7,7 @@ the edge set only depends on the set of hops.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,10 +16,6 @@ import numpy as np
 from . import gf2
 from .errors import DisconnectedGraph, DomainError, FormatError
 from .walsh import MAX_DIM
-
-# BFS frontiers are expanded against all hops at once; slicing keeps the
-# temporary neighbor block around 100 MB even at the dimension cap.
-_BFS_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -68,17 +64,24 @@ class GeneratorSet:
         return acc
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistanceProfile:
-    """Shortest-path distances from node 0 (all nodes look alike)."""
+    """How many nodes sit at each distance from node 0 (all nodes look alike)."""
 
-    distances: np.ndarray = field(repr=False)
-    diameter: int
-    total: int
+    counts: tuple[int, ...]
+
+    @property
+    def diameter(self) -> int:
+        return len(self.counts) - 1
 
     @property
     def n(self) -> int:
-        return int(self.distances.size)
+        return sum(self.counts)
+
+    @property
+    def total(self) -> int:
+        """Sum of the distances from node 0 to every node."""
+        return sum(dist * c for dist, c in enumerate(self.counts))
 
     @property
     def avg(self) -> Fraction:
@@ -88,16 +91,11 @@ class DistanceProfile:
     @property
     def far_count(self) -> int:
         """How many nodes sit at exactly the diameter."""
-        return int(np.count_nonzero(self.distances == self.diameter))
+        return self.counts[-1]
 
     def histogram(self) -> list[int]:
         """Node counts per distance, index 0 .. diameter."""
-        return np.bincount(self.distances).tolist()
-
-
-def span_check(gens: GeneratorSet) -> bool:
-    """Connectivity test: do the hops span Z_2^d?"""
-    return gens.spans()
+        return list(self.counts)
 
 
 def neighbors(gens: GeneratorSet, v: int) -> list[int]:
@@ -170,30 +168,27 @@ def adjacency(gens: GeneratorSet, cap: int = 1 << 14) -> np.ndarray:
 
 
 def distance_profile(gens: GeneratorSet) -> DistanceProfile:
-    """BFS from node 0.  Raises DisconnectedGraph if the hops do not span."""
+    """Level-synchronous BFS from node 0, one hop at a time, keeping only
+    the size of each level; O(n) bytes whatever m is.  Raises
+    DisconnectedGraph if the hops do not span."""
     n = gens.n
-    hops = np.array(gens.hops, dtype=np.int64)
-    dist = np.full(n, -1, dtype=np.int32)
-    dist[0] = 0
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
+    nxt = np.empty(n, dtype=bool)
     frontier = np.zeros(1, dtype=np.int64)
-    level = 0
-    while frontier.size:
-        level += 1
-        new_mask = np.zeros(n, dtype=bool)
-        for lo in range(0, frontier.size, _BFS_CHUNK):
-            block = frontier[lo : lo + _BFS_CHUNK]
-            new_mask[(block[:, None] ^ hops).ravel()] = True
-        new_mask &= ~seen
-        idx = np.flatnonzero(new_mask)
-        dist[idx] = level
-        seen |= new_mask
-        frontier = idx
-    if not seen.all():
+    counts = [1]
+    while True:
+        nxt.fill(False)
+        for h in gens.hops:
+            nxt[frontier ^ h] = True
+        nxt &= ~seen
+        frontier = np.flatnonzero(nxt)
+        if not frontier.size:
+            break
+        seen |= nxt
+        counts.append(frontier.size)
+    if sum(counts) != n:
         raise DisconnectedGraph(
             f"hops span a rank-{gf2.rank(gens.hops)} subspace of d={gens.d}"
         )
-    return DistanceProfile(
-        distances=dist, diameter=int(dist.max()), total=int(dist.sum())
-    )
+    return DistanceProfile(tuple(counts))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 from . import constructions
@@ -197,9 +198,12 @@ def loads(text: str) -> SolutionDB:
     stored average has the node count as its denominator.
     """
     db = SolutionDB()
-    blocks = [blk for blk in text.split("\n\n") if blk.strip()]
-    for blk in blocks:
-        lines = [ln for ln in blk.splitlines() if ln.strip()]
+    # Records are runs of non-blank lines; splitlines() also takes CRLF.
+    runs = groupby(text.splitlines(), key=lambda ln: bool(ln.strip()))
+    for filled, group in runs:
+        if not filled:
+            continue
+        lines = list(group)
         head = lines[0]
         if not head.startswith("record "):
             raise FormatError(f"expected a record header, got {head!r}")

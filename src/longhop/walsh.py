@@ -17,18 +17,10 @@ MAX_DIM = 24
 
 
 def parity(x: int) -> int:
-    """Return popcount(x) mod 2 via the folding trick.
-
-    Valid for 0 <= x < 2^32, which covers every value the package
-    produces (node ids are below 2^24).
-    """
+    """Return popcount(x) mod 2 for any nonnegative integer."""
     if x < 0:
         raise DomainError("parity is defined for nonnegative integers")
-    x ^= x >> 16
-    x ^= x >> 8
-    x ^= x >> 4
-    x ^= x >> 2
-    return (x ^ (x >> 1)) & 1
+    return x.bit_count() & 1
 
 
 def walsh_binary(k: int, x: int) -> int:
@@ -43,24 +35,14 @@ def walsh_algebraic(k: int, x: int) -> int:
     return 1 - 2 * walsh_binary(k, x)
 
 
-def parity_u32(values: np.ndarray) -> np.ndarray:
-    """Vectorized parity for an array of nonnegative ints below 2^32."""
-    v = np.asarray(values).astype(np.uint32)
-    v ^= v >> 16
-    v ^= v >> 8
-    v ^= v >> 4
-    v ^= v >> 2
-    return ((v ^ (v >> 1)) & 1).astype(np.int64)
-
-
 def walsh_values(k: int, n: int) -> np.ndarray:
     """Row k of the n x n Sylvester-ordered Hadamard matrix (+1/-1)."""
     if n <= 0 or n & (n - 1):
         raise DomainError(f"n must be a power of two, got {n}")
     if not 0 <= k < n:
         raise DomainError(f"walsh index {k} out of range for n={n}")
-    x = np.arange(n, dtype=np.uint32)
-    return 1 - 2 * parity_u32(x & np.uint32(k))
+    bits = np.bitwise_count(np.arange(n, dtype=np.uint32) & k) & 1
+    return 1 - 2 * bits.astype(np.int64)
 
 
 def fwht(values) -> np.ndarray:

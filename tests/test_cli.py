@@ -35,8 +35,6 @@ def run(capsys, *argv):
 def test_bisect(capsys, fq3_file):
     code, out, err = run(capsys, "bisect", fq3_file)
     assert (code, out, err) == (0, "b=2 B=8 t=1\n", "")
-    code, out, _ = run(capsys, "bisect", fq3_file, "--engine", "direct")
-    assert (code, out) == (0, "b=2 B=8 t=1\n")
 
 
 def test_bisect_missing_file(capsys):

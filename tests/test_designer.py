@@ -13,7 +13,6 @@ from longhop import (
     WiringTable,
     find_solution,
     make_record,
-    wiring_table,
 )
 from longhop.designer import oversubscription
 
@@ -97,7 +96,7 @@ def test_wiring_table_golden():
 
 def test_wiring_table_reference_row(seeded_db):
     rec = seeded_db.query(5, 9)
-    table = wiring_table(rec, 12)
+    table = WiringTable(rec.gens, 12)
     assert table.line(5) == (
         "5:\t04\t07\t01\t0D\t15\t0B\t0A\t11\t1C\t**\t**\t**"
     )

@@ -13,7 +13,6 @@ from longhop import (
     FormatError,
     GeneratorSet,
     LinearCode,
-    apply_equivalence,
     bisection_fwht,
     code_to_hops,
     codewords,
@@ -203,7 +202,7 @@ def test_apply_equivalence_preserves_invariants():
         base_hist = distance_profile(gens).histogram()
         for _ in range(10):
             emap = EquivalenceMap(4, tuple(gf2.random_invertible(4, rng)))
-            moved = apply_equivalence(gens, emap)
+            moved = emap.apply_to(gens)
             assert bisection_fwht(moved).b == base.b
             assert sorted(cut_counts(moved).tolist()) == sorted(
                 base.counts.tolist()
@@ -213,7 +212,7 @@ def test_apply_equivalence_preserves_invariants():
 
 def test_apply_equivalence_dimension_mismatch():
     with pytest.raises(DomainError):
-        apply_equivalence(GeneratorSet(3, (1, 2, 4)), EquivalenceMap.identity(4))
+        EquivalenceMap.identity(4).apply_to(GeneratorSet(3, (1, 2, 4)))
 
 
 def test_diagonalize_systematic_form():
@@ -247,7 +246,7 @@ def test_diagonalize_needs_span():
 def test_min_change_finds_a_pure_relabeling():
     old = GeneratorSet(4, (1, 2, 4, 8, 15))
     twist = EquivalenceMap(4, (3, 2, 4, 8))
-    new = apply_equivalence(old, twist)
+    new = twist.apply_to(old)
     result = min_change_expansion(old, new, seed=1)
     assert isinstance(result, MinChangeResult)
     assert result.rewired == 0

@@ -1,5 +1,6 @@
 """Generator sets, the hop-list file format, adjacency, and BFS metrics."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,11 +17,11 @@ from longhop import (
     adjacency,
     distance_profile,
     format_hops,
+    lh_hd,
     load_hops,
     neighbors,
     parse_hops,
     save_hops,
-    span_check,
 )
 from longhop.graph import hex_width
 
@@ -45,7 +46,6 @@ def test_generator_set_basics():
     assert FQ3.n == 8
     assert FQ3.m == 4
     assert FQ3.spans()
-    assert span_check(FQ3)
     assert FQ3.xor_all() == 0
     assert GeneratorSet(3, (1, 2, 4)).xor_all() == 7
 
@@ -167,18 +167,32 @@ def test_distance_profile_details():
     prof = distance_profile(FQ3)
     assert prof.histogram() == [1, 4, 3]
     assert prof.far_count == 3
-    assert prof.distances.tolist() == [0, 1, 1, 2, 1, 2, 2, 1]
 
 
 @given(generator_sets(spanning=True))
 def test_distance_profile_matches_bfs_oracle(gens):
     prof = distance_profile(gens)
     want = oracle.distances(gens.d, gens.hops)
-    assert prof.distances.tolist() == want
+    assert prof.histogram() == np.bincount(want).tolist()
     assert prof.diameter == max(want)
     assert prof.total == sum(want)
+    assert prof.far_count == want.count(max(want))
 
 
 def test_distance_profile_disconnected():
-    with pytest.raises(DisconnectedGraph):
+    with pytest.raises(DisconnectedGraph, match="rank-2 subspace of d=3"):
         distance_profile(GeneratorSet(3, (1, 2, 3)))
+
+
+def test_distance_profile_memory_is_independent_of_m():
+    # n = 8192 with m = 4096 hops: a frontier x m int64 block would be
+    # 128 MB, while per-node state is a few tens of KB.
+    gens = lh_hd(13, 4096)
+    tracemalloc.start()
+    try:
+        prof = distance_profile(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (prof.diameter, prof.far_count) == (2, 4095)
+    assert peak < 1 << 20

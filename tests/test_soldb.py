@@ -97,6 +97,13 @@ def test_dump_load_round_trip(seeded_db, tmp_path):
     assert loaded.verify() == []
 
 
+def test_loads_accepts_crlf(seeded_db):
+    text = dumps(seeded_db)
+    again = loads(text.replace("\n", "\r\n"))
+    assert again.records() == seeded_db.records()
+    assert dumps(again) == text
+
+
 @pytest.mark.parametrize(
     "text",
     [

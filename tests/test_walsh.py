@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracle
 from longhop import fwht, parity, walsh_values
 from longhop.errors import DomainError
-from longhop.walsh import MAX_DIM, parity_u32, walsh_algebraic, walsh_binary
+from longhop.walsh import MAX_DIM, walsh_algebraic, walsh_binary
 
 
 def test_parity_known_values():
@@ -25,9 +25,16 @@ def test_parity_rejects_negative():
         parity(-1)
 
 
-@given(st.integers(0, 2**32 - 1))
+@given(st.integers(0, 2**128))
 def test_parity_matches_oracle(x):
     assert parity(x) == oracle.parity(x)
+
+
+def test_parity_at_and_above_32_bits():
+    assert parity(2**32) == 1
+    assert parity(2**32 + 1) == 0
+    assert parity(2**64 - 1) == 0
+    assert parity(2**100 + 2**33 + 1) == 1
 
 
 @given(st.integers(0, 2**24 - 1), st.integers(0, 2**24 - 1))
@@ -43,14 +50,6 @@ def test_walsh_rejects_negative_arguments():
         walsh_binary(-1, 0)
     with pytest.raises(DomainError):
         walsh_binary(0, -1)
-
-
-def test_parity_u32_matches_scalar():
-    rng = np.random.default_rng(7)
-    values = rng.integers(0, 2**32, size=4096, dtype=np.uint32)
-    got = parity_u32(values)
-    assert got.dtype == np.int64
-    assert got.tolist() == [oracle.parity(int(v)) for v in values]
 
 
 @pytest.mark.parametrize("n", [2, 8, 64])
