@@ -5,8 +5,16 @@ transform of the hop indicator vector, and every Walsh function with a
 nonzero index splits the node set into two equal halves.  Such a split
 cuts C_k = (m - lambda_k) / 2 links per node pair, i.e. C_k * n/2 links
 in total, and no balanced split does better, so scanning the spectrum
-yields the exact bisection.  One fast transform computes the scan; an
-enumeration oracle for tiny n keeps it honest.
+yields the exact bisection.
+
+C_k is also the Hamming weight of codeword k of the hop set's code
+(bit s of codeword k is the parity of k & hop s), which is why b is the
+code's minimum distance.  `cut_counts` uses that view whenever the
+hops fit in at most d 64-bit words (m <= 64 d): it builds all n
+codewords by doubling and counts their bits, peaking near 11 bytes per
+node.  Wider sets, such as the half-distance rungs with m in the
+thousands, take one FWHT of the hop indicator instead (24 bytes per
+node).  An enumeration oracle for tiny n keeps both honest.
 """
 from __future__ import annotations
 
@@ -16,7 +24,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import BudgetExceeded, DisconnectedGraph, DomainError
+from .errors import BudgetExceeded, DisconnectedGraph, DomainError, LongHopError
 from .graph import GeneratorSet, distance_profile
 from .walsh import fwht, walsh_values
 
@@ -28,15 +36,42 @@ def eigenvalues(gens: GeneratorSet) -> np.ndarray:
     return fwht(indicator)
 
 
+def _code_rows(hops: tuple[int, ...], d: int) -> list[int]:
+    """The d generator rows of up to 64 hops: bit s of row i is bit i of hop s."""
+    rows = [0] * d
+    for s, h in enumerate(hops):
+        for i in range(h.bit_length()):
+            if h >> i & 1:
+                rows[i] |= 1 << s
+    return rows
+
+
 def cut_counts(gens: GeneratorSet) -> np.ndarray:
     """C_k for every k: hops with odd overlap against k.
 
-    C_k * n/2 is the link count across the Walsh-k bisection.
+    C_k * n/2 is the link count across the Walsh-k bisection.  It is the
+    weight of codeword k, built for 64 hops at a time by doubling:
+    codeword k + 2^i is codeword k XOR row i, so n word operations per
+    64 hops.  The FWHT costs n operations per dimension instead, so it
+    takes over once the hops fill more than d words.
     """
-    lam = eigenvalues(gens)
-    diff = gens.m - lam
-    assert not (diff & 1).any(), "spectrum parity broke; fwht is miscounting"
-    return diff >> 1
+    d, m, n = gens.d, gens.m, gens.n
+    if -(-m // 64) > d:
+        diff = m - eigenvalues(gens)
+        if (diff & 1).any():
+            raise LongHopError("spectrum parity broke; fwht is miscounting")
+        return diff >> 1
+    # m <= 64 d <= 1536, so the per-k total fits in uint16.
+    counts = np.zeros(n, dtype=np.uint16)
+    words = np.empty(n, dtype=np.uint64)
+    words[0] = 0
+    for lo in range(0, m, 64):
+        for i, row in enumerate(_code_rows(gens.hops[lo:lo + 64], d)):
+            h = 1 << i
+            np.bitwise_xor(words[:h], np.uint64(row), out=words[h:2 * h])
+        counts += np.bitwise_count(words)
+    del words  # before the int64 copy, so the peak stays near 11 bytes per node
+    return counts.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -97,7 +132,8 @@ def cut_value(gens: GeneratorSet, partition) -> int:
     crossings = 0
     for h in gens.hops:
         crossings += int(np.count_nonzero(signs != signs[x ^ h]))
-    assert crossings % 2 == 0
+    if crossings % 2:
+        raise LongHopError("each crossing link must be seen from both ends")
     return crossings // 2
 
 
@@ -141,7 +177,11 @@ def _report(gens: GeneratorSet, counts: np.ndarray) -> BisectionReport:
 
 
 def bisection_fwht(gens: GeneratorSet) -> BisectionReport:
-    """Exact bisection via one transform, O(n log n)."""
+    """Exact bisection from the full cut spectrum.
+
+    `cut_counts` supplies it from codeword weights when m <= 64 d,
+    O(n ceil(m/64)), and from one FWHT for wider sets, O(n log n).
+    """
     return _report(gens, cut_counts(gens))
 
 

@@ -13,12 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import compare, constructions, designer, ecc, soldb
-from .bisection import (
-    bisection_fwht,
-    brute_force_bisection,
-    cut_counts,
-    eigenvalues,
-)
+from .bisection import bisection_fwht, brute_force_bisection, cut_counts
 from .errors import LongHopError
 from .graph import (
     distance_profile,
@@ -83,14 +78,11 @@ def cmd_oracle(args) -> int:
 
 def cmd_spectrum(args) -> int:
     gens = load_hops(args.file)
-    lam = eigenvalues(gens)
     cuts = cut_counts(gens)
-    w = hex_width(gens.d)
-    lines = ["# k\tlambda\tcut"]
-    lines.extend(
-        f"{k:0{w}X}\t{int(lam[k])}\t{int(cuts[k])}" for k in range(gens.n)
-    )
-    _emit(args, "\n".join(lines) + "\n")
+    lam = gens.m - 2 * cuts
+    row = f"%0{hex_width(gens.d)}X\t%d\t%d\n".__mod__
+    body = "".join(map(row, zip(range(gens.n), lam.tolist(), cuts.tolist())))
+    _emit(args, "# k\tlambda\tcut\n" + body)
     return 0
 
 
@@ -346,6 +338,10 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .bisection import bisection_fwht
-from .errors import DomainError
+from .errors import DomainError, LongHopError
 from .graph import GeneratorSet, distance_profile
 from .walsh import MAX_DIM
 
@@ -163,7 +163,8 @@ def augment_odd_b(gens: GeneratorSet) -> GeneratorSet:
     if b % 2 == 0:
         raise DomainError(f"b={b} is even; augmentation would not raise it")
     x = gens.xor_all()
-    assert x != 0, "odd b with zero hop XOR contradicts the parity identity"
+    if x == 0:
+        raise LongHopError("odd b with zero hop XOR contradicts the parity identity")
     if x in gens.hops:
         raise DomainError(f"hop XOR {x:#x} is already in the set")
     return GeneratorSet(gens.d, gens.hops + (x,))

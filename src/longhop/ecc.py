@@ -5,6 +5,9 @@ same object viewed sideways: hop s is the (m - s)'th matrix column read
 top-to-bottom as a d-bit word (top row = most significant bit).  Under
 that correspondence the minimum codeword weight equals the per-node
 bisection b of the hop graph, so code tables double as network designs.
+`bisection.cut_counts` computes the codeword weights for most hop sets;
+`codewords` and `min_weight` here stay a separate, plain enumeration so
+the identity can be checked against the Walsh transform.
 """
 from __future__ import annotations
 
@@ -128,8 +131,8 @@ def codewords(code: LinearCode) -> np.ndarray:
 def min_weight(code: LinearCode) -> int:
     """Smallest Hamming weight over the nonzero codewords.
 
-    This equals bisection_fwht(code_to_hops(code)).b whenever the rows
-    are independent.
+    Whenever the rows are independent this equals the bisection b of
+    code_to_hops(code), i.e. (m - max nonzero-index eigenvalue) / 2.
     """
     words = codewords(code)
     weights = np.bitwise_count(words)
@@ -142,12 +145,15 @@ def min_weight(code: LinearCode) -> int:
 def verify_duality(code: LinearCode) -> bool:
     """Check the central identity: min codeword weight == graph bisection b.
 
-    Enumerates the codewords on one side and runs the spectral scan on
-    the translated hop graph on the other; the two never communicate.
+    Enumerates the codewords on one side and takes b straight from the
+    Walsh transform of the translated hop graph on the other; the two
+    never communicate.
     """
-    from .bisection import bisection_fwht
+    from .bisection import eigenvalues
 
-    return min_weight(code) == bisection_fwht(code_to_hops(code)).b
+    gens = code_to_hops(code)
+    b = (gens.m - int(eigenvalues(gens)[1:].max())) // 2
+    return min_weight(code) == b
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from longhop import (
     cut_value,
     diagonalize,
     distance_profile,
+    eigenvalues,
     find_solution,
     folded_cube,
     fwht,
@@ -83,7 +84,7 @@ def test_criterion_1_exact_goldens():
 
 
 def test_criterion_2_engine_equivalence():
-    """criterion 2: fwht, the direct definition and brute force agree on 100 sets"""
+    """criterion 2: codeword weights, fwht, the direct definition and brute force agree on 100 sets"""
     done = _timed(30.0)
     rng = random.Random(0xB15EC7)
     dims = [3] * 50 + [4] * 50
@@ -96,6 +97,8 @@ def test_criterion_2_engine_equivalence():
                 break
         fast = bisection_fwht(gens)
         assert fast.counts.tolist() == oracle.cut_counts(gens.d, gens.hops)
+        transform = (gens.m - eigenvalues(gens)) >> 1
+        assert np.array_equal(fast.counts, transform)
         B, part = brute_force_bisection(gens)
         assert B == fast.B
         assert cut_value(gens, part) == B

@@ -1,11 +1,15 @@
 """Spectral bisection against the direct definition and the brute-force referee."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import oracle
+from longhop import bisection
 from longhop import (
     BudgetExceeded,
     DisconnectedGraph,
@@ -18,6 +22,7 @@ from longhop import (
     cut_counts,
     cut_value,
     eigenvalues,
+    low_density_b3,
     optimize_direct,
     walsh_partition,
 )
@@ -71,6 +76,63 @@ def test_cut_counts_match_oracle():
     for _ in range(10):
         gens = _random_spanning(rng, rng.choice([3, 4]))
         assert cut_counts(gens).tolist() == oracle.cut_counts(gens.d, gens.hops)
+
+
+def _transform_counts(gens):
+    return (gens.m - eigenvalues(gens)) >> 1
+
+
+@pytest.mark.parametrize("m", [63, 64, 65, 128, 129, 255])
+def test_codeword_counts_across_word_boundaries(m):
+    gens = _random_spanning(random.Random(m), 8, m)
+    counts = cut_counts(gens)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, _transform_counts(gens))
+    assert counts.tolist() == oracle.cut_counts(gens.d, gens.hops)
+
+
+@pytest.mark.parametrize("m,transform_calls", [(640, 0), (641, 1)])
+def test_engine_switch_at_d_words(monkeypatch, m, transform_calls):
+    # At d = 10 the codewords serve up to 10 words of hops, m = 640.
+    calls = []
+
+    def counted(gens):
+        calls.append(gens.m)
+        return eigenvalues(gens)
+
+    monkeypatch.setattr(bisection, "eigenvalues", counted)
+    gens = _random_spanning(random.Random(m), 10, m)
+    counts = cut_counts(gens)
+    assert len(calls) == transform_calls
+    assert counts.tolist() == oracle.cut_counts(gens.d, gens.hops)
+
+
+@st.composite
+def wide_spanning_sets(draw):
+    d = draw(st.integers(1, 9))
+    n = 1 << d
+    m = draw(st.integers(d, n - 1))
+    hops = random.Random(draw(st.integers(0, 2**32))).sample(range(1, n), m)
+    gens = GeneratorSet(d, tuple(hops))
+    assume(gens.spans())
+    return gens
+
+
+@given(wide_spanning_sets())
+def test_codeword_counts_match_transform(gens):
+    assert np.array_equal(cut_counts(gens), _transform_counts(gens))
+
+
+def test_cut_counts_memory_per_node():
+    gens = low_density_b3(18)
+    tracemalloc.start()
+    try:
+        cut_counts(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Codewords (8 bytes), uint16 totals and one uint8 popcount per node.
+    assert peak < 16 * gens.n
 
 
 def test_zero_xor_forces_even_cuts():

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from longhop import cli
 from longhop.cli import main
 
 FQ3_TEXT = "d=3 q=2\n1\n2\n4\n7\n"
@@ -42,6 +43,17 @@ def test_bisect_missing_file(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_out_of_memory_is_an_error_line(capsys, monkeypatch, fq3_file):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 128. MiB")
+
+    monkeypatch.setattr(cli, "cmd_bisect", exhausted)
+    code, out, err = run(capsys, "bisect", fq3_file)
+    assert code == 1
+    assert out == ""
+    assert err == "error: out of memory (Unable to allocate 128. MiB)\n"
 
 
 def test_bisect_bad_format(capsys, tmp_path):

@@ -148,6 +148,18 @@ def test_min_weight_equals_bisection():
     assert verify_duality(CODE43)
 
 
+def test_duality_takes_b_from_the_transform(monkeypatch):
+    # cut_counts enumerates codewords too, so the graph side must not use it.
+    from longhop import bisection
+
+    def no_codewords(gens):
+        raise AssertionError("verify_duality reached the codeword engine")
+
+    monkeypatch.setattr(bisection, "cut_counts", no_codewords)
+    assert verify_duality(CODE74)
+    assert verify_duality(CODE43)
+
+
 @given(spanning_sets(max_d=5))
 def test_duality_holds_on_random_sets(gens):
     assert verify_duality(hops_to_code(gens))
