@@ -4,9 +4,20 @@ A network here is a Cayley graph: nodes are the 2^d words of d bits and
 node v links to v XOR h for every hop h in the generator set.  The set
 is closed under nothing and ordered (hop s is "port s"), but as a graph
 the edge set only depends on the set of hops.
+
+The distance profile is a direction-optimizing BFS (Beamer, Asanovic and
+Patterson, SC 2012).  While the frontier is small it pushes: frontier ^ h
+is scattered into a bool mask per node.  Once the frontier holds n/32
+nodes, on graphs of n >= 2^13, it pulls for the rest of the search: node
+v is reached when frontier[v ^ h] holds for some hop h, and on packed
+64-node words that is a permutation of bits within each word followed by
+a gather of words.  On b3(24) (d = 24, 29 hops) this takes the profile
+from about 2.5 s to about 0.45 s on 2 cores, and its traced peak from
+8.0 to 2.45 bytes per node.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -167,28 +178,139 @@ def adjacency(gens: GeneratorSet, cap: int = 1 << 14) -> np.ndarray:
     return a
 
 
+# The BFS switches from the push step to the pull step once the frontier
+# holds at least n >> _PULL_SHIFT nodes, on graphs of at least _PULL_MIN_N
+# nodes; below that the per-level cost of the packed words never pays off.
+_PULL_MIN_N = 1 << 13
+_PULL_SHIFT = 5
+# Words per gather in the pull step (128 KB of indices and of results).
+_GATHER = 1 << 14
+# _SWAP_MASKS[j] marks the bits of a 64-bit word whose position has bit j
+# clear; the swap built from it exchanges bits p and p ^ 2^j.
+_SWAP_MASKS = tuple(
+    np.uint64(sum(1 << p for p in range(64) if not p >> j & 1)) for j in range(6)
+)
+
+
 def distance_profile(gens: GeneratorSet) -> DistanceProfile:
-    """Level-synchronous BFS from node 0, one hop at a time, keeping only
-    the size of each level; O(n) bytes whatever m is.  Raises
-    DisconnectedGraph if the hops do not span."""
+    """Level-synchronous BFS from node 0 that keeps only the size of each
+    level; O(n) bytes whatever m is.  Raises DisconnectedGraph if the hops
+    do not span.
+
+    Each level runs one of two steps, chosen from the frontier size.  The
+    push step scatters frontier ^ h into a bool mask, one hop at a time; it
+    runs while the frontier holds fewer than n/32 nodes, and always when
+    n < 2^13.  From then on the pull step runs on packed 64-node words:
+    node v joins the next level when frontier[v ^ h] holds for some hop h.
+    The push step holds two bool masks (2 bytes per node) and 16 bytes per
+    frontier node, and its frontier stays below n/32, so the traced peak
+    stays under 2.5 bytes per node at d >= 20; below that, fixed buffers
+    of a few hundred KB dominate.  The search stops once every node is
+    reached.
+    """
     n = gens.n
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    nxt = np.empty(n, dtype=bool)
-    frontier = np.zeros(1, dtype=np.int64)
     counts = [1]
-    while True:
-        nxt.fill(False)
-        for h in gens.hops:
-            nxt[frontier ^ h] = True
-        nxt &= ~seen
-        frontier = np.flatnonzero(nxt)
-        if not frontier.size:
-            break
-        seen |= nxt
-        counts.append(frontier.size)
+    handover = _push_levels(gens, counts)
+    if handover is not None:
+        _pull_levels(gens, *handover, counts)
     if sum(counts) != n:
         raise DisconnectedGraph(
             f"hops span a rank-{gf2.rank(gens.hops)} subspace of d={gens.d}"
         )
     return DistanceProfile(tuple(counts))
+
+
+def _push_levels(
+    gens: GeneratorSet, counts: list[int]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Top-down levels, appending each level's size to counts.  Returns the
+    packed (unseen, frontier) words once the frontier is large enough for
+    the pull step, or None when the search is over."""
+    n = gens.n
+    unseen = np.ones(n, dtype=bool)
+    unseen[0] = False
+    nxt = ~unseen
+    size = reached = 1
+    while size and reached < n:
+        if n >= _PULL_MIN_N and size << _PULL_SHIFT >= n:
+            return _pack(unseen), _pack(nxt)
+        frontier = np.flatnonzero(nxt)
+        nxt.fill(False)
+        for h in gens.hops:
+            nxt[frontier ^ h] = True
+        del frontier  # not alive while the masks are packed at handover
+        nxt &= unseen
+        unseen ^= nxt
+        size = int(np.count_nonzero(nxt))
+        reached += size
+        if size:
+            counts.append(size)
+    return None
+
+
+def _pack(mask: np.ndarray) -> np.ndarray:
+    """Bool node mask as '<u8' words: node v at bit v & 63 of word v >> 6
+    (one zero-padded word when n < 64)."""
+    packed = np.packbits(mask, bitorder="little")
+    return np.pad(packed, (0, -packed.size % 8)).view("<u8")
+
+
+def _pull_levels(
+    gens: GeneratorSet, unseen: np.ndarray, frontier: np.ndarray, counts: list[int]
+) -> None:
+    """Bottom-up levels on packed words, appending each level's size to
+    counts.  Hop h = hi << 6 | lo reads frontier bit (v & 63) ^ lo of word
+    (v >> 6) ^ hi: an in-word permutation shared by every hop with that lo,
+    then a word gather."""
+    n = gens.n
+    groups: dict[int, list[int]] = {}
+    for h in gens.hops:
+        groups.setdefault(h & 63, []).append(h >> 6)
+    his = {lo: np.array(group) for lo, group in groups.items()}
+    idx = np.arange(unseen.size)
+    reached = sum(counts)
+    while reached < n:
+        nxt = np.zeros_like(unseen)
+        for lo, variant in _in_word_variants(frontier, list(his)):
+            _or_gathered(variant, his[lo], idx, nxt)
+        nxt &= unseen
+        unseen ^= nxt
+        size = int(np.bitwise_count(nxt).sum())
+        if not size:
+            return
+        reached += size
+        counts.append(size)
+        frontier = nxt
+
+
+def _in_word_variants(
+    words: np.ndarray, los: list[int], bit: int = 0
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (lo, words with bit p of each word taken from bit p ^ lo) for
+    each lo in los, all of which agree below `bit` and whose shared low
+    bits `words` is already permuted by.  Depth-first over the bits, one
+    mask-and-shift swap per set bit, so at most 7 arrays are alive."""
+    if bit == 6:
+        yield los[0], words
+        return
+    clear = [lo for lo in los if not lo >> bit & 1]
+    flipped = [lo for lo in los if lo >> bit & 1]
+    if clear:
+        yield from _in_word_variants(words, clear, bit + 1)
+    if flipped:
+        s, mask = 1 << bit, _SWAP_MASKS[bit]
+        swapped = ((words & mask) << s) | ((words >> s) & mask)
+        yield from _in_word_variants(swapped, flipped, bit + 1)
+
+
+def _or_gathered(variant, his, idx, out) -> None:
+    """out |= variant[idx ^ hi] for every hi in his, in gathers of at most
+    _GATHER words: several hops per gather when the words are few, word
+    chunks of one hop when they are many."""
+    step = min(idx.size, _GATHER)
+    rows = _GATHER // step
+    for i in range(0, his.size, rows):
+        block = his[i : i + rows, None]
+        for a in range(0, idx.size, step):
+            gathered = variant[idx[a : a + step] ^ block]
+            out[a : a + step] |= np.bitwise_or.reduce(gathered, axis=0)

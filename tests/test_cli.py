@@ -1,11 +1,15 @@
 """Command-line behavior: golden output, files, exit codes, determinism."""
 
+import os
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import longhop
 from longhop import cli
 from longhop.cli import main
 
@@ -317,16 +321,32 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
-@pytest.mark.skipif(shutil.which("lh") is None, reason="entry point not on PATH")
+def run_child(argv):
+    """Run argv with the package under test importable; return stdout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(longhop.__file__).parents[1])}
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
 def test_installed_entry_point(fq3_file):
-    proc = subprocess.run(
-        ["lh", "bisect", fq3_file], capture_output=True, text=True
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "b=2 B=8 t=1\n"
-    proc = subprocess.run(
-        [sys.executable, "-m", "longhop.cli", "bisect", fq3_file],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "b=2 B=8 t=1\n"
+    """`lh` as installed or, when it is not on PATH, the console-script
+    target that pyproject.toml declares for it."""
+    if shutil.which("lh"):
+        argv = ["lh"]
+    else:
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        target = re.search(r'^lh = "([\w.]+):(\w+)"$', pyproject, re.M)
+        module, func = target.groups()
+        script = f"import sys; from {module} import {func}; sys.exit({func}())"
+        argv = [sys.executable, "-c", script]
+    assert run_child([*argv, "bisect", fq3_file]) == "b=2 B=8 t=1\n"
+
+
+def test_module_entry_point(fq3_file, tmp_path):
+    lh = [sys.executable, "-m", "longhop.cli"]
+    assert run_child([*lh, "bisect", fq3_file]) == "b=2 B=8 t=1\n"
+    # The d = 14 cube reaches the BFS pull step at level 4.
+    cube = tmp_path / "cube14.hops"
+    cube.write_text("d=14 q=2\n" + "".join(f"{1 << i:04X}\n" for i in range(14)))
+    assert run_child([*lh, "metrics", str(cube)]) == "diam=14 avg=114688/16384 (7.0)\n"

@@ -1,5 +1,6 @@
 """Generator sets, the hop-list file format, adjacency, and BFS metrics."""
 
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -17,12 +18,15 @@ from longhop import (
     adjacency,
     distance_profile,
     format_hops,
+    hd_metrics,
     lh_hd,
     load_hops,
+    low_density_b3,
     neighbors,
     parse_hops,
     save_hops,
 )
+from longhop import graph
 from longhop.graph import hex_width
 
 FQ3 = GeneratorSet(3, (1, 2, 4, 7))
@@ -196,3 +200,97 @@ def test_distance_profile_memory_is_independent_of_m():
         tracemalloc.stop()
     assert (prof.diameter, prof.far_count) == (2, 4095)
     assert peak < 1 << 20
+
+
+def test_distance_profile_memory_per_node():
+    # b3(20) pulls from level 6 on.  Pushing all the way, with two bool
+    # masks and int64 indices of frontiers up to n/2, peaks near 8 bytes
+    # a node.
+    gens = low_density_b3(20)
+    tracemalloc.start()
+    try:
+        distance_profile(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * gens.n
+
+
+def recording_pull(entries):
+    """graph._pull_levels, also noting in entries how many levels were
+    already counted when the BFS handed over to the pull step."""
+    pull = graph._pull_levels
+
+    def recording(gens, unseen, frontier, counts):
+        entries.append(len(counts))
+        pull(gens, unseen, frontier, counts)
+
+    return recording
+
+
+@pytest.fixture()
+def pull_entries(monkeypatch):
+    entries = []
+    monkeypatch.setattr(graph, "_pull_levels", recording_pull(entries))
+    return entries
+
+
+def assert_matches_oracle(gens):
+    prof = distance_profile(gens)
+    want = oracle.distances(gens.d, gens.hops)
+    assert prof.histogram() == np.bincount(want).tolist()
+    assert prof.far_count == want.count(max(want))
+
+
+@given(generator_sets(min_d=2, max_d=10, spanning=True))
+def test_pull_step_from_level_one_matches_bfs_oracle(gens):
+    # d < 6 leaves one partial word and every hop with hi = 0.
+    entries = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_PULL_MIN_N", 1)
+        mp.setattr(graph, "_PULL_SHIFT", graph.MAX_DIM)
+        mp.setattr(graph, "_pull_levels", recording_pull(entries))
+        assert_matches_oracle(gens)
+    assert entries == [1]
+
+
+def _every_lo_set():
+    rng = random.Random(5)
+    return GeneratorSet(
+        14, tuple(rng.randrange(1, 256) << 6 | lo for lo in range(64))
+    )
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        low_density_b3(14),
+        GeneratorSet(14, tuple(1 << i for i in range(14))),
+        # Beyond the six low unit vectors, every hop has lo = 0.
+        GeneratorSet(
+            14, (1, 2, 4, 8, 16, 32) + tuple(hi << 6 for hi in range(1, 256, 6))
+        ),
+        _every_lo_set(),
+        low_density_b3(13),
+    ],
+    ids=["b3-14", "cube-14", "lo-zero", "every-lo", "b3-13"],
+)
+def test_pull_step_matches_bfs_oracle(gens, pull_entries):
+    assert gens.spans()
+    assert_matches_oracle(gens)
+    assert len(pull_entries) == 1
+
+
+def test_pull_step_matches_hd_closed_form(pull_entries):
+    prof = distance_profile(lh_hd(14, 8192))
+    _, diameter, avg = hd_metrics(14, 8192)
+    assert (prof.diameter, prof.avg) == (diameter, avg)
+    assert pull_entries == [2]
+
+
+def test_distance_profile_disconnected_in_pull_step(pull_entries):
+    # 2^13 reachable nodes, and the frontier passes n/32 = 512 on the way.
+    gens = GeneratorSet(14, tuple(1 << i for i in range(13)) + (3,))
+    with pytest.raises(DisconnectedGraph, match="rank-13 subspace of d=14"):
+        distance_profile(gens)
+    assert len(pull_entries) == 1
