@@ -24,6 +24,7 @@ from math import comb
 
 import numpy as np
 
+from . import gf2
 from .errors import BudgetExceeded, DisconnectedGraph, DomainError, LongHopError
 from .graph import GeneratorSet, distance_profile
 from .walsh import fwht, walsh_values
@@ -34,16 +35,6 @@ def eigenvalues(gens: GeneratorSet) -> np.ndarray:
     indicator = np.zeros(gens.n, dtype=np.int64)
     indicator[list(gens.hops)] = 1
     return fwht(indicator)
-
-
-def _code_rows(hops: tuple[int, ...], d: int) -> list[int]:
-    """The d generator rows of up to 64 hops: bit s of row i is bit i of hop s."""
-    rows = [0] * d
-    for s, h in enumerate(hops):
-        for i in range(h.bit_length()):
-            if h >> i & 1:
-                rows[i] |= 1 << s
-    return rows
 
 
 def cut_counts(gens: GeneratorSet) -> np.ndarray:
@@ -66,7 +57,7 @@ def cut_counts(gens: GeneratorSet) -> np.ndarray:
     words = np.empty(n, dtype=np.uint64)
     words[0] = 0
     for lo in range(0, m, 64):
-        for i, row in enumerate(_code_rows(gens.hops[lo:lo + 64], d)):
+        for i, row in enumerate(gf2.transpose(gens.hops[lo:lo + 64], d)):
             h = 1 << i
             np.bitwise_xor(words[:h], np.uint64(row), out=words[h:2 * h])
         counts += np.bitwise_count(words)

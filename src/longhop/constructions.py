@@ -4,7 +4,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .bisection import bisection_fwht
+from . import gf2
+from .bisection import bisection_fwht, cut_counts
 from .errors import DomainError, LongHopError
 from .graph import GeneratorSet, distance_profile
 from .walsh import MAX_DIM
@@ -92,16 +93,6 @@ def b3_overhead(d: int) -> int:
     return L
 
 
-def _b3_augment_rows(d: int, L: int, columns: tuple[int, ...]) -> list[int]:
-    rows = []
-    for j in range(L):
-        word = 0
-        for mu, c in enumerate(reversed(columns)):
-            word |= (c >> (L - 1 - j) & 1) << mu
-        rows.append(word)
-    return rows
-
-
 def b3_default_columns(d: int) -> tuple[int, ...]:
     """Default check patterns: the smallest workable weight>=2 words.
 
@@ -114,7 +105,7 @@ def b3_default_columns(d: int) -> tuple[int, ...]:
     L = b3_overhead(d)
     pool = [c for c in range(1 << L) if c.bit_count() >= 2]
     for cols in combinations(pool, d):
-        rows = _b3_augment_rows(d, L, cols)
+        rows = gf2.transpose(cols[::-1], L)[::-1]
         if len(set(rows)) == L and all(r.bit_count() >= 2 for r in rows):
             return cols
     raise DomainError(f"no valid default column assignment exists for d={d}")
@@ -143,7 +134,7 @@ def low_density_b3(d: int, columns: tuple[int, ...] | None = None) -> GeneratorS
             raise DomainError(f"pattern {c:#x} wider than L={L} bits")
         if c.bit_count() < 2:
             raise DomainError(f"pattern {c:#x} needs weight >= 2")
-    rows = _b3_augment_rows(d, L, columns)
+    rows = gf2.transpose(columns[::-1], L)[::-1]
     if len(set(rows)) != L or any(r.bit_count() < 2 for r in rows):
         raise DomainError("column assignment yields an invalid augmentation hop")
     hops = tuple(1 << i for i in range(d)) + tuple(rows)
@@ -173,19 +164,20 @@ def augment_odd_b(gens: GeneratorSet) -> GeneratorSet:
 def optimize_secondary(
     gens: GeneratorSet,
     objective: str = "diameter",
-    hold_b: bool = True,
     depth: int = 1,
     budget: int = 2000,
 ) -> GeneratorSet:
     """Local search on secondary metrics by swapping hops in and out.
 
-    Keeps b from regressing when hold_b is set.  `objective` is
+    Never lets b fall below the b of `gens`.  `objective` is
     "diameter" (diameter first, then the count of nodes sitting at the
     diameter) or "avg_hops" (total distance).  Each step tries
     replacing up to `depth` hops (1 or 2) and takes the best strict
     improvement in lexicographic candidate order; stops at a local
-    optimum or when `budget` candidate evaluations run out.  A hill
-    climber, not an exact optimizer.
+    optimum or when `budget` runs out.  A candidate's b costs one unit
+    of budget and its objective one more; a candidate that does not
+    span (b = 0) is skipped free of charge.  A hill climber, not an
+    exact optimizer.
     """
     if objective not in ("diameter", "avg_hops"):
         raise DomainError(f"unknown objective {objective!r}")
@@ -217,7 +209,7 @@ def optimize_secondary(
                         cand[i], cand[j] = a, b
                         yield tuple(cand)
 
-    floor_b = bisection_fwht(gens).b if hold_b else None
+    floor_b = bisection_fwht(gens).b
     current = gens
     current_key = key(current)
     while budget > 0:
@@ -226,12 +218,13 @@ def optimize_secondary(
             if budget <= 0:
                 break
             cand = GeneratorSet(gens.d, hops)
-            if not cand.spans():
+            # b is 0 exactly when the hops do not span.
+            b = int(cut_counts(cand)[1:].min())
+            if b == 0:
                 continue
-            if floor_b is not None:
-                budget -= 1
-                if bisection_fwht(cand).b < floor_b:
-                    continue
+            budget -= 1
+            if b < floor_b:
+                continue
             budget -= 1
             k = key(cand)
             if k < current_key and (step is None or k < step[0]):

@@ -1,9 +1,11 @@
 """Translation between hop sets and binary linear block codes.
 
 A d x m generator matrix over GF(2) and an m-hop set in Z_2^d are the
-same object viewed sideways: hop s is the (m - s)'th matrix column read
-top-to-bottom as a d-bit word (top row = most significant bit).  Under
-that correspondence the minimum codeword weight equals the per-node
+same object viewed sideways, with one orientation: the hops are
+`gf2.transpose(rows[::-1], m)` and the rows are `gf2.transpose(hops,
+d)[::-1]`.  So hop s is the (m - s)'th matrix column read top-to-bottom
+as a d-bit word (top row = most significant bit).  Under that
+correspondence the minimum codeword weight equals the per-node
 bisection b of the hop graph, so code tables double as network designs.
 `bisection.cut_counts` computes the codeword weights for most hop sets;
 `codewords` and `min_weight` here stay a separate, plain enumeration so
@@ -43,14 +45,6 @@ class LinearCode:
     @property
     def k(self) -> int:
         return len(self.rows)
-
-    def column(self, j: int) -> int:
-        """Column j (0 = leftmost) as a k-bit word, top row = MSB."""
-        word = 0
-        for i, r in enumerate(self.rows):
-            bit = (r >> (self.width - 1 - j)) & 1
-            word |= bit << (self.k - 1 - i)
-        return word
 
 
 def format_code(code: LinearCode) -> str:
@@ -96,7 +90,7 @@ def code_to_hops(code: LinearCode) -> GeneratorSet:
         raise DomainError(f"code has {k} rows; dimensions above {MAX_DIM} unsupported")
     if gf2.rank(code.rows) != k:
         raise DomainError("generator rows are linearly dependent")
-    hops = tuple(code.column(code.width - 1 - s) for s in range(code.width))
+    hops = tuple(gf2.transpose(code.rows[::-1], code.width))
     if 0 in hops:
         raise DomainError("a zero matrix column would be a zero hop")
     if len(set(hops)) != len(hops):
@@ -108,14 +102,7 @@ def hops_to_code(gens: GeneratorSet) -> LinearCode:
     """Inverse of code_to_hops: hop s becomes column m-1-s."""
     if not gens.spans():
         raise DomainError("hops do not span; the matrix would be rank-deficient")
-    d, m = gens.d, gens.m
-    rows = [0] * d
-    for s, h in enumerate(gens.hops):
-        j = m - 1 - s
-        for i in range(d):
-            bit = (h >> (d - 1 - i)) & 1
-            rows[i] |= bit << (m - 1 - j)
-    return LinearCode(m, tuple(rows))
+    return LinearCode(gens.m, tuple(gf2.transpose(gens.hops, gens.d)[::-1]))
 
 
 def codewords(code: LinearCode) -> np.ndarray:
@@ -178,15 +165,7 @@ class EquivalenceMap:
         return cls(d, tuple(1 << i for i in range(d)))
 
     def apply(self, x: int) -> int:
-        out = 0
-        rows = self.rows
-        i = 0
-        while x:
-            if x & 1:
-                out ^= rows[i]
-            x >>= 1
-            i += 1
-        return out
+        return gf2.apply(self.rows, x)
 
     def apply_to(self, gens: GeneratorSet) -> GeneratorSet:
         if gens.d != self.d:
@@ -215,18 +194,13 @@ def diagonalize(gens: GeneratorSet):
         raise DomainError("cannot diagonalize: hops do not span Z_2^d")
     hops = list(gens.hops)
     rows = [1 << i for i in range(d)]
-
-    def transvect(src: int, dst: int):
-        nonlocal hops, rows
-        hops = [h ^ ((h >> src & 1) << dst) for h in hops]
-        rows = [r ^ ((r >> src & 1) << dst) for r in rows]
-
     for c in range(d):
         cands = [i for i, h in enumerate(hops) if h >> c & 1]
         pivot = min(cands, key=lambda i: (hops[i].bit_count(), i))
         for c2 in range(d):
             if c2 != c and hops[pivot] >> c2 & 1:
-                transvect(c, c2)
+                hops = gf2.transvect(hops, c, c2)
+                rows = gf2.transvect(rows, c, c2)
         hops[pivot], hops[c] = hops[c], hops[pivot]
     return GeneratorSet(d, tuple(hops)), EquivalenceMap(d, tuple(rows))
 
@@ -250,7 +224,10 @@ def min_change_expansion(
     of M(new) are absent from `old` (old hops are read zero-extended
     when old.d < new.d).  Greedy over elementary column additions with
     random restarts; `budget` caps candidate evaluations, so the result
-    is the best map seen, not a certified optimum.
+    is the best map seen, not a certified optimum.  Candidates are only
+    ever transvections of an invertible map or fresh `random_invertible`
+    draws, so they are scored as bare rows and only the result is
+    checked as an `EquivalenceMap`.
     """
     if old.d > new.d:
         raise DomainError("the old network cannot be wider than the new one")
@@ -259,8 +236,7 @@ def min_change_expansion(
     rng = random.Random(seed)
 
     def cost(rows: list[int]) -> int:
-        emap = EquivalenceMap(d, tuple(rows))
-        return sum(1 for h in new.hops if emap.apply(h) not in old_set)
+        return sum(1 for h in new.hops if gf2.apply(rows, h) not in old_set)
 
     current = [1 << i for i in range(d)]
     current_cost = cost(current)
@@ -273,7 +249,7 @@ def min_change_expansion(
             for dst in range(d):
                 if src == dst:
                     continue
-                cand = [r ^ ((r >> src & 1) << dst) for r in current]
+                cand = gf2.transvect(current, src, dst)
                 c = cost(cand)
                 budget -= 1
                 if c < current_cost and (step is None or c < step[0]):

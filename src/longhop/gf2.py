@@ -3,6 +3,8 @@
 Vectors are Python ints (bit i = coordinate i) and a matrix is a list of
 row ints.  Everything here is exact and allocation-light; dimensions in
 this package never exceed 24 so dense elimination is always cheap.
+`transpose` holds the generator-matrix bit layout for every module that
+reads hops as a matrix: bit s of row i is bit i of hop s.
 """
 from __future__ import annotations
 
@@ -29,6 +31,36 @@ def rank(vectors) -> int:
 def spans(vectors, d: int) -> bool:
     """True when `vectors` generate all of GF(2)^d."""
     return rank(vectors) == d
+
+
+def transpose(vectors, width: int) -> list[int]:
+    """The bit matrix read the other way: `width` row ints, bit s of row i
+    being bit i of vectors[s].  Every vector must fit in `width` bits."""
+    rows = [0] * width
+    for s, v in enumerate(vectors):
+        for i in range(v.bit_length()):
+            if v >> i & 1:
+                rows[i] |= 1 << s
+    return rows
+
+
+def transvect(vectors, src: int, dst: int) -> list[int]:
+    """Each vector with coordinate src added into coordinate dst: the
+    elementary map x_dst += x_src, invertible whenever src != dst."""
+    return [v ^ ((v >> src & 1) << dst) for v in vectors]
+
+
+def apply(rows, x: int) -> int:
+    """Image of x under the linear map sending unit i to rows[i]: the XOR
+    of rows[i] over the set bits i of x."""
+    out = 0
+    i = 0
+    while x:
+        if x & 1:
+            out ^= rows[i]
+        x >>= 1
+        i += 1
+    return out
 
 
 def invert(rows: list[int], d: int) -> list[int]:

@@ -198,15 +198,16 @@ def distance_profile(gens: GeneratorSet) -> DistanceProfile:
     do not span.
 
     Each level runs one of two steps, chosen from the frontier size.  The
-    push step scatters frontier ^ h into a bool mask, one hop at a time; it
+    push step scatters frontier ^ h into a bool mask, one hop at a time, or
+    hops ^ v, one frontier node at a time, whichever list is shorter; it
     runs while the frontier holds fewer than n/32 nodes, and always when
     n < 2^13.  From then on the pull step runs on packed 64-node words:
     node v joins the next level when frontier[v ^ h] holds for some hop h.
-    The push step holds two bool masks (2 bytes per node) and 16 bytes per
-    frontier node, and its frontier stays below n/32, so the traced peak
-    stays under 2.5 bytes per node at d >= 20; below that, fixed buffers
-    of a few hundred KB dominate.  The search stops once every node is
-    reached.
+    The push step holds two bool masks (2 bytes per node), 8 bytes per hop
+    and 16 bytes per frontier node, and its frontier stays below n/32, so
+    the traced peak stays under 2.5 bytes per node at d >= 20; below that,
+    fixed buffers of a few hundred KB dominate.  The search stops once
+    every node is reached.
     """
     n = gens.n
     counts = [1]
@@ -227,6 +228,7 @@ def _push_levels(
     packed (unseen, frontier) words once the frontier is large enough for
     the pull step, or None when the search is over."""
     n = gens.n
+    hops = np.array(gens.hops)
     unseen = np.ones(n, dtype=bool)
     unseen[0] = False
     nxt = ~unseen
@@ -236,9 +238,13 @@ def _push_levels(
             return _pack(unseen), _pack(nxt)
         frontier = np.flatnonzero(nxt)
         nxt.fill(False)
-        for h in gens.hops:
-            nxt[frontier ^ h] = True
-        del frontier  # not alive while the masks are packed at handover
+        # XOR commutes, so scatter once per entry of the shorter list; level
+        # 1 (frontier {0}) is the single scatter nxt[hops] = True.
+        few, many = sorted((frontier, hops), key=len)
+        for x in few.tolist():
+            nxt[many ^ x] = True
+        # None of these is alive while the masks are packed at handover.
+        del frontier, few, many
         nxt &= unseen
         unseen ^= nxt
         size = int(np.count_nonzero(nxt))

@@ -220,3 +220,34 @@ def test_optimize_secondary_depth_two_runs():
     result = optimize_secondary(start, objective="diameter", depth=2, budget=500)
     prof = distance_profile(result)
     assert prof.diameter <= 3
+
+
+# Recorded search outputs.  Each start is paired with the smallest budget
+# at which the search takes its first step and the hops it then returns
+# for every larger budget up to 2000 (None: the start is a local optimum).
+# Both objectives and both depths give the same hops on these starts.
+# The neighbourhoods hold non-spanning candidates (the 3-cube's holds
+# (6, 2, 4)), which cost no budget, while b and the objective cost one
+# unit each; the budgets just below each step pin that accounting.
+SECONDARY_GOLDENS = [
+    (hypercube(3), None, None),
+    (hypercube(4), None, None),
+    (folded_cube(4), None, None),
+    (GeneratorSet(4, (1, 2, 4, 8, 6)), 25, (1, 11, 4, 8, 6)),
+    (GeneratorSet(5, (3, 7, 5, 24, 10, 31)), 31, (3, 1, 5, 24, 10, 31)),
+    (GeneratorSet(6, (5, 20, 28, 60, 16, 51, 29)), 17,
+     (10, 20, 28, 60, 16, 51, 29)),
+]
+
+
+@pytest.mark.parametrize("start, first_step, after", SECONDARY_GOLDENS)
+def test_optimize_secondary_goldens(start, first_step, after):
+    for budget in (1, 7, 16, 17, 24, 25, 30, 31, 50, 2000):
+        moved = first_step is not None and budget >= first_step
+        want = after if moved else start.hops
+        for objective in ("diameter", "avg_hops"):
+            for depth in (1, 2):
+                got = optimize_secondary(
+                    start, objective=objective, depth=depth, budget=budget
+                )
+                assert got.hops == want, (objective, depth, budget)

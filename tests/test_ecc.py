@@ -23,6 +23,7 @@ from longhop import (
     min_weight,
     verify_duality,
 )
+from longhop.constructions import low_density_b3
 from longhop.ecc import (
     MinChangeResult,
     format_code,
@@ -31,6 +32,7 @@ from longhop.ecc import (
     parse_code,
     save_code,
 )
+from longhop.soldb import REFERENCE_EXAMPLES
 
 # A [7,4] single-error-correcting generator matrix and its hop form.
 CODE74 = LinearCode(7, (0b1101000, 0b0110100, 0b1110010, 0b1010001))
@@ -64,12 +66,6 @@ def test_linear_code_validation():
         LinearCode(3, (8,))
 
 
-def test_column_reads_top_down():
-    assert [CODE74.column(j) for j in range(7)] == [
-        0b1011, 0b1110, 0b0111, 0b1000, 0b0100, 0b0010, 0b0001,
-    ]
-
-
 def test_format_code_golden():
     assert format_code(CODE43) == "1100\n1010\n1001\n"
 
@@ -78,6 +74,14 @@ def test_parse_code_round_trip():
     assert parse_code(format_code(CODE74)) == CODE74
     text = "# generator\n1100\n\n1010  # middle\n1001\n"
     assert parse_code(text) == CODE43
+
+
+@given(st.integers(1, 63).flatmap(lambda width: st.builds(
+    LinearCode, st.just(width),
+    st.lists(st.integers(0, 2**width - 1), min_size=1, max_size=24),
+)))
+def test_format_parse_code_round_trip(code):
+    assert parse_code(format_code(code)) == code
 
 
 @pytest.mark.parametrize(
@@ -282,3 +286,33 @@ def test_min_change_respects_budget():
     new = GeneratorSet(3, (3, 5, 6, 7))
     result = min_change_expansion(old, new, budget=1, seed=0)
     assert result.rewired >= 0
+
+
+UNIT16 = tuple(1 << i for i in range(16))
+D6M8 = GeneratorSet(6, (1, 10, 43, 38, 31, 49, 48, 24))
+
+
+# Recorded outputs.  The two d = 6 targets need climbing and random
+# restarts, so the rows depend on the seed.
+@pytest.mark.parametrize(
+    "old, new, budget, seed, rows, rewired",
+    [
+        (low_density_b3(12), low_density_b3(16), 2000, 0, UNIT16, 9),
+        (low_density_b3(12), low_density_b3(16), 2000, 7, UNIT16, 9),
+        (low_density_b3(16), REFERENCE_EXAMPLES[2][1], 2000, 0, UNIT16, 22),
+        (low_density_b3(16), REFERENCE_EXAMPLES[2][1], 2000, 7, UNIT16, 22),
+        (GeneratorSet(6, (5, 20, 28, 60, 16, 51, 29)), D6M8, 300, 0,
+         (16, 31, 26, 2, 30, 45), 4),
+        (GeneratorSet(6, (5, 20, 28, 60, 16, 51, 29)), D6M8, 300, 7,
+         (20, 62, 43, 59, 9, 33), 4),
+        (GeneratorSet(5, (20, 9, 24, 12, 26, 23, 29)), D6M8, 300, 0,
+         (20, 59, 62, 34, 58, 45), 4),
+        (GeneratorSet(5, (20, 9, 24, 12, 26, 23, 29)), D6M8, 300, 7,
+         (40, 30, 17, 4, 55, 59), 4),
+    ],
+)
+def test_min_change_expansion_goldens(old, new, budget, seed, rows, rewired):
+    result = min_change_expansion(old, new, budget=budget, seed=seed)
+    assert result.emap.rows == rows
+    assert result.rewired == rewired
+    assert result.gens == result.emap.apply_to(new)

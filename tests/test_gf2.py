@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracle
@@ -79,3 +79,40 @@ def test_random_invertible_is_seeded():
 def test_random_invertible_rejects_bad_dimension():
     with pytest.raises(DomainError):
         gf2.random_invertible(0, random.Random(1))
+
+
+@st.composite
+def bit_matrices(draw):
+    width = draw(st.integers(1, 24))
+    vectors = draw(st.lists(st.integers(0, 2**width - 1), max_size=70))
+    return vectors, width
+
+
+@given(bit_matrices())
+def test_transpose_twice_is_the_identity(matrix):
+    vectors, width = matrix
+    rows = gf2.transpose(vectors, width)
+    assert len(rows) == width
+    for i in range(width):
+        for s, v in enumerate(vectors):
+            assert rows[i] >> s & 1 == v >> i & 1
+    assert gf2.transpose(rows, len(vectors)) == vectors
+
+
+@given(bit_matrices(), st.data())
+def test_transvect_matches_a_bit_loop(matrix, data):
+    vectors, width = matrix
+    assume(width >= 2)
+    src, dst = data.draw(st.permutations(range(width)))[:2]
+    want = []
+    for v in vectors:
+        bits = [v >> i & 1 for i in range(width)]
+        bits[dst] ^= bits[src]
+        want.append(sum(bit << i for i, bit in enumerate(bits)))
+    assert gf2.transvect(vectors, src, dst) == want
+
+
+@given(st.lists(st.integers(0, 2**12 - 1), min_size=1, max_size=12), st.data())
+def test_apply_matches_a_bit_loop(rows, data):
+    x = data.draw(st.integers(0, 2 ** len(rows) - 1))
+    assert gf2.apply(rows, x) == _apply(rows, x)

@@ -4,6 +4,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from longhop import (
     DomainError,
@@ -163,3 +165,32 @@ def test_seed_defaults_is_idempotent(seeded_db):
     assert seed_defaults(db) == 0
     assert len(db) == 64
     assert dumps(db) == dumps(seeded_db)
+
+
+@st.composite
+def stores(draw):
+    db = SolutionDB()
+    for d in draw(st.lists(st.integers(3, 9), max_size=4)):
+        m = draw(st.integers(d, min((1 << d) - 1, 24)))
+        if db.query(d, m) is not None:
+            continue
+        hops = draw(st.lists(st.integers(1, (1 << d) - 1), min_size=m,
+                             max_size=m, unique=True))
+        prov = draw(st.text(st.characters(
+            blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=20))
+        db.add(SolutionRecord(
+            gens=GeneratorSet(d, tuple(hops)),
+            b=draw(st.integers(0, 300)),
+            diameter=draw(st.integers(0, 30)),
+            total=draw(st.integers(0, 1 << 30)),
+            provenance=prov,
+        ))
+    return db
+
+
+@given(stores())
+def test_dumps_loads_round_trip(db):
+    text = dumps(db)
+    again = loads(text)
+    assert again.records() == db.records()
+    assert dumps(again) == text
