@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from . import compare, constructions, designer, ecc, soldb
+from . import compare, constructions, designer, ecc, graph, soldb
 from .bisection import bisection_fwht, brute_force_bisection, cut_counts
 from .errors import LongHopError
 from .graph import (
@@ -20,6 +21,7 @@ from .graph import (
     format_hops,
     hex_width,
     load_hops,
+    write_rows,
 )
 
 DEFAULT_DB = "lh.db"
@@ -42,11 +44,19 @@ def _load_db(args) -> soldb.SolutionDB:
     return soldb.load(path)
 
 
-def _emit(args, text: str) -> None:
+@contextmanager
+def _output(args):
+    """The stream a command writes to: the `-o` file if given, else stdout."""
     if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as fh:
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(args, text: str) -> None:
+    with _output(args) as out:
+        out.write(text)
 
 
 def _parse_range(spec: str, base: int = 10) -> tuple[int, int]:
@@ -76,13 +86,22 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _spectrum_rows(m: int, cuts):
+    """(k, m - 2 cut, cut) rows, turned into ints one write block at a time."""
+    step = graph._ROWS_PER_WRITE
+    for lo in range(0, cuts.size, step):
+        cut = cuts[lo:lo + step]
+        lam = (m - 2 * cut).tolist()
+        yield from zip(range(lo, lo + cut.size), lam, cut.tolist())
+
+
 def cmd_spectrum(args) -> int:
     gens = load_hops(args.file)
     cuts = cut_counts(gens)
-    lam = gens.m - 2 * cuts
-    row = f"%0{hex_width(gens.d)}X\t%d\t%d\n".__mod__
-    body = "".join(map(row, zip(range(gens.n), lam.tolist(), cuts.tolist())))
-    _emit(args, "# k\tlambda\tcut\n" + body)
+    template = f"%0{hex_width(gens.d)}X\t%d\t%d\n"
+    with _output(args) as out:
+        out.write("# k\tlambda\tcut\n")
+        write_rows(out, template, _spectrum_rows(gens.m, cuts))
     return 0
 
 
@@ -162,11 +181,8 @@ def cmd_wire(args) -> int:
     lo, hi = (0, table.n - 1)
     if args.rows:
         lo, hi = _parse_range(args.rows, base=16)
-    if args.out:
-        with open(args.out, "w") as fh:
-            table.write(fh, lo, hi)
-    else:
-        table.write(sys.stdout, lo, hi)
+    with _output(args) as out:
+        table.write(out, lo, hi)
     return 0
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import IO
 
 from .errors import DomainError
-from .graph import GeneratorSet, hex_width, neighbors
+from .graph import GeneratorSet, hex_width, write_rows
 from .soldb import SolutionDB, SolutionRecord
 
 DEFAULT_WEIGHTS = (Fraction(7, 10), Fraction(3, 10))
@@ -122,25 +122,19 @@ class WiringTable:
     def n(self) -> int:
         return self.gens.n
 
-    def row(self, v: int) -> list[int]:
-        """Peer labels of node v in port order."""
-        return neighbors(self.gens, v)
-
-    def header(self) -> str:
-        return "Sw/Pt:\t" + "\t".join(f"#{s}" for s in range(1, self.radix + 1))
-
-    def line(self, v: int) -> str:
-        w = hex_width(self.gens.d)
-        cells = [f"{p:0{w}X}" for p in self.row(v)]
-        cells.extend("**" for _ in range(self.radix - self.gens.m))
-        return f"{v:X}:\t" + "\t".join(cells)
-
     def write(self, stream: IO[str], lo: int = 0, hi: int | None = None) -> None:
         """Stream header plus rows lo..hi (inclusive) in label order."""
         hi = self.n - 1 if hi is None else hi
         if not 0 <= lo <= hi < self.n:
             raise DomainError(f"row range {lo}..{hi} out of [0, {self.n - 1}]")
-        stream.write(self.header() + "\n")
-        for v in range(lo, hi + 1):
-            stream.write(self.line(v) + "\n")
-
+        hops = self.gens.hops
+        ports = "".join(f"\t#{s}" for s in range(1, self.radix + 1))
+        stream.write(f"Sw/Pt:{ports}\n")
+        template = (
+            "%X:"
+            + f"\t%0{hex_width(self.gens.d)}X" * len(hops)
+            + "\t**" * (self.radix - len(hops))
+            + "\n"
+        )
+        rows = ((v, *[v ^ h for h in hops]) for v in range(lo, hi + 1))
+        write_rows(stream, template, rows)

@@ -165,6 +165,8 @@ class EquivalenceMap:
         return cls(d, tuple(1 << i for i in range(d)))
 
     def apply(self, x: int) -> int:
+        if not 0 <= x < 1 << self.d:
+            raise DomainError(f"word {x:#x} out of range for d={self.d}")
         return gf2.apply(self.rows, x)
 
     def apply_to(self, gens: GeneratorSet) -> GeneratorSet:

@@ -17,10 +17,12 @@ from about 2.5 s to about 0.45 s on 2 cores, and its traced peak from
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
@@ -109,16 +111,22 @@ class DistanceProfile:
         return list(self.counts)
 
 
-def neighbors(gens: GeneratorSet, v: int) -> list[int]:
-    """Peers of node v in hop order: v XOR h for each hop."""
-    if not 0 <= v < gens.n:
-        raise DomainError(f"node {v} out of range for d={gens.d}")
-    return [v ^ h for h in gens.hops]
-
-
 def hex_width(d: int) -> int:
     """Digits needed to print a d-bit word in hex."""
     return (d + 3) // 4
+
+
+# Rows formatted per write in write_rows.  A row's tuple, ints and text
+# live until its block is written, so the text held at once does not grow
+# with n: a spectrum block traces about 80 KB, a (16,38) wiring block 0.8 MB.
+_ROWS_PER_WRITE = 256
+
+
+def write_rows(stream: IO[str], template: str, rows: Iterable[tuple]) -> None:
+    """Write `template % row` for every row, _ROWS_PER_WRITE rows per write."""
+    rows = iter(rows)
+    while block := list(islice(rows, _ROWS_PER_WRITE)):
+        stream.write("".join(map(template.__mod__, block)))
 
 
 def format_hops(gens: GeneratorSet) -> str:

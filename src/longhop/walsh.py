@@ -16,25 +16,6 @@ from .errors import DomainError
 MAX_DIM = 24
 
 
-def parity(x: int) -> int:
-    """Return popcount(x) mod 2 for any nonnegative integer."""
-    if x < 0:
-        raise DomainError("parity is defined for nonnegative integers")
-    return x.bit_count() & 1
-
-
-def walsh_binary(k: int, x: int) -> int:
-    """W_k(x) in {0, 1}: the parity of the overlap of k and x."""
-    if k < 0 or x < 0:
-        raise DomainError("walsh indices and arguments must be nonnegative")
-    return parity(k & x)
-
-
-def walsh_algebraic(k: int, x: int) -> int:
-    """U_k(x) in {+1, -1}, equal to (-1)**walsh_binary(k, x)."""
-    return 1 - 2 * walsh_binary(k, x)
-
-
 def walsh_values(k: int, n: int) -> np.ndarray:
     """Row k of the n x n Sylvester-ordered Hadamard matrix (+1/-1)."""
     if n <= 0 or n & (n - 1):

@@ -5,6 +5,7 @@ naive implementations in oracle.py (or by hand enumeration for the tiny
 cases) before the library was written, then frozen.
 """
 
+import io
 import random
 import time
 from fractions import Fraction
@@ -40,6 +41,12 @@ from longhop.compare import alternative_series, lh_series, versus_hypercube
 from longhop.ecc import EquivalenceMap, LinearCode, hops_to_code
 from longhop.gf2 import random_invertible
 from longhop.walsh import walsh_values
+
+
+def _wiring_rows(gens, radix, lo, hi):
+    buf = io.StringIO()
+    WiringTable(gens, radix).write(buf, lo, hi)
+    return buf.getvalue().splitlines()[1:]
 
 
 def _timed(limit):
@@ -112,21 +119,22 @@ def test_criterion_3_end_to_end(seeded_db):
     assert (rec.d, rec.m, rec.b, rec.diameter) == (5, 9, 3, 3)
     assert rec.avg == Fraction(54, 32)
     assert repr(float(rec.avg)) == "1.6875"
-    table = WiringTable(rec.gens, 12)
-    assert table.line(5) == "5:\t04\t07\t01\t0D\t15\t0B\t0A\t11\t1C\t**\t**\t**"
+    assert _wiring_rows(rec.gens, 12, 5, 5) == [
+        "5:\t04\t07\t01\t0D\t15\t0B\t0A\t11\t1C\t**\t**\t**"
+    ]
 
     choice = find_solution(seeded_db, 1536, 24)
     rec = choice.record
     assert (rec.d, rec.m, rec.b, rec.diameter) == (8, 18, 6, 3)
     assert rec.avg == Fraction(585, 256)
     assert abs(float(rec.avg) - 2.2851562) <= 5e-7
-    table = WiringTable(rec.gens, 24)
-    assert table.line(0) == (
+    rows = _wiring_rows(rec.gens, 24, 0, 15)
+    assert rows[0] == (
         "0:\t01\t02\t04\t08\t10\t20\t40\t80\t1A\t2D\t47\t78"
         "\t7E\t8E\t9D\tB2\tD1\tFB\t**\t**\t**\t**\t**\t**"
     )
     for v in range(16):
-        cells = table.line(v).split("\t")
+        cells = rows[v].split("\t")
         assert cells[0] == f"{v:X}:"
         assert cells[1:19] == [f"{v ^ h:02X}" for h in rec.gens.hops]
         assert cells[19:] == ["**"] * 6

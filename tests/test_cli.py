@@ -5,12 +5,14 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import longhop
-from longhop import cli
+import oracle
+from longhop import cli, graph, low_density_b3, save_hops
 from longhop.cli import main
 
 FQ3_TEXT = "d=3 q=2\n1\n2\n4\n7\n"
@@ -29,6 +31,12 @@ def code74_file(tmp_path):
     path = tmp_path / "code74.code"
     path.write_text(CODE74_TEXT)
     return str(path)
+
+
+class Chunks(list):
+    """A text stream that keeps each write as one item."""
+
+    write = list.append
 
 
 def run(capsys, *argv):
@@ -90,6 +98,45 @@ def test_spectrum(capsys, fq3_file, tmp_path):
     assert code == 0
     assert stdout == ""
     assert out_file.read_text() == out
+
+
+def test_spectrum_blocks_match_rows_one_at_a_time(monkeypatch, tmp_path):
+    monkeypatch.setattr(graph, "_ROWS_PER_WRITE", 3)
+    hops = (1, 2, 4, 8, 16, 0x1F, 0x0B)
+    path = tmp_path / "d5.hops"
+    path.write_text("d=5 q=2\n" + "".join(f"{h:X}\n" for h in hops))
+    expected = "# k\tlambda\tcut\n" + "".join(
+        f"{k:02X}\t{len(hops) - 2 * c}\t{c}\n"
+        for k, c in enumerate(oracle.cut_counts(5, hops))
+    )
+    stdout = Chunks()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["spectrum", str(path)]) == 0
+    assert "".join(stdout) == expected
+    # The header, then 32 rows in blocks of 3.
+    assert len(stdout) == 1 + 11
+    out_file = tmp_path / "d5.tsv"
+    assert main(["spectrum", str(path), "-o", str(out_file)]) == 0
+    assert out_file.read_text() == expected
+
+
+def test_spectrum_memory_per_node(tmp_path):
+    # The int64 counts take 8 bytes a node.  Rows are turned into ints,
+    # formatted and written one block at a time, so nothing else grows
+    # with n; holding the whole table as ints or text would.
+    path = tmp_path / "b3_18.hops"
+    save_hops(low_density_b3(18), path)
+    out_file = tmp_path / "b3_18.tsv"
+    tracemalloc.start()
+    try:
+        code = main(["spectrum", str(path), "-o", str(out_file)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 << 18
+    with open(out_file) as fh:
+        assert sum(1 for _ in fh) == 1 + (1 << 18)
 
 
 def test_translate_both_ways(capsys, code74_file, tmp_path):

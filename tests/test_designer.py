@@ -12,6 +12,7 @@ from longhop import (
     SolutionDB,
     WiringTable,
     find_solution,
+    graph,
     make_record,
 )
 from longhop.designer import oversubscription
@@ -87,33 +88,66 @@ def test_find_solution_validation(seeded_db):
         find_solution(seeded_db, 96, 3)
 
 
+def written(table, lo=0, hi=None):
+    buf = io.StringIO()
+    table.write(buf, lo, hi)
+    return buf.getvalue().splitlines()
+
+
 def test_wiring_table_golden():
-    table = WiringTable(GeneratorSet(3, (1, 2, 4, 7)), radix=6)
-    assert table.header() == "Sw/Pt:\t#1\t#2\t#3\t#4\t#5\t#6"
-    assert table.line(0) == "0:\t1\t2\t4\t7\t**\t**"
-    assert table.line(5) == "5:\t4\t7\t1\t2\t**\t**"
+    lines = written(WiringTable(GeneratorSet(3, (1, 2, 4, 7)), radix=6))
+    assert len(lines) == 9
+    assert lines[0] == "Sw/Pt:\t#1\t#2\t#3\t#4\t#5\t#6"
+    # Peers come in hop order, v XOR h_s at port s.
+    assert lines[1] == "0:\t1\t2\t4\t7\t**\t**"
+    assert lines[6] == "5:\t4\t7\t1\t2\t**\t**"
 
 
 def test_wiring_table_reference_row(seeded_db):
     rec = seeded_db.query(5, 9)
     table = WiringTable(rec.gens, 12)
-    assert table.line(5) == (
+    assert written(table, 5, 5)[1] == (
         "5:\t04\t07\t01\t0D\t15\t0B\t0A\t11\t1C\t**\t**\t**"
     )
 
 
-def test_wiring_ports_pair_up():
+def test_wiring_ports_pair_up(monkeypatch):
+    # 32 rows written in blocks of 3, so the last block is short.
+    monkeypatch.setattr(graph, "_ROWS_PER_WRITE", 3)
     rng = random.Random(17)
     while True:
         hops = tuple(rng.sample(range(1, 32), 7))
         gens = GeneratorSet(5, hops)
         if gens.spans():
             break
-    table = WiringTable(gens, radix=9)
-    for v in range(gens.n):
-        row = table.row(v)
+    lines = written(WiringTable(gens, radix=9))
+    rows = [[int(c, 16) for c in line.split("\t")[1:8]] for line in lines[1:]]
+    assert len(rows) == gens.n
+    for v, row in enumerate(rows):
         for s, peer in enumerate(row):
-            assert table.row(peer)[s] == v
+            assert rows[peer][s] == v
+
+
+class Chunks(list):
+    """A text stream that keeps each write as one item."""
+
+    write = list.append
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 0), (2, 9), (5, 0x1F), (0x1F, 0x1F)])
+def test_wiring_table_blocks_match_rows_one_at_a_time(
+    seeded_db, monkeypatch, lo, hi
+):
+    monkeypatch.setattr(graph, "_ROWS_PER_WRITE", 3)
+    gens = seeded_db.query(5, 9).gens
+    stream = Chunks()
+    WiringTable(gens, 12).write(stream, lo, hi)
+    expected = "Sw/Pt:" + "".join(f"\t#{s}" for s in range(1, 13)) + "\n"
+    for v in range(lo, hi + 1):
+        cells = [f"{v ^ h:02X}" for h in gens.hops] + ["**"] * 3
+        expected += f"{v:X}:\t" + "\t".join(cells) + "\n"
+    assert "".join(stream) == expected
+    assert len(stream) == 1 + -(-(hi - lo + 1) // 3)
 
 
 def test_wiring_table_write_ranges():

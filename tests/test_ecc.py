@@ -187,6 +187,14 @@ def test_equivalence_map_identity_and_apply():
     assert swap.apply(0b101) == 0b110
 
 
+def test_equivalence_map_rejects_words_outside_its_domain():
+    ident = EquivalenceMap.identity(3)
+    with pytest.raises(DomainError, match="out of range for d=3"):
+        ident.apply(8)
+    with pytest.raises(DomainError):
+        ident.apply(-1)
+
+
 # Unit-triangular, hence invertible.
 LINEAR_MAP = EquivalenceMap(8, (1, 3, 4, 8, 16, 48, 64, 192))
 

@@ -1,5 +1,6 @@
 """Generator sets, the hop-list file format, adjacency, and BFS metrics."""
 
+import io
 import random
 import tracemalloc
 from fractions import Fraction
@@ -15,6 +16,7 @@ from longhop import (
     DomainError,
     FormatError,
     GeneratorSet,
+    WiringTable,
     adjacency,
     distance_profile,
     format_hops,
@@ -22,7 +24,6 @@ from longhop import (
     lh_hd,
     load_hops,
     low_density_b3,
-    neighbors,
     parse_hops,
     save_hops,
 )
@@ -72,10 +73,15 @@ def test_generator_set_rejects(d, hops):
 
 
 def test_neighbors_in_hop_order():
-    assert neighbors(FQ3, 0) == [1, 2, 4, 7]
-    assert neighbors(FQ3, 5) == [4, 7, 1, 2]
+    # A wiring row lists the peers v XOR h_s in hop order.
+    table = WiringTable(FQ3, radix=5)
+    buf = io.StringIO()
+    table.write(buf)
+    rows = buf.getvalue().splitlines()[1:]
+    assert rows[0] == "0:\t1\t2\t4\t7\t**"
+    assert rows[5] == "5:\t4\t7\t1\t2\t**"
     with pytest.raises(DomainError):
-        neighbors(FQ3, 8)
+        table.write(io.StringIO(), 8, 8)
 
 
 def test_hex_width():

@@ -18,3 +18,20 @@ def test_library_has_no_bare_asserts():
     ]
     assert SOURCES
     assert found == []
+
+
+def test_all_matches_the_package_imports():
+    # A deleted function must not leave a stale export behind: every name
+    # in __all__ resolves, and every public name __init__ imports is listed.
+    exported = longhop.__all__
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if not hasattr(longhop, name)] == []
+    init = Path(longhop.__file__)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text(), filename=str(init)).body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    public = {name for name in imported if not name.startswith("_")}
+    assert public - set(exported) == set()

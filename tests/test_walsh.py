@@ -1,4 +1,4 @@
-"""Walsh layer: parity, single values, full rows, and the transform."""
+"""Walsh layer: Hadamard rows and the transform."""
 
 import numpy as np
 import pytest
@@ -6,50 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
-from longhop import fwht, parity, walsh_values
+from longhop import fwht, walsh_values
 from longhop.errors import DomainError
-from longhop.walsh import MAX_DIM, walsh_algebraic, walsh_binary
-
-
-def test_parity_known_values():
-    assert parity(0) == 0
-    assert parity(1) == 1
-    assert parity(3) == 0
-    assert parity(7) == 1
-    assert parity(0b1011) == 1
-    assert parity(0xFFFFFFFF) == 0
-
-
-def test_parity_rejects_negative():
-    with pytest.raises(DomainError):
-        parity(-1)
-
-
-@given(st.integers(0, 2**128))
-def test_parity_matches_oracle(x):
-    assert parity(x) == oracle.parity(x)
-
-
-def test_parity_at_and_above_32_bits():
-    assert parity(2**32) == 1
-    assert parity(2**32 + 1) == 0
-    assert parity(2**64 - 1) == 0
-    assert parity(2**100 + 2**33 + 1) == 1
-
-
-@given(st.integers(0, 2**24 - 1), st.integers(0, 2**24 - 1))
-def test_binary_and_algebraic_forms_agree(k, x):
-    w = walsh_binary(k, x)
-    assert w in (0, 1)
-    assert walsh_algebraic(k, x) == 1 - 2 * w
-    assert walsh_algebraic(k, x) == oracle.walsh_sign(k, x)
-
-
-def test_walsh_rejects_negative_arguments():
-    with pytest.raises(DomainError):
-        walsh_binary(-1, 0)
-    with pytest.raises(DomainError):
-        walsh_binary(0, -1)
+from longhop.walsh import MAX_DIM
 
 
 @pytest.mark.parametrize("n", [2, 8, 64])
@@ -59,6 +18,12 @@ def test_walsh_values_row(n):
         assert row.tolist() == [oracle.walsh_sign(k, x) for x in range(n)]
 
 
+@given(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1))
+def test_walsh_values_entries_match_oracle(k, x):
+    # Single entries of rows far wider than test_walsh_values_row lists.
+    assert walsh_values(k, 1 << 16)[x] == oracle.walsh_sign(k, x)
+
+
 def test_walsh_values_validation():
     with pytest.raises(DomainError):
         walsh_values(0, 6)
@@ -66,6 +31,13 @@ def test_walsh_values_validation():
         walsh_values(8, 8)
     with pytest.raises(DomainError):
         walsh_values(-1, 8)
+
+
+def test_walsh_rejects_negative_arguments():
+    with pytest.raises(DomainError):
+        walsh_values(-1, 8)
+    with pytest.raises(DomainError):
+        walsh_values(0, -1)
 
 
 def test_rows_are_orthogonal():
