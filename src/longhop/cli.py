@@ -59,6 +59,13 @@ def _emit(args, text: str) -> None:
         out.write(text)
 
 
+def _fraction(option: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise LongHopError(f"{option} takes a fraction like 3/2, got {text!r}") from None
+
+
 def _parse_range(spec: str, base: int = 10) -> tuple[int, int]:
     lo, sep, hi = spec.partition("..")
     if not sep:
@@ -128,7 +135,12 @@ def cmd_build(args) -> int:
     elif args.kind == "b3":
         columns = None
         if args.columns:
-            columns = tuple(int(c, 16) for c in args.columns.split(","))
+            try:
+                columns = tuple(int(c, 16) for c in args.columns.split(","))
+            except ValueError:
+                raise LongHopError(
+                    f"--columns takes comma-separated hex patterns, got {args.columns!r}"
+                ) from None
         gens = constructions.low_density_b3(args.dim, columns)
     elif args.kind == "mesh":
         gens = constructions.mesh(args.dim)
@@ -147,13 +159,13 @@ def cmd_diag(args) -> int:
 
 def cmd_design(args) -> int:
     db = _load_db(args)
-    phi = Fraction(args.phi)
+    phi = _fraction("--phi", args.phi)
     weights = designer.DEFAULT_WEIGHTS
     if args.weights:
         parts = args.weights.split(",")
         if len(parts) != 2:
             raise LongHopError("--weights takes two comma-separated values")
-        weights = (Fraction(parts[0]), Fraction(parts[1]))
+        weights = tuple(_fraction("--weights", part) for part in parts)
     choice = designer.find_solution(
         db, args.ports, args.radix, phi=phi,
         at_least_ports=args.at_least, weights=weights,
@@ -178,9 +190,9 @@ def cmd_wire(args) -> int:
     if rec is None:
         raise LongHopError(f"no record (d={d}, m={m}) in the database")
     table = designer.WiringTable(rec.gens, args.radix)
-    lo, hi = (0, table.n - 1)
-    if args.rows:
-        lo, hi = _parse_range(args.rows, base=16)
+    lo, hi = _parse_range(args.rows, base=16) if args.rows else (0, None)
+    # Before _output opens, and so empties, the -o file.
+    lo, hi = table.check_rows(lo, hi)
     with _output(args) as out:
         table.write(out, lo, hi)
     return 0

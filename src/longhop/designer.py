@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO
 
-from .errors import DomainError
+from .bisection import bisection_fwht
+from .errors import DomainError, LongHopError
 from .graph import GeneratorSet, hex_width, write_rows
 from .soldb import SolutionDB, SolutionRecord
 
@@ -61,6 +62,8 @@ def find_solution(
     m < radix; at_least_ports additionally drops records below the
     requested port count.  Ties go to the smaller network, then to the
     smaller hop count (scan order makes that the first minimum seen).
+    The winner's b is measured again from its hops, so a store edited by
+    hand cannot pass off a wrong b; a mismatch raises LongHopError.
     """
     if ports < 1:
         raise DomainError("target port count must be at least 1")
@@ -99,6 +102,13 @@ def find_solution(
         raise DomainError(
             "no stored record is admissible for this requirement"
         )
+    rec = best.record
+    b = bisection_fwht(rec.gens).b
+    if b != rec.b:
+        raise LongHopError(
+            f"record (d={rec.d}, m={rec.m}) stores b={rec.b} but its hops "
+            f"give b={b}; run `lh db verify`"
+        )
     return best
 
 
@@ -122,11 +132,17 @@ class WiringTable:
     def n(self) -> int:
         return self.gens.n
 
-    def write(self, stream: IO[str], lo: int = 0, hi: int | None = None) -> None:
-        """Stream header plus rows lo..hi (inclusive) in label order."""
+    def check_rows(self, lo: int = 0, hi: int | None = None) -> tuple[int, int]:
+        """Rows lo..hi (inclusive), hi defaulting to the last row; raises
+        DomainError when the range leaves the table."""
         hi = self.n - 1 if hi is None else hi
         if not 0 <= lo <= hi < self.n:
             raise DomainError(f"row range {lo}..{hi} out of [0, {self.n - 1}]")
+        return lo, hi
+
+    def write(self, stream: IO[str], lo: int = 0, hi: int | None = None) -> None:
+        """Stream header plus rows lo..hi (inclusive) in label order."""
+        lo, hi = self.check_rows(lo, hi)
         hops = self.gens.hops
         ports = "".join(f"\t#{s}" for s in range(1, self.radix + 1))
         stream.write(f"Sw/Pt:{ports}\n")

@@ -13,19 +13,26 @@ import random
 from .errors import DomainError
 
 
-def rank(vectors) -> int:
-    """Rank of the span of `vectors` (any iterable of nonnegative ints)."""
+def independent(vectors):
+    """Yield each vector that is independent of the ones before it, in
+    order: the greedy basis of their span, read lazily."""
     basis: dict[int, int] = {}
     for v in vectors:
         if v < 0:
             raise DomainError("GF(2) vectors must be nonnegative integers")
-        while v:
-            top = v.bit_length() - 1
+        r = v
+        while r:
+            top = r.bit_length() - 1
             if top not in basis:
-                basis[top] = v
+                basis[top] = r
+                yield v
                 break
-            v ^= basis[top]
-    return len(basis)
+            r ^= basis[top]
+
+
+def rank(vectors) -> int:
+    """Rank of the span of `vectors` (any iterable of nonnegative ints)."""
+    return sum(1 for _ in independent(vectors))
 
 
 def spans(vectors, d: int) -> bool:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -203,7 +203,7 @@ def test_cut_value_validation():
 def test_bisection_fwht_golden():
     rep = bisection_fwht(FQ3)
     assert (rep.b, rep.B, rep.t) == (2, 8, 1)
-    assert rep.max_cut == 4
+    assert int(cut_counts(FQ3)[1:].max()) == 4
     assert bisection_fwht(FQ4).B == 16
     assert bisection_fwht(TRANSLATED).b == 3
     assert bisection_fwht(TRANSLATED).B == 24
@@ -230,7 +230,7 @@ def test_engines_agree_with_brute_force():
         d = rng.choice([3, 4])
         gens = _random_spanning(rng, d)
         fast = bisection_fwht(gens)
-        assert fast.counts.tolist() == oracle.cut_counts(gens.d, gens.hops)
+        assert cut_counts(gens).tolist() == oracle.cut_counts(gens.d, gens.hops)
         B, part = brute_force_bisection(gens)
         assert B == fast.B
         assert cut_value(gens, part) == B
@@ -256,6 +256,111 @@ def test_disconnected_raises_everywhere():
         bisection_fwht(split)
     with pytest.raises(DisconnectedGraph):
         brute_force_bisection(split)
+
+
+@st.composite
+def codeword_sets(draw):
+    # m up to 64 d, so the enumeration is in play; with or without the
+    # unit hops, which make the change of basis a permutation.
+    d = draw(st.integers(1, 10))
+    n = 1 << d
+    m = draw(st.integers(d, min(n - 1, 64 * d)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        units = [1 << i for i in range(d)]
+        rest = rng.sample([x for x in range(1, n) if x & (x - 1)], m - d)
+        hops = rest + units if draw(st.booleans()) else units + rest
+    else:
+        hops = rng.sample(range(1, n), m)
+    gens = GeneratorSet(d, tuple(hops))
+    assume(gens.spans())
+    return gens
+
+
+@pytest.mark.parametrize("budget", [0, bisection._ENUM_BUDGET, float("inf")])
+@given(codeword_sets())
+@settings(deadline=None)
+def test_bisection_is_the_first_minimum_of_the_cut_counts(budget, gens):
+    # budget 0 always falls back, inf always enumerates (for m <= 64 d).
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bisection, "_ENUM_BUDGET", budget)
+        rep = bisection_fwht(gens)
+    counts = cut_counts(gens).tolist()
+    want = oracle.cut_counts(gens.d, gens.hops)
+    assert counts == want
+    b = min(want[1:])
+    assert (rep.b, rep.t) == (b, want.index(b, 1))
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(bisection, name)
+
+    def counted(gens):
+        calls.append(gens.m)
+        return inner(gens)
+
+    monkeypatch.setattr(bisection, name, counted)
+    return calls
+
+
+def test_bisection_falls_back_past_the_budget(monkeypatch):
+    gens = low_density_b3(12)
+    want = bisection_fwht(gens)
+    calls = _count_calls(monkeypatch, "cut_counts")
+    monkeypatch.setattr(bisection, "_ENUM_BUDGET", 0)
+    rep = bisection_fwht(gens)
+    assert calls == [gens.m]
+    assert (rep.b, rep.t) == (want.b, want.t) == (3, 1)
+
+
+def test_bisection_enumerates_b3_d20(monkeypatch):
+    calls = _count_calls(monkeypatch, "cut_counts")
+    rep = bisection_fwht(low_density_b3(20))
+    assert calls == []
+    assert (rep.b, rep.t) == (3, 2)
+
+
+def test_bisection_of_wide_sets_skips_the_enumeration(monkeypatch):
+    # m = 641 > 64 d at d = 10: straight to the spectrum.
+    gens = _random_spanning(random.Random(641), 10, 641)
+    enumerations = _count_calls(monkeypatch, "_low_weight")
+    spectra = _count_calls(monkeypatch, "cut_counts")
+    rep = bisection_fwht(gens)
+    assert enumerations == []
+    assert spectra == [641]
+    want = oracle.cut_counts(gens.d, gens.hops)
+    assert (rep.b, rep.t) == (min(want[1:]), want.index(min(want[1:]), 1))
+
+
+def test_disconnected_message_is_the_same_on_both_paths(monkeypatch):
+    # (1, 2, 3) fails in the enumeration; 705 hops inside a 10-dim
+    # subspace of Z_2^11 (m > 64 d) fail in the spectrum.
+    narrow = GeneratorSet(3, (1, 2, 3))
+    wide = GeneratorSet(11, tuple(random.Random(3).sample(range(1, 1 << 10), 705)))
+    spectra = _count_calls(monkeypatch, "cut_counts")
+    messages = []
+    for gens in (narrow, wide):
+        with pytest.raises(DisconnectedGraph) as exc:
+            bisection_fwht(gens)
+        messages.append(str(exc.value))
+    assert spectra == [705]
+    assert messages == [
+        "hops do not span Z_2^3; bisection is undefined",
+        "hops do not span Z_2^11; bisection is undefined",
+    ]
+
+
+def test_bisect_memory_per_node():
+    gens = low_density_b3(20)
+    tracemalloc.start()
+    try:
+        bisection_fwht(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A few thousand codewords as Python ints, whatever n is.
+    assert peak < 1 << 20
 
 
 def test_optimize_direct_goldens():

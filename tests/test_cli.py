@@ -307,6 +307,51 @@ def test_wire_errors(capsys, db_path):
     assert code == 1 and "range" in err
 
 
+def test_wire_bad_rows_leave_the_output_file_alone(capsys, db_path, tmp_path):
+    out_file = tmp_path / "wires.tsv"
+    out_file.write_text("keep")
+    code, out, err = run(
+        capsys, "wire", "--record", "5,9", "-R", "12", "--rows", "0..FF",
+        "--db", str(db_path), "-o", str(out_file),
+    )
+    assert (code, out, err) == (1, "", "error: row range 0..255 out of [0, 31]\n")
+    assert out_file.read_text() == "keep"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "-P", "96", "-R", "12", "--phi", "abc"],
+        ["design", "-P", "96", "-R", "12", "--phi", "1/0"],
+        ["design", "-P", "96", "-R", "12", "--weights", "a,b"],
+        ["build", "b3", "-d", "5", "--columns", "zz,3"],
+    ],
+)
+def test_bad_numeric_options_are_error_lines(db_path, argv):
+    if argv[0] == "design":
+        argv = [*argv, "--db", str(db_path)]
+    proc = child([sys.executable, "-m", "longhop.cli", *argv])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_design_rejects_a_hand_edited_b(capsys, db_path, tmp_path):
+    edited = tmp_path / "edited.db"
+    text = db_path.read_text()
+    edited.write_text(text.replace("record d=8 m=18 b=6 ", "record d=8 m=18 b=60 "))
+    code, out, err = run(
+        capsys, "design", "-P", "1536", "-R", "24", "--phi", "1/10",
+        "--db", str(edited),
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: record (d=8, m=18) stores b=60 but its hops give b=6; "
+        "run `lh db verify`\n"
+    )
+
+
 def test_compare_family_csv(capsys):
     code, out, _ = run(
         capsys, "compare", "--family", "hypercube", "-R", "256",
@@ -368,10 +413,15 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
-def run_child(argv):
-    """Run argv with the package under test importable; return stdout."""
+def child(argv):
+    """Run argv with the package under test importable."""
     env = {**os.environ, "PYTHONPATH": str(Path(longhop.__file__).parents[1])}
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
+
+
+def run_child(argv):
+    """Run argv as `child` does, check it succeeded, and return stdout."""
+    proc = child(argv)
     assert (proc.returncode, proc.stderr) == (0, "")
     return proc.stdout
 

@@ -9,11 +9,13 @@ import pytest
 from longhop import (
     DomainError,
     GeneratorSet,
+    LongHopError,
     SolutionDB,
     WiringTable,
     find_solution,
     graph,
     make_record,
+    soldb,
 )
 from longhop.designer import oversubscription
 
@@ -86,6 +88,23 @@ def test_find_solution_validation(seeded_db):
     # Radix 3 leaves no record with free ports: every stored m >= 3.
     with pytest.raises(DomainError):
         find_solution(seeded_db, 96, 3)
+
+
+def test_find_solution_remeasures_the_chosen_b(seeded_db):
+    # Reference example 2 (d=8, m=18) has b=6; a hand edit to b=60 would
+    # make it the pick for phi = 1/10 at a score built on the wrong b.
+    text = soldb.dumps(seeded_db)
+    assert text.count("record d=8 m=18 b=6 ") == 1
+    edited = soldb.loads(text.replace("record d=8 m=18 b=6 ", "record d=8 m=18 b=60 "))
+    with pytest.raises(LongHopError) as exc:
+        find_solution(edited, 1536, 24, phi=Fraction(1, 10))
+    assert str(exc.value) == (
+        "record (d=8, m=18) stores b=60 but its hops give b=6; run `lh db verify`"
+    )
+    # The true b=6 record is still the pick, at phi = 1.
+    choice = find_solution(seeded_db, 1536, 24, phi=Fraction(1, 10))
+    assert (choice.d, choice.m, choice.record.b) == (8, 18, 6)
+    assert (choice.phi, choice.score) == (Fraction(1), Fraction(27, 10))
 
 
 def written(table, lo=0, hi=None):
