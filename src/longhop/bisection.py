@@ -238,17 +238,21 @@ def bisection_fwht(gens: GeneratorSet) -> BisectionReport:
     return BisectionReport(d=gens.d, b=b, t=t)
 
 
-def brute_force_bisection(gens: GeneratorSet, max_nodes: int = 16):
+# n = 32 would mean C(31, 15), about 3e8 balanced partitions.
+BRUTE_FORCE_MAX_NODES = 16
+
+
+def brute_force_bisection(gens: GeneratorSet):
     """Minimum cut over every balanced partition, by sheer enumeration.
 
     Independent of all Walsh machinery, so it can referee the
-    transform.  Only sensible for tiny graphs; refuses n > max_nodes.
+    transform.  Only sensible for tiny graphs; refuses n > BRUTE_FORCE_MAX_NODES.
     Returns (B, achieving PartitionVector), the partition being the
     first optimum in lexicographic order of the +1 side.
     """
     n = gens.n
-    if n > max_nodes:
-        raise DomainError(f"brute force capped at {max_nodes} nodes, got {n}")
+    if n > BRUTE_FORCE_MAX_NODES:
+        raise DomainError(f"brute force caps n at {BRUTE_FORCE_MAX_NODES}, got n={n}")
     if not gens.spans():
         raise DisconnectedGraph("hops do not span; bisection is undefined")
     best_cut = None

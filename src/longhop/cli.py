@@ -85,7 +85,7 @@ def cmd_bisect(args) -> int:
 
 def cmd_oracle(args) -> int:
     gens = load_hops(args.file)
-    B, partition = brute_force_bisection(gens, max_nodes=args.max_nodes)
+    B, partition = brute_force_bisection(gens)
     b = Fraction(B, gens.n // 2)
     b_text = str(b.numerator) if b.denominator == 1 else _fmt_fraction(b)
     width = max(1, (gens.n + 3) // 4)
@@ -211,17 +211,14 @@ def cmd_db(args) -> int:
     if args.action == "list":
         db = _load_db(args)
         for rec in db.records():
-            print(
-                f"d={rec.d} m={rec.m} b={rec.b} diam={rec.diameter} "
-                f"avg={rec.total}/{rec.n} prov={rec.provenance}"
-            )
+            print(soldb.record_line(rec))
         return 0
     if args.action == "verify":
         db = _load_db(args)
         problems = db.verify()
         if problems:
             for p in problems:
-                print(p, file=sys.stderr)
+                print(f"error: {p}", file=sys.stderr)
             return 1
         print(f"ok: {len(db)} records verified")
         return 0
@@ -271,7 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force bisection (tiny n only)")
     p.add_argument("file")
-    p.add_argument("--max-nodes", type=int, default=16)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("spectrum", help="eigenvalues and cut counts per k")

@@ -76,8 +76,8 @@ def lh_series(records: list[SolutionRecord], radix: int) -> list[ComparisonRow]:
 
 def hypercube_row(d: int, radix: int) -> ComparisonRow:
     """d-cube run at phi=1: b=1 caps the yield at one port per switch."""
-    if radix < d + 1:
-        raise DomainError(f"hypercube d={d} needs radix >= {d + 1}")
+    if not 0 <= d < radix:
+        raise DomainError(f"hypercube d={d} needs 0 <= d < R, got R={radix}")
     n = 1 << d
     return ComparisonRow(
         topology=f"hypercube d={d}",
@@ -94,8 +94,8 @@ def hypercube_row(d: int, radix: int) -> ComparisonRow:
 
 def folded_cube_row(d: int, radix: int) -> ComparisonRow:
     """Folded cube at phi=1: the diagonal hop doubles b, so E=2."""
-    if radix < d + 3:
-        raise DomainError(f"folded cube d={d} needs radix >= {d + 3}")
+    if not 0 <= d <= radix - 3:
+        raise DomainError(f"folded cube d={d} needs 0 <= d <= R-3, got R={radix}")
     n = 1 << d
     return ComparisonRow(
         topology=f"folded_cube d={d}",

@@ -7,7 +7,7 @@ from itertools import combinations
 from . import gf2
 from .bisection import bisection_fwht, cut_counts
 from .errors import DomainError, LongHopError
-from .graph import GeneratorSet, distance_profile
+from .graph import GeneratorSet, check_dim, distance_profile
 from .walsh import MAX_DIM
 
 
@@ -24,13 +24,14 @@ def folded_cube(d: int) -> GeneratorSet:
 
 def mesh(d: int) -> GeneratorSet:
     """Full mesh: every nonzero word is a hop."""
-    if d > 14:
-        raise DomainError("a full mesh past d=14 is not a sane build target")
+    if not 1 <= d <= 14:
+        raise DomainError(f"a full mesh covers d in [1, 14], got {d}")
     return GeneratorSet(d, tuple(range(1, 1 << d)))
 
 
 def hd_ladder(d: int) -> tuple[int, ...]:
     """Valid hop counts for half-distance sets: n - n/2^j for j = 1..d."""
+    check_dim(d)
     n = 1 << d
     return tuple(sorted({n - (n >> j) for j in range(1, d + 1)}))
 
@@ -42,12 +43,12 @@ def lh_hd(d: int, m: int) -> GeneratorSet:
     diameter is 2 (1 for the full mesh rung m = n-1) and the bisection
     grows with m as b = floor((m+1)/2).
     """
-    n = 1 << d
     ladder = hd_ladder(d)
     if m not in ladder:
         raise DomainError(
             f"m={m} is not on the d={d} ladder {list(ladder)}"
         )
+    n = 1 << d
     return GeneratorSet(d, tuple(range(n - 1, n - m - 1, -1)))
 
 
@@ -58,9 +59,9 @@ def hd_metrics(d: int, m: int) -> tuple[int, int, Fraction]:
     distance 1 and the remaining n-1-m nodes at distance 2 give
     (2n - 2 - m) / n, i.e. 2 - (m+2)/n.
     """
-    n = 1 << d
     if m not in hd_ladder(d):
         raise DomainError(f"m={m} is not on the d={d} ladder")
+    n = 1 << d
     b = (m + 1) // 2
     diameter = 1 if m == n - 1 else 2
     return b, diameter, Fraction(2 * n - 2 - m, n)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gf2
 from .errors import DomainError, FormatError
-from .graph import GeneratorSet
+from .graph import GeneratorSet, read_lines
 from .walsh import MAX_DIM
 
 
@@ -33,8 +33,8 @@ class LinearCode:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.width <= 63:
-            raise DomainError(f"code width must be in [1, 63], got {self.width}")
+        if self.width < 1:
+            raise DomainError(f"code width must be at least 1, got {self.width}")
         object.__setattr__(self, "rows", tuple(int(r) for r in self.rows))
         if not self.rows:
             raise DomainError("a code needs at least one generator row")
@@ -54,23 +54,16 @@ def format_code(code: LinearCode) -> str:
 
 def parse_code(text: str) -> LinearCode:
     """Parse 0/1 rows; blank lines and `#` comments are ignored."""
-    rows = []
-    width = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    lines = read_lines(text)
+    if not lines:
+        raise FormatError("empty code matrix")
+    for line in lines:
         if set(line) - {"0", "1"}:
             raise FormatError(f"bad matrix row: {line!r}")
-        if width is None:
-            width = len(line)
-        elif len(line) != width:
+        if len(line) != len(lines[0]):
             raise FormatError("matrix rows differ in length")
-        rows.append(int(line, 2))
-    if not rows:
-        raise FormatError("empty code matrix")
     try:
-        return LinearCode(width, tuple(rows))
+        return LinearCode(len(lines[0]), tuple(int(line, 2) for line in lines))
     except DomainError as exc:
         raise FormatError(str(exc)) from None
 
@@ -106,7 +99,9 @@ def hops_to_code(gens: GeneratorSet) -> LinearCode:
 
 
 def codewords(code: LinearCode) -> np.ndarray:
-    """All 2^k codewords as ints (with repetition if rows are dependent)."""
+    """All 2^k codewords (repeats if rows are dependent); int64, so width <= 63."""
+    if code.width > 63:
+        raise DomainError(f"codewords need width <= 63, got {code.width}")
     if code.k > MAX_DIM:
         raise DomainError(f"2^{code.k} codewords is past the supported limit")
     words = np.zeros(1, dtype=np.int64)

@@ -17,6 +17,7 @@ from about 2.5 s to about 0.45 s on 2 cores, and its traced peak from
 """
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +32,12 @@ from .errors import DisconnectedGraph, DomainError, FormatError
 from .walsh import MAX_DIM
 
 
+def check_dim(d: int) -> None:
+    """Raise DomainError unless 1 <= d <= MAX_DIM; call it before any 1 << d."""
+    if not 1 <= d <= MAX_DIM:
+        raise DomainError(f"dimension must be in [1, {MAX_DIM}], got {d}")
+
+
 @dataclass(frozen=True)
 class GeneratorSet:
     """An ordered set of distinct nonzero hops in Z_2^d."""
@@ -39,8 +46,7 @@ class GeneratorSet:
     hops: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.d <= MAX_DIM:
-            raise DomainError(f"dimension must be in [1, {MAX_DIM}], got {self.d}")
+        check_dim(self.d)
         object.__setattr__(self, "hops", tuple(int(h) for h in self.hops))
         if not self.hops:
             raise DomainError("a generator set needs at least one hop")
@@ -106,10 +112,6 @@ class DistanceProfile:
         """How many nodes sit at exactly the diameter."""
         return self.counts[-1]
 
-    def histogram(self) -> list[int]:
-        """Node counts per distance, index 0 .. diameter."""
-        return list(self.counts)
-
 
 def hex_width(d: int) -> int:
     """Digits needed to print a d-bit word in hex."""
@@ -129,33 +131,23 @@ def write_rows(stream: IO[str], template: str, rows: Iterable[tuple]) -> None:
         stream.write("".join(map(template.__mod__, block)))
 
 
-def format_hops(gens: GeneratorSet) -> str:
-    """Render a generator set in the hop-list file format."""
+def read_lines(text: str) -> list[str]:
+    """The lines of a text file with `#` comments, surrounding blanks and
+    empty lines dropped; splitlines() also takes CRLF."""
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [line for line in lines if line]
+
+
+def format_hop_lines(gens: GeneratorSet) -> list[str]:
+    """One fixed-width hex hop per line: the body of hop files and store records."""
     w = hex_width(gens.d)
-    lines = [f"d={gens.d} q=2"]
-    lines.extend(f"{h:0{w}X}" for h in gens.hops)
-    return "\n".join(lines) + "\n"
+    return [f"{h:0{w}X}" for h in gens.hops]
 
 
-def parse_hops(text: str) -> GeneratorSet:
-    """Parse the hop-list format: a `d=<dim> q=2` header, then one hex hop
-    per line.  Blank lines and `#` comments are ignored."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    if not lines:
-        raise FormatError("empty hop list")
-    head = lines[0].split()
-    if len(head) != 2 or not head[0].startswith("d=") or head[1] != "q=2":
-        raise FormatError(f"bad hop-list header: {lines[0]!r}")
-    try:
-        d = int(head[0][2:])
-    except ValueError:
-        raise FormatError(f"bad dimension in header: {lines[0]!r}") from None
+def parse_hop_lines(d: int, lines: Iterable[str]) -> GeneratorSet:
+    """Inverse of format_hop_lines; any fault is a FormatError."""
     hops = []
-    for line in lines[1:]:
+    for line in lines:
         try:
             hops.append(int(line, 16))
         except ValueError:
@@ -166,6 +158,23 @@ def parse_hops(text: str) -> GeneratorSet:
         raise FormatError(str(exc)) from None
 
 
+def format_hops(gens: GeneratorSet) -> str:
+    """Render a generator set in the hop-list file format."""
+    return "\n".join([f"d={gens.d} q=2", *format_hop_lines(gens)]) + "\n"
+
+
+def parse_hops(text: str) -> GeneratorSet:
+    """Parse the hop-list format: a `d=<dim> q=2` header, then one hex hop
+    per line.  Blank lines and `#` comments are ignored."""
+    lines = read_lines(text)
+    if not lines:
+        raise FormatError("empty hop list")
+    head = re.fullmatch(r"d=([-+]?\d+)\s+q=2", lines[0])
+    if head is None:
+        raise FormatError(f"bad hop-list header: {lines[0]!r}")
+    return parse_hop_lines(int(head[1]), lines[1:])
+
+
 def load_hops(path) -> GeneratorSet:
     return parse_hops(Path(path).read_text())
 
@@ -174,11 +183,15 @@ def save_hops(gens: GeneratorSet, path) -> None:
     Path(path).write_text(format_hops(gens))
 
 
-def adjacency(gens: GeneratorSet, cap: int = 1 << 14) -> np.ndarray:
-    """Dense 0/1 adjacency matrix.  Refuses to materialize past `cap` nodes."""
+# Largest n adjacency() builds: its n x n bytes are 256 MiB there.
+ADJACENCY_MAX_NODES = 1 << 14
+
+
+def adjacency(gens: GeneratorSet) -> np.ndarray:
+    """Dense 0/1 adjacency matrix, for n up to ADJACENCY_MAX_NODES."""
     n = gens.n
-    if n > cap:
-        raise DomainError(f"adjacency matrix for n={n} exceeds cap {cap}")
+    if n > ADJACENCY_MAX_NODES:
+        raise DomainError(f"adjacency matrix for n={n} exceeds {ADJACENCY_MAX_NODES}")
     a = np.zeros((n, n), dtype=np.uint8)
     v = np.arange(n)
     for h in gens.hops:
@@ -215,7 +228,9 @@ def distance_profile(gens: GeneratorSet) -> DistanceProfile:
     and 16 bytes per frontier node, and its frontier stays below n/32, so
     the traced peak stays under 2.5 bytes per node at d >= 20; below that,
     fixed buffers of a few hundred KB dominate.  The search stops once
-    every node is reached.
+    every node is reached.  Time is another matter: a pull level gathers
+    n/64 words per hop, about m n / 64 word operations, so on the m = n/2
+    rungs it grows about 4x per step in d (`lh metrics`: 30 s at d = 20).
     """
     n = gens.n
     counts = [1]

@@ -7,6 +7,7 @@ so the seed set can live in version control.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -16,7 +17,7 @@ from . import constructions
 from .bisection import bisection_fwht
 from .ecc import code_to_hops, load_code
 from .errors import DomainError, FormatError
-from .graph import GeneratorSet, distance_profile, hex_width
+from .graph import GeneratorSet, distance_profile, format_hop_lines, parse_hop_lines
 
 MIN_D, MAX_D = 3, 24
 MAX_M = 256
@@ -177,17 +178,28 @@ def seed_defaults(db: SolutionDB) -> int:
     return added
 
 
+def record_line(rec: SolutionRecord) -> str:
+    """A record's metrics on one line, as `lh db list` prints it; the store
+    writes it after `record ` as the record's header."""
+    return (
+        f"d={rec.d} m={rec.m} b={rec.b} diam={rec.diameter} "
+        f"avg={rec.total}/{rec.n} prov={rec.provenance}"
+    )
+
+
+# A record header as dumps writes it: `record ` and then record_line(rec).
+_HEADER = re.compile(
+    r"record +d=([-+]?\d+) +m=([-+]?\d+) +b=([-+]?\d+) +diam=([-+]?\d+)"
+    r" +avg=([-+]?\d+)/([-+]?\d+) +prov=(.*)"
+)
+
+
 def dumps(db: SolutionDB) -> str:
     """Render the whole store in the record-block text format."""
-    blocks = []
-    for rec in db.records():
-        w = hex_width(rec.d)
-        lines = [
-            f"record d={rec.d} m={rec.m} b={rec.b} diam={rec.diameter} "
-            f"avg={rec.total}/{rec.n} prov={rec.provenance}"
-        ]
-        lines.extend(f"{h:0{w}X}" for h in rec.gens.hops)
-        blocks.append("\n".join(lines))
+    blocks = [
+        "\n".join([f"record {record_line(rec)}", *format_hop_lines(rec.gens)])
+        for rec in db.records()
+    ]
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
@@ -195,7 +207,8 @@ def loads(text: str) -> SolutionDB:
     """Parse the record-block format; structural checks only.
 
     Metric consistency is a verify() concern; here we only insist the
-    stored average has the node count as its denominator.
+    stored average has the node count of the checked hop set as its
+    denominator.
     """
     db = SolutionDB()
     # Records are runs of non-blank lines; splitlines() also takes CRLF.
@@ -203,44 +216,17 @@ def loads(text: str) -> SolutionDB:
     for filled, group in runs:
         if not filled:
             continue
-        lines = list(group)
-        head = lines[0]
-        if not head.startswith("record "):
-            raise FormatError(f"expected a record header, got {head!r}")
-        body, sep, prov = head[len("record "):].partition(" prov=")
-        if not sep:
-            raise FormatError(f"record header lacks prov=: {head!r}")
-        fields = {}
-        for token in body.split():
-            key, eq, value = token.partition("=")
-            if not eq:
-                raise FormatError(f"bad header token {token!r}")
-            fields[key] = value
-        try:
-            d = int(fields["d"])
-            m = int(fields["m"])
-            b = int(fields["b"])
-            diam = int(fields["diam"])
-            num, den = fields["avg"].split("/")
-            total, n = int(num), int(den)
-        except (KeyError, ValueError):
-            raise FormatError(f"bad record header: {head!r}") from None
-        if n != 1 << d:
+        head, *body = group
+        match = _HEADER.fullmatch(head)
+        if match is None:
+            raise FormatError(f"bad record header: {head!r}")
+        d, m, b, diam, total, n = map(int, match.groups()[:6])
+        if len(body) != m:
+            raise FormatError(f"record (d={d}, m={m}) lists {len(body)} hops")
+        gens = parse_hop_lines(d, body)
+        if n != gens.n:
             raise FormatError(f"avg denominator {n} is not 2^{d}")
-        try:
-            hops = tuple(int(ln.strip(), 16) for ln in lines[1:])
-        except ValueError:
-            raise FormatError(f"bad hop line in record (d={d}, m={m})") from None
-        if len(hops) != m:
-            raise FormatError(f"record (d={d}, m={m}) lists {len(hops)} hops")
-        try:
-            gens = GeneratorSet(d, hops)
-        except DomainError as exc:
-            raise FormatError(str(exc)) from None
-        rec = SolutionRecord(
-            gens=gens, b=b, diameter=diam, total=total, provenance=prov
-        )
-        db.add(rec)
+        db.add(SolutionRecord(gens, b, diam, total, match[7]))
     return db
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import longhop
 import oracle
-from longhop import cli, graph, low_density_b3, save_hops
+from longhop import cli, graph, lh_hd, low_density_b3, save_hops
 from longhop.cli import main
 
 FQ3_TEXT = "d=3 q=2\n1\n2\n4\n7\n"
@@ -79,6 +79,16 @@ def test_bisect_bad_format(capsys, tmp_path):
 def test_oracle(capsys, fq3_file):
     code, out, _ = run(capsys, "oracle", fq3_file)
     assert (code, out) == (0, "B=8 b=2 side=0F\n")
+
+
+def test_oracle_node_cap_is_fixed(capsys, tmp_path):
+    cube5 = tmp_path / "cube5.hops"
+    cube5.write_text("d=5 q=2\n1\n2\n4\n8\n10\n")
+    code, out, err = run(capsys, "oracle", str(cube5))
+    assert (code, out, err) == (1, "", "error: brute force caps n at 16, got n=32\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--max-nodes", "64", str(cube5)])
+    assert exc.value.code == 2
 
 
 def test_metrics(capsys, fq3_file):
@@ -149,6 +159,17 @@ def test_translate_both_ways(capsys, code74_file, tmp_path):
     assert (code, out) == (0, CODE74_TEXT)
 
 
+def test_translate_codes_wider_than_63_columns(capsys, tmp_path):
+    rung = tmp_path / "hd8.hops"
+    save_hops(lh_hd(8, 128), rung)
+    matrix = tmp_path / "hd8.code"
+    code, out, err = run(capsys, "translate", "--to-code", str(rung), "-o", str(matrix))
+    assert (code, out, err) == (0, "", "")
+    assert [len(row) for row in matrix.read_text().splitlines()] == [128] * 8
+    code, out, _ = run(capsys, "translate", "--to-hops", str(matrix))
+    assert (code, out) == (0, rung.read_text())
+
+
 def test_translate_needs_exactly_one_direction(code74_file):
     with pytest.raises(SystemExit) as exc:
         main(["translate", "--to-hops", code74_file, "--to-code", code74_file])
@@ -194,6 +215,21 @@ def test_diag(capsys, tmp_path):
     assert lines[1:4] == ["1", "2", "4"]
 
 
+def test_compare_keeps_the_d0_rows(capsys):
+    code, out, _ = run(
+        capsys, "compare", "--family", "hypercube", "-R", "16", "--sizes", "0..0"
+    )
+    assert (code, out.splitlines()[1]) == (
+        0, "hypercube d=0,1,16,0/1,1,1/1,1.0,0,0/1,0.0,1/1,1.0,,,P=n (E=b=1); C=nd/2"
+    )
+    code, out, _ = run(
+        capsys, "compare", "--family", "folded_cube", "-R", "16", "--sizes", "0..0"
+    )
+    assert (code, out.splitlines()[1]) == (
+        0, "folded_cube d=0,1,16,1/1,2,2/1,2.0,0,0/1,0.0,1/1,1.0,,,P=2n (E=b=2); C=n(d+1)/2"
+    )
+
+
 def test_db_seed_list_verify(capsys, tmp_path):
     db = tmp_path / "lh.db"
     code, out, _ = run(capsys, "db", "seed", "--db", str(db))
@@ -221,7 +257,7 @@ def test_db_verify_catches_tampering(capsys, tmp_path):
     db.write_text("record d=3 m=4 b=3 diam=2 avg=10/8 prov=wrong\n1\n2\n4\n7\n")
     code, out, err = run(capsys, "db", "verify", "--db", str(db))
     assert code == 1
-    assert "stored 3" in err
+    assert err == "error: (d=3, m=4) b: stored 3, recomputed 2\n"
 
 
 def test_db_env_variable(capsys, tmp_path, monkeypatch):
@@ -325,6 +361,12 @@ def test_wire_bad_rows_leave_the_output_file_alone(capsys, db_path, tmp_path):
         ["design", "-P", "96", "-R", "12", "--phi", "1/0"],
         ["design", "-P", "96", "-R", "12", "--weights", "a,b"],
         ["build", "b3", "-d", "5", "--columns", "zz,3"],
+        ["build", "hd", "-d", "-3", "-m", "1"],
+        # Refused before 2^24 hops are built.
+        ["build", "hd", "-d", "25", "-m", str(1 << 24)],
+        ["build", "mesh", "-d", "-1"],
+        ["compare", "--family", "hypercube", "-R", "16", "--sizes=-1..2"],
+        ["compare", "--family", "folded_cube", "-R", "16", "--sizes=-1..2"],
     ],
 )
 def test_bad_numeric_options_are_error_lines(db_path, argv):

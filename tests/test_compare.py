@@ -51,6 +51,8 @@ def test_hypercube_row():
     _check_cable_identity(row)
     with pytest.raises(DomainError):
         hypercube_row(8, 8)
+    with pytest.raises(DomainError):
+        hypercube_row(-1, 16)
 
 
 def test_folded_cube_row():
@@ -59,6 +61,8 @@ def test_folded_cube_row():
     _check_cable_identity(row)
     with pytest.raises(DomainError):
         folded_cube_row(4, 6)
+    with pytest.raises(DomainError):
+        folded_cube_row(-1, 16)
 
 
 def test_flattened_butterfly_row():

@@ -32,6 +32,21 @@ def test_basic_families():
         mesh(15)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: hd_ladder(-3),
+        lambda: hd_metrics(-3, 1),
+        lambda: lh_hd(-3, 1),
+        lambda: hd_metrics(25, 1 << 24),
+        lambda: mesh(-1),
+    ],
+)
+def test_bad_dimensions_fail_before_building(build):
+    with pytest.raises(DomainError):
+        build()
+
+
 def test_hd_ladder_values():
     assert hd_ladder(3) == (4, 6, 7)
     assert hd_ladder(4) == (8, 12, 14, 15)

@@ -13,12 +13,14 @@ from longhop import (
     GeneratorSet,
     SolutionDB,
     SolutionRecord,
+    hops_to_code,
     ingest_code_file,
     lh_hd,
     make_record,
     seed_defaults,
     seed_reference_examples,
 )
+from longhop.ecc import save_code
 from longhop.soldb import REFERENCE_EXAMPLES, dumps, load, loads, save
 
 CODE74_TEXT = "1101000\n0110100\n1110010\n1010001\n"
@@ -134,6 +136,18 @@ def test_ingest_code_file(tmp_path):
     rec2 = ingest_code_file(db, path, provenance="named", replace=True)
     assert db.query(4, 7).provenance == "named"
     assert rec2.b == 3
+
+
+def test_ingest_a_code_wider_than_63_columns(tmp_path):
+    gens = GeneratorSet(7, tuple(range(1, 81)))
+    path = tmp_path / "wide.code"
+    save_code(hops_to_code(gens), path)
+    rec = ingest_code_file(SolutionDB(), path)
+    assert (rec.gens, rec.m) == (gens, 80)
+    words = [0]
+    for row in hops_to_code(gens).rows:
+        words += [w ^ row for w in words]
+    assert rec.b == min(w.bit_count() for w in words[1:])
 
 
 def test_seed_reference_examples():
