@@ -36,7 +36,7 @@ import numpy as np
 
 from . import gf2
 from .errors import BudgetExceeded, DisconnectedGraph, DomainError, LongHopError
-from .graph import GeneratorSet, distance_profile
+from .graph import GeneratorSet, check_dim, distance_profile
 from .walsh import fwht, walsh_values
 
 
@@ -111,6 +111,7 @@ class PartitionVector:
 
 def walsh_partition(d: int, k: int) -> PartitionVector:
     """The equipartition cut out by Walsh function k (k >= 1)."""
+    check_dim(d)
     if k <= 0:
         raise DomainError("walsh index 0 does not bisect")
     return PartitionVector(walsh_values(k, 1 << d).astype(np.int8))
@@ -272,6 +273,11 @@ def brute_force_bisection(gens: GeneratorSet):
     return best_cut, PartitionVector(signs)
 
 
+# m-subsets scored per block in optimize_direct: a block's subset-by-k
+# table of AND-ed words is at most 4096 x 63 uint64, about 2 MB.
+_DIRECT_BLOCK = 4096
+
+
 def optimize_direct(d: int, m: int, budget: int = 100_000):
     """Exhaustively search all m-subsets of Z_2^d \\ {0} for the best b.
 
@@ -279,7 +285,19 @@ def optimize_direct(d: int, m: int, budget: int = 100_000):
     first hop list.  Returns (GeneratorSet, BisectionReport).  Only
     feasible for toy sizes; refuses n > 64 or more candidates than the
     budget allows.
+
+    With n <= 64 each subset is a 64-bit mask over the n - 1 nonzero
+    words (bit s for hop s + 1), and P_k marks the words that Walsh
+    index k overlaps oddly (codeword k of the full word list).  Then
+    C_k = popcount(mask & P_k), so b = min over k != 0 of
+    popcount(mask & P_k): subsets are scored _DIRECT_BLOCK at a time as
+    one table of popcounts.  Only the subsets with the largest b get a
+    BFS, in lexicographic order, and the search stops at the first
+    whose diameter meets the counting bound: no m hops reach more than
+    sum_{j <= r} C(m, j) nodes within r steps, so no diameter is below
+    the smallest r at which that sum reaches n.
     """
+    check_dim(d)
     n = 1 << d
     if n > 64:
         raise DomainError("exhaustive search is capped at n=64")
@@ -290,20 +308,30 @@ def optimize_direct(d: int, m: int, budget: int = 100_000):
         raise BudgetExceeded(
             f"{total} candidate sets exceed the budget of {budget}"
         )
-    best = None
-    best_key = None
-    for hops in combinations(range(1, n), m):
-        cand = GeneratorSet(d, hops)
-        counts = cut_counts(cand)
-        b = int(counts[1:].min())
-        if b == 0:
-            continue
-        if best_key is not None and b < best_key[0]:
-            continue
-        diam = distance_profile(cand).diameter
-        key = (b, -diam)
-        if best_key is None or key > best_key:
-            best, best_key = cand, key
-    if best is None:
+    rows = gf2.transpose(range(1, n), d)
+    odd = np.array([gf2.apply(rows, k) for k in range(1, n)], dtype=np.uint64)
+    subsets = combinations(range(n - 1), m)
+    best_b, survivors = 0, []
+    while block := list(islice(subsets, _DIRECT_BLOCK)):
+        bits = np.uint64(1) << np.array(block, dtype=np.uint64)
+        masks = np.bitwise_or.reduce(bits, axis=1)
+        b = np.bitwise_count(masks[:, None] & odd).min(axis=1)
+        top = int(b.max())
+        if top > best_b:
+            best_b, survivors = top, []
+        if top == best_b > 0:
+            survivors.append(masks[b == top])
+    if best_b == 0:
         raise DomainError("no spanning hop set exists for these parameters")
-    return best, bisection_fwht(best)
+    low_diam = next(
+        r for r in range(m + 1) if sum(comb(m, j) for j in range(r + 1)) >= n
+    )
+    best = None
+    for mask in np.concatenate(survivors).tolist():
+        cand = GeneratorSet(d, tuple(s + 1 for s in range(n - 1) if mask >> s & 1))
+        diam = distance_profile(cand).diameter
+        if best is None or diam < best[0]:
+            best = (diam, cand)
+            if diam == low_diam:
+                break
+    return best[1], bisection_fwht(best[1])

@@ -4,11 +4,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from . import gf2
 from .bisection import bisection_fwht, cut_counts
 from .errors import DomainError, LongHopError
-from .graph import GeneratorSet, check_dim, distance_profile
-from .walsh import MAX_DIM
+from .graph import GeneratorSet, check_dim
+from .walsh import MAX_DIM, fwht
 
 
 def hypercube(d: int) -> GeneratorSet:
@@ -18,6 +20,7 @@ def hypercube(d: int) -> GeneratorSet:
 
 def folded_cube(d: int) -> GeneratorSet:
     """The d-cube plus the all-ones diagonal hop; doubles b to 2."""
+    check_dim(d)
     n = 1 << d
     return GeneratorSet(d, tuple(1 << i for i in range(d)) + (n - 1,))
 
@@ -162,6 +165,96 @@ def augment_odd_b(gens: GeneratorSet) -> GeneratorSet:
     return GeneratorSet(gens.d, gens.hops + (x,))
 
 
+# Distance of a node the hops do not reach.  One below the uint8 top, so
+# adding a hop (+1) cannot wrap; real distances never exceed d <= 24.
+_UNREACHED = 254
+# Candidate distance rows scored per block: at most this many uint8
+# entries (each gathered through an int32 index), about 0.5 MB a block.
+_KEY_BLOCK = 1 << 16
+
+
+def _with_hop(dist: np.ndarray, nodes: np.ndarray, h) -> np.ndarray:
+    """Per-node distances once hop h joins: min(dist[x], 1 + dist[x ^ h]).
+
+    Exact because a shortest walk uses each hop at most once (twice
+    cancels).  A column of hops gives one row of distances per hop."""
+    return np.minimum(dist, np.take(dist, nodes ^ h) + 1)
+
+
+def _distances(hops, nodes: np.ndarray) -> np.ndarray:
+    """uint8 distance from node 0 to every node over `hops`, _UNREACHED
+    where they do not reach: the empty set's, one hop added at a time."""
+    dist = np.full(nodes.size, _UNREACHED, dtype=np.uint8)
+    dist[0] = 0
+    for h in hops:
+        dist = _with_hop(dist, nodes, h)
+    return dist
+
+
+def _scores(rows: np.ndarray, objective: str) -> np.ndarray:
+    """The search key of each row of per-node distances as one int64:
+    diameter * (n + 1) + far_count, or the total distance."""
+    if objective == "avg_hops":
+        return rows.sum(axis=1, dtype=np.int64)
+    diameter = rows.max(axis=1)
+    far = np.count_nonzero(rows == diameter[:, None], axis=1)
+    return diameter.astype(np.int64) * (rows.shape[1] + 1) + far
+
+
+def _lifted(base: np.ndarray) -> tuple[int, np.ndarray]:
+    """(b0, lifted): b0 = min over k != 0 of base_k, and for every v
+    whether min over k != 0 of base_k + parity(k & v) is b0 + 1.
+
+    It is b0 + 1 exactly when v overlaps every minimizer k oddly, that
+    is when the Walsh transform of the minimizers' indicator reads
+    minus their count at v; otherwise it is b0."""
+    b0 = int(base[1:].min())
+    low = base == b0
+    low[0] = False
+    return b0, fwht(low.view(np.int8)) == -np.count_nonzero(low)
+
+
+def _first_best(
+    dist: np.ndarray, nodes: np.ndarray, vs: np.ndarray, objective: str
+) -> tuple[int, int]:
+    """(key, v) for the first v in vs whose hop, added to the distances
+    `dist`, gives the smallest key; _KEY_BLOCK distances per block."""
+    rows = max(1, _KEY_BLOCK // nodes.size)
+    best = None
+    for a in range(0, vs.size, rows):
+        keys = _scores(_with_hop(dist, nodes, vs[a:a + rows, None]), objective)
+        i = int(np.argmin(keys))
+        if best is None or keys[i] < best[0]:
+            best = (int(keys[i]), int(vs[a + i]))
+    return best
+
+
+def _charge(cost: np.ndarray, copies: int, budget: int) -> tuple[int, int]:
+    """(candidates reached, budget left) when candidates costing `cost`
+    are each tried `copies` times in a row while budget is left.  The
+    last try may overdraw it, as a key charged after its b can."""
+    tries = np.repeat(cost, copies)
+    spent = np.cumsum(tries, dtype=np.int32)
+    tried = int(np.searchsorted(spent - tries, budget))
+    if tried:
+        budget -= int(spent[tried - 1])
+    return -(-tried // copies), budget
+
+
+def _groups(hops: tuple[int, ...], free: np.ndarray, depth: int):
+    """A step's candidates in search order, in groups that differ only in
+    the last replacement: (positions, fixed, vs, copies).  The positions
+    before the last take the hops in `fixed`, the last takes each v in vs
+    in turn, and each candidate is tried `copies` times in a row (at
+    depth 2 the pair (v, w) is tried again as (w, v))."""
+    for i in range(len(hops)):
+        yield (i,), (), free, 1
+    if depth == 2:
+        for i, j in combinations(range(len(hops)), 2):
+            for a, v in enumerate(free[:-1].tolist()):
+                yield (i, j), (v,), free[a + 1:], 2
+
+
 def optimize_secondary(
     gens: GeneratorSet,
     objective: str = "diameter",
@@ -179,6 +272,23 @@ def optimize_secondary(
     of budget and its objective one more; a candidate that does not
     span (b = 0) is skipped free of charge.  A hill climber, not an
     exact optimizer.
+
+    Candidates are scored a neighbourhood at a time, through two
+    identities of Cayley graphs over Z_2^d.  With C the cut counts of
+    the current hops, replacing hop h by v gives C'_k = base_k +
+    parity(k & v) for base = C - parity(k & h).  So with b0 the minimum
+    of base over k != 0 and K0 the k that reach it, b(v) = b0 + 1 when
+    FWHT(1_K0)[v] = -|K0| (v overlaps every k in K0 oddly) and b0
+    otherwise: one transform gives b for every v, and b(v) = 0 marks the
+    v that do not span.  For distances, a shortest walk uses each hop at
+    most once, so with D_T the per-node distances of the hops T that
+    stay, dist(T + v, x) = min(D_T[x], 1 + D_T[x ^ v]).  Depth 2 removes
+    both hops, fixes the first replacement a and scores every second
+    replacement w from the counts and distances with a added:
+    min(D, 1 + D[x^a], 1 + D[x^w], 2 + D[x^a^w]).  The cut counts are
+    taken once per step, the transform once per group of candidates the
+    budget reaches, and D_T, one hop at a time, once per removed
+    position or pair whose candidates get a key.
     """
     if objective not in ("diameter", "avg_hops"):
         raise DomainError(f"unknown objective {objective!r}")
@@ -187,50 +297,50 @@ def optimize_secondary(
     if not gens.spans():
         raise DomainError("secondary optimization needs a connected graph")
 
-    def key(g: GeneratorSet):
-        prof = distance_profile(g)
-        if objective == "diameter":
-            return (prof.diameter, prof.far_count)
-        return (prof.total,)
+    nodes = np.arange(gens.n, dtype=np.int32)
 
-    def candidates(hops: tuple[int, ...]):
-        n = gens.n
-        used = set(hops)
-        free = [v for v in range(1, n) if v not in used]
-        for i in range(len(hops)):
-            for v in free:
-                cand = list(hops)
-                cand[i] = v
-                yield tuple(cand)
-        if depth == 2:
-            for i, j in combinations(range(len(hops)), 2):
-                for v, w in combinations(free, 2):
-                    for a, b in ((v, w), (w, v)):
-                        cand = list(hops)
-                        cand[i], cand[j] = a, b
-                        yield tuple(cand)
+    def parity(h: int) -> np.ndarray:
+        return np.bitwise_count(nodes & h) & 1
 
     floor_b = bisection_fwht(gens).b
-    current = gens
-    current_key = key(current)
+    hops = gens.hops
+    current_key = int(_scores(_distances(hops, nodes)[None], objective)[0])
     while budget > 0:
         step = None
-        for hops in candidates(current.hops):
+        counts = cut_counts(GeneratorSet(gens.d, hops)).astype(np.int32)
+        unused = np.ones(gens.n, dtype=bool)
+        unused[[0, *hops]] = False
+        free = nodes[unused]
+        removed = None
+        for positions, fixed, vs, copies in _groups(hops, free, depth):
+            if positions != removed:
+                removed = positions
+                rest = [h for p, h in enumerate(hops) if p not in positions]
+                rest_counts = counts - sum(parity(hops[p]) for p in positions)
+                rest_dist = None
+            b0, lifted = _lifted(rest_counts + sum(parity(v) for v in fixed))
+            # Budget per candidate: one unit for b when it spans, one
+            # more for its key when b holds the floor.
+            cost = np.array(
+                [(b > 0) + (b >= floor_b) for b in (b0, b0 + 1)], dtype=np.int8
+            )[lifted[vs].view(np.int8)]
+            reached, budget = _charge(cost, copies, budget)
+            keyed = vs[:reached][cost[:reached] == 2]
+            if keyed.size:
+                if rest_dist is None:
+                    rest_dist = _distances(rest, nodes)
+                dist = rest_dist
+                for v in fixed:
+                    dist = _with_hop(dist, nodes, v)
+                k, v = _first_best(dist, nodes, keyed, objective)
+                if k < current_key and (step is None or k < step[0]):
+                    cand = list(hops)
+                    for p, h in zip(positions, (*fixed, v)):
+                        cand[p] = h
+                    step = (k, tuple(cand))
             if budget <= 0:
                 break
-            cand = GeneratorSet(gens.d, hops)
-            # b is 0 exactly when the hops do not span.
-            b = int(cut_counts(cand)[1:].min())
-            if b == 0:
-                continue
-            budget -= 1
-            if b < floor_b:
-                continue
-            budget -= 1
-            k = key(cand)
-            if k < current_key and (step is None or k < step[0]):
-                step = (k, cand)
         if step is None:
             break
-        current_key, current = step
-    return current
+        current_key, hops = step
+    return GeneratorSet(gens.d, hops)

@@ -224,7 +224,9 @@ def min_change_expansion(
     is the best map seen, not a certified optimum.  Candidates are only
     ever transvections of an invertible map or fresh `random_invertible`
     draws, so they are scored as bare rows and only the result is
-    checked as an `EquivalenceMap`.
+    checked as an `EquivalenceMap`.  A transvection acts after the
+    current map M, so each step maps the hops once, y_h = M(h), and
+    scores every transvection from those images.
     """
     if old.d > new.d:
         raise DomainError("the old network cannot be wider than the new one")
@@ -232,36 +234,41 @@ def min_change_expansion(
     old_set = set(old.hops)
     rng = random.Random(seed)
 
-    def cost(rows: list[int]) -> int:
-        return sum(1 for h in new.hops if gf2.apply(rows, h) not in old_set)
+    def misses(images) -> int:
+        return sum(1 for y in images if y not in old_set)
+
+    def images(rows: list[int]) -> list[int]:
+        return [gf2.apply(rows, h) for h in new.hops]
 
     current = [1 << i for i in range(d)]
-    current_cost = cost(current)
+    current_cost = misses(images(current))
     budget -= 1
     best_rows, best_cost = list(current), current_cost
 
     while budget > 0 and best_cost > 0:
         step = None
+        ys = images(current)
         for src in range(d):
             for dst in range(d):
                 if src == dst:
                     continue
-                cand = gf2.transvect(current, src, dst)
-                c = cost(cand)
+                # Transvecting the rows transvects every image.
+                c = misses(gf2.transvect(ys, src, dst))
                 budget -= 1
                 if c < current_cost and (step is None or c < step[0]):
-                    step = (c, cand)
+                    step = (c, src, dst)
                 if budget <= 0:
                     break
             if budget <= 0:
                 break
         if step is not None:
-            current_cost, current = step
+            current_cost, src, dst = step
+            current = gf2.transvect(current, src, dst)
             if current_cost < best_cost:
                 best_cost, best_rows = current_cost, list(current)
         else:
             current = gf2.random_invertible(d, rng)
-            current_cost = cost(current)
+            current_cost = misses(images(current))
             budget -= 1
             if current_cost < best_cost:
                 best_cost, best_rows = current_cost, list(current)

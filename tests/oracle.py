@@ -108,3 +108,86 @@ def gf2_rank(vectors):
                 basis[lead] = v
                 break
     return len(basis)
+
+
+def optimize_direct(d, m):
+    """Referee for bisection.optimize_direct: every m-subset scored on its
+    own, its b from its cut counts and its diameter from its BFS.
+
+    Returns (hops, b) of the lexicographically first subset with the
+    largest b, then the smallest diameter.
+    """
+    n = 1 << d
+    best = None
+    best_key = None
+    for hops in combinations(range(1, n), m):
+        b = min(cut_counts(d, hops)[1:])
+        if b == 0:
+            continue
+        if best_key is not None and b < best_key[0]:
+            continue
+        diam = max(distances(d, hops))
+        key = (b, -diam)
+        if best_key is None or key > best_key:
+            best, best_key = hops, key
+    return best, best_key[0]
+
+
+def optimize_secondary(d, hops, objective="diameter", depth=1, budget=2000):
+    """Referee for constructions.optimize_secondary: the per-candidate
+    hill climber, each candidate's b from its own cut counts and its key
+    from its own BFS.
+
+    Same candidate order and budget accounting: a candidate's b costs one
+    unit and its key one more, a non-spanning candidate (b = 0) costs
+    nothing, and the best strict improvement of a step wins, the first
+    one in candidate order on ties.  Returns the hop tuple.
+    """
+    n = 1 << d
+
+    def key(hops):
+        dist = distances(d, hops)
+        diameter = max(dist)
+        if objective == "diameter":
+            return (diameter, dist.count(diameter))
+        return (sum(dist),)
+
+    def candidates(hops):
+        used = set(hops)
+        free = [v for v in range(1, n) if v not in used]
+        for i in range(len(hops)):
+            for v in free:
+                cand = list(hops)
+                cand[i] = v
+                yield tuple(cand)
+        if depth == 2:
+            for i, j in combinations(range(len(hops)), 2):
+                for v, w in combinations(free, 2):
+                    for a, b in ((v, w), (w, v)):
+                        cand = list(hops)
+                        cand[i], cand[j] = a, b
+                        yield tuple(cand)
+
+    floor_b = min(cut_counts(d, hops)[1:])
+    current = tuple(hops)
+    current_key = key(current)
+    while budget > 0:
+        step = None
+        for cand in candidates(current):
+            if budget <= 0:
+                break
+            # b is 0 exactly when the hops do not span.
+            b = min(cut_counts(d, cand)[1:])
+            if b == 0:
+                continue
+            budget -= 1
+            if b < floor_b:
+                continue
+            budget -= 1
+            k = key(cand)
+            if k < current_key and (step is None or k < step[0]):
+                step = (k, cand)
+        if step is None:
+            break
+        current_key, current = step
+    return current

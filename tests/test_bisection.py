@@ -169,6 +169,8 @@ def test_partition_vector_sides():
     assert part.side_mask() == 0b01010101
     with pytest.raises(DomainError):
         walsh_partition(3, 0)
+    with pytest.raises(DomainError, match="dimension"):
+        walsh_partition(-1, 1)
 
 
 def test_cut_value_equals_scaled_count():
@@ -384,3 +386,14 @@ def test_optimize_direct_guards():
         optimize_direct(3, 8)
     with pytest.raises(BudgetExceeded):
         optimize_direct(4, 7, budget=10)
+    with pytest.raises(DomainError, match="dimension"):
+        optimize_direct(-1, 3)
+    with pytest.raises(DomainError, match="dimension"):
+        optimize_direct(0, 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_optimize_direct_matches_the_per_candidate_referee(d):
+    for m in range(d, 1 << d):
+        gens, rep = optimize_direct(d, m)
+        assert (gens.hops, rep.b) == oracle.optimize_direct(d, m), m

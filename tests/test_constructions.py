@@ -1,9 +1,13 @@
 """Closed-form constructions and their measured laws."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from longhop import (
     DomainError,
     GeneratorSet,
@@ -40,6 +44,7 @@ def test_basic_families():
         lambda: lh_hd(-3, 1),
         lambda: hd_metrics(25, 1 << 24),
         lambda: mesh(-1),
+        lambda: folded_cube(-2),
     ],
 )
 def test_bad_dimensions_fail_before_building(build):
@@ -266,3 +271,41 @@ def test_optimize_secondary_goldens(start, first_step, after):
                     start, objective=objective, depth=depth, budget=budget
                 )
                 assert got.hops == want, (objective, depth, budget)
+
+
+@st.composite
+def search_starts(draw):
+    d = draw(st.integers(3, 8))
+    m = draw(st.integers(d, min(d + 4, (1 << d) - 2)))
+    hops = draw(st.lists(st.integers(1, (1 << d) - 1), min_size=m, max_size=m, unique=True))
+    assume(oracle.gf2_rank(hops) == d)
+    return GeneratorSet(d, tuple(hops))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    start=search_starts(),
+    objective=st.sampled_from(["diameter", "avg_hops"]),
+    depth=st.sampled_from([1, 2]),
+    budget=st.one_of(st.integers(0, 120), st.integers(121, 600)),
+)
+def test_optimize_secondary_matches_the_per_candidate_referee(
+    start, objective, depth, budget
+):
+    # Small budgets run out part-way through a step; large ones let the
+    # small starts reach a local optimum.
+    got = optimize_secondary(start, objective=objective, depth=depth, budget=budget)
+    want = oracle.optimize_secondary(start.d, start.hops, objective, depth, budget)
+    assert got.hops == want
+
+
+def test_optimize_secondary_memory_per_node():
+    gens = low_density_b3(16)
+    tracemalloc.start()
+    try:
+        optimize_secondary(gens, budget=60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Cut counts, one transform and uint8 distances: about 39 bytes per node.
+    assert peak < 64 * gens.n
