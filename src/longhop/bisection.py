@@ -35,7 +35,7 @@ from operator import xor
 import numpy as np
 
 from . import gf2
-from .errors import BudgetExceeded, DisconnectedGraph, DomainError, LongHopError
+from .errors import BudgetExceeded, DomainError, LongHopError
 from .graph import GeneratorSet, check_dim, distance_profile
 from .walsh import fwht, walsh_values
 
@@ -171,10 +171,6 @@ class BisectionReport:
 _ENUM_BUDGET = 1 / 256
 
 
-def _disconnected(d: int) -> DisconnectedGraph:
-    return DisconnectedGraph(f"hops do not span Z_2^{d}; bisection is undefined")
-
-
 def _low_weight(gens: GeneratorSet) -> tuple[int, int] | None:
     """(b, t) by enumerating codewords in order of rising weight, or None
     once the next weight level would take the enumeration past its budget.
@@ -187,8 +183,6 @@ def _low_weight(gens: GeneratorSet) -> tuple[int, int] | None:
     """
     d, m = gens.d, gens.m
     basis = list(islice(gf2.independent(gens.hops), d))
-    if len(basis) < d:
-        raise _disconnected(d)
     # back = T^-1 sends k' to k; codeword k' is the XOR of rows[j] over
     # the set bits j of k'.
     back = gf2.invert(gf2.transpose(basis, d), d)
@@ -235,7 +229,9 @@ def bisection_fwht(gens: GeneratorSet) -> BisectionReport:
     t = int(np.argmin(counts[1:])) + 1
     b = int(counts[t])
     if b == 0:
-        raise _disconnected(gens.d)
+        raise LongHopError(
+            "spanning hops gave a zero cut count; the spectrum is miscounting"
+        )
     return BisectionReport(d=gens.d, b=b, t=t)
 
 
@@ -254,8 +250,6 @@ def brute_force_bisection(gens: GeneratorSet):
     n = gens.n
     if n > BRUTE_FORCE_MAX_NODES:
         raise DomainError(f"brute force caps n at {BRUTE_FORCE_MAX_NODES}, got n={n}")
-    if not gens.spans():
-        raise DisconnectedGraph("hops do not span; bisection is undefined")
     best_cut = None
     best_side = None
     for extra in combinations(range(1, n), n // 2 - 1):
@@ -321,8 +315,6 @@ def optimize_direct(d: int, m: int, budget: int = 100_000):
             best_b, survivors = top, []
         if top == best_b > 0:
             survivors.append(masks[b == top])
-    if best_b == 0:
-        raise DomainError("no spanning hop set exists for these parameters")
     low_diam = next(
         r for r in range(m + 1) if sum(comb(m, j) for j in range(r + 1)) >= n
     )

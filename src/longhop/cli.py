@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from . import compare, constructions, designer, ecc, graph, soldb
+from . import compare, constructions, designer, ecc, soldb
 from .bisection import bisection_fwht, brute_force_bisection, cut_counts
 from .errors import LongHopError
 from .graph import (
@@ -21,6 +21,7 @@ from .graph import (
     format_hops,
     hex_width,
     load_hops,
+    spectrum_rows,
     write_rows,
 )
 
@@ -93,22 +94,13 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _spectrum_rows(m: int, cuts):
-    """(k, m - 2 cut, cut) rows, turned into ints one write block at a time."""
-    step = graph._ROWS_PER_WRITE
-    for lo in range(0, cuts.size, step):
-        cut = cuts[lo:lo + step]
-        lam = (m - 2 * cut).tolist()
-        yield from zip(range(lo, lo + cut.size), lam, cut.tolist())
-
-
 def cmd_spectrum(args) -> int:
     gens = load_hops(args.file)
     cuts = cut_counts(gens)
     template = f"%0{hex_width(gens.d)}X\t%d\t%d\n"
     with _output(args) as out:
         out.write("# k\tlambda\tcut\n")
-        write_rows(out, template, _spectrum_rows(gens.m, cuts))
+        write_rows(out, template, spectrum_rows(gens.m, cuts))
     return 0
 
 

@@ -294,8 +294,6 @@ def optimize_secondary(
         raise DomainError(f"unknown objective {objective!r}")
     if depth not in (1, 2):
         raise DomainError("depth must be 1 or 2")
-    if not gens.spans():
-        raise DomainError("secondary optimization needs a connected graph")
 
     nodes = np.arange(gens.n, dtype=np.int32)
 

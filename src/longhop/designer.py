@@ -21,13 +21,6 @@ from .soldb import SolutionDB, SolutionRecord
 DEFAULT_WEIGHTS = (Fraction(7, 10), Fraction(3, 10))
 
 
-def oversubscription(E: int, b: int) -> Fraction:
-    """phi = E/b: free ports per switch over per-node bisection."""
-    if b <= 0:
-        raise DomainError("oversubscription needs b > 0")
-    return Fraction(E, b)
-
-
 @dataclass(frozen=True)
 class DesignChoice:
     """A scored match between a requirement and a stored record."""
@@ -80,12 +73,12 @@ def find_solution(
     best: DesignChoice | None = None
     for rec in db.records():
         E = radix - rec.m
-        if E <= 0 or rec.b < 1:
+        if E <= 0:
             continue
         achieved_ports = rec.n * E
         if at_least_ports and achieved_ports < ports:
             continue
-        achieved_phi = oversubscription(E, rec.b)
+        achieved_phi = Fraction(E, rec.b)
         err_ports = Fraction(abs(achieved_ports - ports), ports)
         err_phi = abs(achieved_phi - phi) / phi
         score = w_ports * err_ports + w_phi * err_phi

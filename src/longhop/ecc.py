@@ -77,24 +77,19 @@ def save_code(code: LinearCode, path) -> None:
 
 
 def code_to_hops(code: LinearCode) -> GeneratorSet:
-    """Read the columns right-to-left as hops over Z_2^k."""
-    k = code.k
-    if k > MAX_DIM:
-        raise DomainError(f"code has {k} rows; dimensions above {MAX_DIM} unsupported")
-    if gf2.rank(code.rows) != k:
-        raise DomainError("generator rows are linearly dependent")
+    """Read the columns right-to-left as hops over Z_2^k.  Independent
+    rows are exactly spanning hops, which GeneratorSet checks."""
     hops = tuple(gf2.transpose(code.rows[::-1], code.width))
     if 0 in hops:
         raise DomainError("a zero matrix column would be a zero hop")
     if len(set(hops)) != len(hops):
         raise DomainError("equal matrix columns would duplicate a hop")
-    return GeneratorSet(k, hops)
+    return GeneratorSet(code.k, hops)
 
 
 def hops_to_code(gens: GeneratorSet) -> LinearCode:
-    """Inverse of code_to_hops: hop s becomes column m-1-s."""
-    if not gens.spans():
-        raise DomainError("hops do not span; the matrix would be rank-deficient")
+    """Inverse of code_to_hops: hop s becomes column m-1-s.  The hops
+    span, so the d rows are independent."""
     return LinearCode(gens.m, tuple(gf2.transpose(gens.hops, gens.d)[::-1]))
 
 
@@ -187,8 +182,6 @@ def diagonalize(gens: GeneratorSet):
     Pivots are chosen lightest-first so the tail keeps low weight.
     """
     d = gens.d
-    if not gens.spans():
-        raise DomainError("cannot diagonalize: hops do not span Z_2^d")
     hops = list(gens.hops)
     rows = [1 << i for i in range(d)]
     for c in range(d):

@@ -8,8 +8,8 @@ class LongHopError(Exception):
 class DomainError(LongHopError, ValueError):
     """An argument is outside the domain an operation is defined on.
 
-    Covers structural problems too: duplicate hops, rank-deficient
-    generator sets, dimensions above the supported limit, and so on.
+    Covers structural problems too: duplicate hops, dimensions above the
+    supported limit, stored metrics no hop set can have, and so on.
     """
 
 
@@ -22,4 +22,5 @@ class BudgetExceeded(LongHopError, RuntimeError):
 
 
 class DisconnectedGraph(DomainError):
-    """The generator set does not span Z_2^d, so the graph is disconnected."""
+    """The hops do not span Z_2^d, so their graph is disconnected; only
+    `GeneratorSet` raises it, when it is built."""

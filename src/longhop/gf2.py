@@ -9,6 +9,7 @@ reads hops as a matrix: bit s of row i is bit i of hop s.
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 from .errors import DomainError
 
@@ -36,8 +37,9 @@ def rank(vectors) -> int:
 
 
 def spans(vectors, d: int) -> bool:
-    """True when `vectors` generate all of GF(2)^d."""
-    return rank(vectors) == d
+    """True when `vectors`, each at most d bits wide, generate all of
+    GF(2)^d; the scan stops at the d-th independent vector."""
+    return sum(1 for _ in islice(independent(vectors), d)) == d
 
 
 def transpose(vectors, width: int) -> list[int]:

@@ -3,7 +3,8 @@
 A network here is a Cayley graph: nodes are the 2^d words of d bits and
 node v links to v XOR h for every hop h in the generator set.  The set
 is closed under nothing and ordered (hop s is "port s"), but as a graph
-the edge set only depends on the set of hops.
+the edge set only depends on the set of hops.  It is connected exactly
+when the hops span Z_2^d, and `GeneratorSet` refuses hops that do not.
 
 The distance profile is a direction-optimizing BFS (Beamer, Asanovic and
 Patterson, SC 2012).  While the frontier is small it pushes: frontier ^ h
@@ -28,7 +29,7 @@ from typing import IO
 import numpy as np
 
 from . import gf2
-from .errors import DisconnectedGraph, DomainError, FormatError
+from .errors import DisconnectedGraph, DomainError, FormatError, LongHopError
 from .walsh import MAX_DIM
 
 
@@ -40,7 +41,8 @@ def check_dim(d: int) -> None:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """An ordered set of distinct nonzero hops in Z_2^d."""
+    """An ordered set of distinct nonzero hops that span Z_2^d, checked
+    once, here: no engine that takes a GeneratorSet checks it again."""
 
     d: int
     hops: tuple[int, ...]
@@ -56,9 +58,9 @@ class GeneratorSet:
                 raise DomainError(f"hop {h:#x} out of range for d={self.d}")
         if len(set(self.hops)) != len(self.hops):
             raise DomainError("hops must be distinct")
-        if len(self.hops) < self.d:
-            raise DomainError(
-                f"{len(self.hops)} hops cannot span d={self.d} dimensions"
+        if not gf2.spans(self.hops, self.d):
+            raise DisconnectedGraph(
+                f"hops span a rank-{gf2.rank(self.hops)} subspace of d={self.d}"
             )
 
     @property
@@ -70,10 +72,6 @@ class GeneratorSet:
     def m(self) -> int:
         """Number of hops, i.e. ports used per node."""
         return len(self.hops)
-
-    def spans(self) -> bool:
-        """True when the hops generate all of Z_2^d (connected graph)."""
-        return gf2.spans(self.hops, self.d)
 
     def xor_all(self) -> int:
         """XOR of every hop; zero here forces every bisection cut even."""
@@ -129,6 +127,15 @@ def write_rows(stream: IO[str], template: str, rows: Iterable[tuple]) -> None:
     rows = iter(rows)
     while block := list(islice(rows, _ROWS_PER_WRITE)):
         stream.write("".join(map(template.__mod__, block)))
+
+
+def spectrum_rows(m: int, cuts: np.ndarray) -> Iterator[tuple[int, int, int]]:
+    """(k, m - 2 cut, cut) rows of a spectrum table, turned into ints one
+    write block at a time."""
+    for lo in range(0, cuts.size, _ROWS_PER_WRITE):
+        cut = cuts[lo:lo + _ROWS_PER_WRITE]
+        lam = (m - 2 * cut).tolist()
+        yield from zip(range(lo, lo + cut.size), lam, cut.tolist())
 
 
 def read_lines(text: str) -> list[str]:
@@ -215,8 +222,7 @@ _SWAP_MASKS = tuple(
 
 def distance_profile(gens: GeneratorSet) -> DistanceProfile:
     """Level-synchronous BFS from node 0 that keeps only the size of each
-    level; O(n) bytes whatever m is.  Raises DisconnectedGraph if the hops
-    do not span.
+    level; O(n) bytes whatever m is.
 
     Each level runs one of two steps, chosen from the frontier size.  The
     push step scatters frontier ^ h into a bool mask, one hop at a time, or
@@ -238,8 +244,8 @@ def distance_profile(gens: GeneratorSet) -> DistanceProfile:
     if handover is not None:
         _pull_levels(gens, *handover, counts)
     if sum(counts) != n:
-        raise DisconnectedGraph(
-            f"hops span a rank-{gf2.rank(gens.hops)} subspace of d={gens.d}"
+        raise LongHopError(
+            f"BFS reached {sum(counts)} of {n} nodes over spanning hops"
         )
     return DistanceProfile(tuple(counts))
 

@@ -19,7 +19,7 @@ from .ecc import code_to_hops, load_code
 from .errors import DomainError, FormatError
 from .graph import GeneratorSet, distance_profile, format_hop_lines, parse_hop_lines
 
-MIN_D, MAX_D = 3, 24
+MIN_D = 3
 MAX_M = 256
 
 REFERENCE_EXAMPLES = (
@@ -51,13 +51,27 @@ REFERENCE_EXAMPLES = (
 
 @dataclass(frozen=True)
 class SolutionRecord:
-    """One verified solution: a hop set plus its measured metrics."""
+    """One verified solution: a hop set plus its measured metrics, which
+    must be possible for it: 1 <= b <= m, 1 <= diameter <= d (the hops
+    hold a basis) and n - 1 <= total <= diameter (n - 1)."""
 
     gens: GeneratorSet
     b: int
     diameter: int
     total: int
     provenance: str
+
+    def __post_init__(self):
+        m, d, n = self.m, self.d, self.n
+        if not 1 <= self.b <= m:
+            raise DomainError(f"b={self.b} is outside [1, {m}]")
+        if not 1 <= self.diameter <= d:
+            raise DomainError(f"diam={self.diameter} is outside [1, {d}]")
+        top = self.diameter * (n - 1)
+        if not n - 1 <= self.total <= top:
+            raise DomainError(
+                f"avg={self.total}/{n} is outside [{n - 1}/{n}, {top}/{n}]"
+            )
 
     @property
     def d(self) -> int:
@@ -100,10 +114,10 @@ class SolutionDB:
         return len(self._records)
 
     def add(self, rec: SolutionRecord, replace: bool = False) -> None:
-        if not MIN_D <= rec.d <= MAX_D:
-            raise DomainError(f"d={rec.d} outside store bounds [{MIN_D}, {MAX_D}]")
-        if not rec.d <= rec.m <= MAX_M:
-            raise DomainError(f"m={rec.m} outside store bounds [d, {MAX_M}]")
+        if rec.d < MIN_D:
+            raise DomainError(f"d={rec.d} is below the store bound {MIN_D}")
+        if rec.m > MAX_M:
+            raise DomainError(f"m={rec.m} is above the store bound {MAX_M}")
         key = (rec.d, rec.m)
         if key in self._records and not replace:
             raise DomainError(f"record (d={rec.d}, m={rec.m}) already present")
@@ -204,12 +218,9 @@ def dumps(db: SolutionDB) -> str:
 
 
 def loads(text: str) -> SolutionDB:
-    """Parse the record-block format; structural checks only.
-
-    Metric consistency is a verify() concern; here we only insist the
-    stored average has the node count of the checked hop set as its
-    denominator.
-    """
+    """Parse the record-block format.  A record whose hops or metrics
+    no record can have is a FormatError that names it; whether possible
+    metrics are the right ones is a verify() concern."""
     db = SolutionDB()
     # Records are runs of non-blank lines; splitlines() also takes CRLF.
     runs = groupby(text.splitlines(), key=lambda ln: bool(ln.strip()))
@@ -223,10 +234,14 @@ def loads(text: str) -> SolutionDB:
         d, m, b, diam, total, n = map(int, match.groups()[:6])
         if len(body) != m:
             raise FormatError(f"record (d={d}, m={m}) lists {len(body)} hops")
-        gens = parse_hop_lines(d, body)
-        if n != gens.n:
-            raise FormatError(f"avg denominator {n} is not 2^{d}")
-        db.add(SolutionRecord(gens, b, diam, total, match[7]))
+        try:
+            gens = parse_hop_lines(d, body)
+            if n != gens.n:
+                raise FormatError(f"avg denominator {n} is not 2^{d}")
+            rec = SolutionRecord(gens, b, diam, total, match[7])
+        except (DomainError, FormatError) as exc:
+            raise FormatError(f"record (d={d}, m={m}): {exc}") from None
+        db.add(rec)
     return db
 
 

@@ -39,7 +39,7 @@ from longhop.constructions import augment_odd_b, b3_overhead
 from longhop.designer import WiringTable
 from longhop.compare import alternative_series, lh_series, versus_hypercube
 from longhop.ecc import EquivalenceMap, LinearCode, hops_to_code
-from longhop.gf2 import random_invertible
+from longhop.gf2 import random_invertible, spans
 from longhop.walsh import walsh_values
 
 
@@ -99,9 +99,10 @@ def test_criterion_2_engine_equivalence():
         n = 1 << d
         while True:
             m = rng.randint(d, d + 3)
-            gens = GeneratorSet(d, tuple(rng.sample(range(1, n), m)))
-            if gens.spans():
+            hops = tuple(rng.sample(range(1, n), m))
+            if spans(hops, d):
                 break
+        gens = GeneratorSet(d, hops)
         fast = bisection_fwht(gens)
         counts = cut_counts(gens)
         assert counts.tolist() == oracle.cut_counts(gens.d, gens.hops)
@@ -224,9 +225,10 @@ def test_criterion_7_eigen_equation():
         n = 1 << d
         while True:
             m = rng.randint(d, min(n - 1, d + 4))
-            gens = GeneratorSet(d, tuple(rng.sample(range(1, n), m)))
-            if gens.spans():
+            hops = tuple(rng.sample(range(1, n), m))
+            if spans(hops, d):
                 break
+        gens = GeneratorSet(d, hops)
         A = adjacency(gens).astype(np.int64)
         H = np.stack([walsh_values(k, n) for k in range(n)])
         lam = fwht(np.isin(np.arange(n), gens.hops).astype(np.int64))
@@ -272,9 +274,10 @@ def test_criterion_duality_identity():
         n = 1 << d
         while True:
             m = rng.randint(d, min(n - 1, d + 4))
-            gens = GeneratorSet(d, tuple(rng.sample(range(1, n), m)))
-            if gens.spans():
+            hops = tuple(rng.sample(range(1, n), m))
+            if spans(hops, d):
                 break
+        gens = GeneratorSet(d, hops)
         code = hops_to_code(gens)
         assert min_weight(code) == bisection_fwht(gens).b
         assert verify_duality(code)

@@ -9,10 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from longhop import bisection
+from longhop import bisection, gf2
 from longhop import (
     BudgetExceeded,
-    DisconnectedGraph,
     DomainError,
     GeneratorSet,
     PartitionVector,
@@ -38,9 +37,8 @@ def _random_spanning(rng, d, m=None):
     while True:
         m_draw = m if m is not None else rng.randint(d, min(n - 1, d + 4))
         hops = tuple(rng.sample(range(1, n), m_draw))
-        gens = GeneratorSet(d, hops)
-        if gens.spans():
-            return gens
+        if gf2.spans(hops, d):
+            return GeneratorSet(d, hops)
 
 
 def test_eigenvalues_golden():
@@ -113,9 +111,8 @@ def wide_spanning_sets(draw):
     n = 1 << d
     m = draw(st.integers(d, n - 1))
     hops = random.Random(draw(st.integers(0, 2**32))).sample(range(1, n), m)
-    gens = GeneratorSet(d, tuple(hops))
-    assume(gens.spans())
-    return gens
+    assume(gf2.spans(hops, d))
+    return GeneratorSet(d, tuple(hops))
 
 
 @given(wide_spanning_sets())
@@ -252,14 +249,6 @@ def test_brute_force_guard():
         brute_force_bisection(GeneratorSet(5, (1, 2, 4, 8, 16)))
 
 
-def test_disconnected_raises_everywhere():
-    split = GeneratorSet(3, (1, 2, 3))
-    with pytest.raises(DisconnectedGraph):
-        bisection_fwht(split)
-    with pytest.raises(DisconnectedGraph):
-        brute_force_bisection(split)
-
-
 @st.composite
 def codeword_sets(draw):
     # m up to 64 d, so the enumeration is in play; with or without the
@@ -274,9 +263,8 @@ def codeword_sets(draw):
         hops = rest + units if draw(st.booleans()) else units + rest
     else:
         hops = rng.sample(range(1, n), m)
-    gens = GeneratorSet(d, tuple(hops))
-    assume(gens.spans())
-    return gens
+    assume(gf2.spans(hops, d))
+    return GeneratorSet(d, tuple(hops))
 
 
 @pytest.mark.parametrize("budget", [0, bisection._ENUM_BUDGET, float("inf")])
@@ -333,24 +321,6 @@ def test_bisection_of_wide_sets_skips_the_enumeration(monkeypatch):
     assert spectra == [641]
     want = oracle.cut_counts(gens.d, gens.hops)
     assert (rep.b, rep.t) == (min(want[1:]), want.index(min(want[1:]), 1))
-
-
-def test_disconnected_message_is_the_same_on_both_paths(monkeypatch):
-    # (1, 2, 3) fails in the enumeration; 705 hops inside a 10-dim
-    # subspace of Z_2^11 (m > 64 d) fail in the spectrum.
-    narrow = GeneratorSet(3, (1, 2, 3))
-    wide = GeneratorSet(11, tuple(random.Random(3).sample(range(1, 1 << 10), 705)))
-    spectra = _count_calls(monkeypatch, "cut_counts")
-    messages = []
-    for gens in (narrow, wide):
-        with pytest.raises(DisconnectedGraph) as exc:
-            bisection_fwht(gens)
-        messages.append(str(exc.value))
-    assert spectra == [705]
-    assert messages == [
-        "hops do not span Z_2^3; bisection is undefined",
-        "hops do not span Z_2^11; bisection is undefined",
-    ]
 
 
 def test_bisect_memory_per_node():

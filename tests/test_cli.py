@@ -382,16 +382,77 @@ def test_bad_numeric_options_are_error_lines(db_path, argv):
 def test_design_rejects_a_hand_edited_b(capsys, db_path, tmp_path):
     edited = tmp_path / "edited.db"
     text = db_path.read_text()
-    edited.write_text(text.replace("record d=8 m=18 b=6 ", "record d=8 m=18 b=60 "))
+    edited.write_text(text.replace("record d=8 m=18 b=6 ", "record d=8 m=18 b=18 "))
     code, out, err = run(
-        capsys, "design", "-P", "1536", "-R", "24", "--phi", "1/10",
-        "--db", str(edited),
+        capsys, "design", "-P", "1536", "-R", "24", "--db", str(edited)
     )
     assert (code, out) == (1, "")
     assert err == (
-        "error: record (d=8, m=18) stores b=60 but its hops give b=6; "
+        "error: record (d=8, m=18) stores b=18 but its hops give b=6; "
         "run `lh db verify`\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bisect"],
+        ["metrics"],
+        ["spectrum"],
+        ["oracle"],
+        ["diag"],
+        ["translate", "--to-code"],
+        ["build", "augment"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_every_command_refuses_hops_that_do_not_span(capsys, tmp_path, argv):
+    path = tmp_path / "split.hops"
+    path.write_text("d=3 q=2\n1\n2\n3\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out, err) == (
+        1, "", "error: hops span a rank-2 subspace of d=3\n"
+    )
+
+
+# Seeded-store edits to metrics or hops that no record can have, and the
+# one error line that loading the edited store gives.
+IMPOSSIBLE_RECORDS = [
+    ("record d=3 m=7 b=4 ", "record d=3 m=7 b=0 ",
+     "record (d=3, m=7): b=0 is outside [1, 7]"),
+    ("record d=3 m=7 b=4 ", "record d=3 m=7 b=-4 ",
+     "record (d=3, m=7): b=-4 is outside [1, 7]"),
+    ("record d=8 m=18 b=6 ", "record d=8 m=18 b=60 ",
+     "record (d=8, m=18): b=60 is outside [1, 18]"),
+    ("m=7 b=4 diam=1 ", "m=7 b=4 diam=-1 ",
+     "record (d=3, m=7): diam=-1 is outside [1, 3]"),
+    ("m=7 b=4 diam=1 avg=7/8 ", "m=7 b=4 diam=1 avg=-5/8 ",
+     "record (d=3, m=7): avg=-5/8 is outside [7/8, 7/8]"),
+    ("m=3 b=1 diam=3 avg=12/8 prov=hypercube\n1\n2\n4\n",
+     "m=3 b=1 diam=3 avg=12/8 prov=hypercube\n1\n2\n3\n",
+     "record (d=3, m=3): hops span a rank-2 subspace of d=3"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["db", "list"],
+        ["db", "verify"],
+        ["design", "-P", "96", "-R", "12"],
+        ["compare", "--family", "lh", "-R", "16"],
+        ["compare", "--family", "lh_vs_hypercube", "-R", "16"],
+    ],
+    ids=lambda argv: " ".join(argv[:3]),
+)
+def test_impossible_stored_records_are_load_errors(capsys, db_path, tmp_path, argv):
+    text = db_path.read_text()
+    for old, new, problem in IMPOSSIBLE_RECORDS:
+        assert text.count(old) == 1
+        edited = tmp_path / "edited.db"
+        edited.write_text(text.replace(old, new))
+        code, out, err = run(capsys, *argv, "--db", str(edited))
+        assert (code, out, err) == (1, "", f"error: {problem}\n")
 
 
 def test_compare_family_csv(capsys):

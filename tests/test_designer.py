@@ -13,18 +13,11 @@ from longhop import (
     SolutionDB,
     WiringTable,
     find_solution,
+    gf2,
     graph,
     make_record,
     soldb,
 )
-from longhop.designer import oversubscription
-
-
-def test_oversubscription():
-    assert oversubscription(6, 3) == Fraction(2)
-    assert oversubscription(3, 2) == Fraction(3, 2)
-    with pytest.raises(DomainError):
-        oversubscription(3, 0)
 
 
 @pytest.mark.parametrize(
@@ -91,20 +84,21 @@ def test_find_solution_validation(seeded_db):
 
 
 def test_find_solution_remeasures_the_chosen_b(seeded_db):
-    # Reference example 2 (d=8, m=18) has b=6; a hand edit to b=60 would
-    # make it the pick for phi = 1/10 at a score built on the wrong b.
+    # Reference example 2 (d=8, m=18) has b=6.  A hand edit to b=18 stays
+    # in range (b <= m), so the store loads, and the record is still the
+    # pick at phi = 1, on a score built on the wrong b.
     text = soldb.dumps(seeded_db)
     assert text.count("record d=8 m=18 b=6 ") == 1
-    edited = soldb.loads(text.replace("record d=8 m=18 b=6 ", "record d=8 m=18 b=60 "))
+    edited = soldb.loads(text.replace("record d=8 m=18 b=6 ", "record d=8 m=18 b=18 "))
     with pytest.raises(LongHopError) as exc:
-        find_solution(edited, 1536, 24, phi=Fraction(1, 10))
+        find_solution(edited, 1536, 24)
     assert str(exc.value) == (
-        "record (d=8, m=18) stores b=60 but its hops give b=6; run `lh db verify`"
+        "record (d=8, m=18) stores b=18 but its hops give b=6; run `lh db verify`"
     )
-    # The true b=6 record is still the pick, at phi = 1.
-    choice = find_solution(seeded_db, 1536, 24, phi=Fraction(1, 10))
+    # The true b=6 record is the pick, at phi = 1 and a score of 0.
+    choice = find_solution(seeded_db, 1536, 24)
     assert (choice.d, choice.m, choice.record.b) == (8, 18, 6)
-    assert (choice.phi, choice.score) == (Fraction(1), Fraction(27, 10))
+    assert (choice.phi, choice.score) == (Fraction(1), Fraction(0))
 
 
 def written(table, lo=0, hi=None):
@@ -136,9 +130,9 @@ def test_wiring_ports_pair_up(monkeypatch):
     rng = random.Random(17)
     while True:
         hops = tuple(rng.sample(range(1, 32), 7))
-        gens = GeneratorSet(5, hops)
-        if gens.spans():
+        if gf2.spans(hops, 5):
             break
+    gens = GeneratorSet(5, hops)
     lines = written(WiringTable(gens, radix=9))
     rows = [[int(c, 16) for c in line.split("\t")[1:8]] for line in lines[1:]]
     assert len(rows) == gens.n

@@ -7,6 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracle
+from longhop import gf2
 from longhop import (
     DomainError,
     EquivalenceMap,
@@ -50,9 +51,8 @@ def spanning_sets(draw, max_d=6):
     hops = draw(
         st.lists(st.integers(1, n - 1), min_size=m, max_size=m, unique=True)
     )
-    gens = GeneratorSet(d, tuple(hops))
-    assume(gens.spans())
-    return gens
+    assume(gf2.spans(hops, d))
+    return GeneratorSet(d, tuple(hops))
 
 
 def test_linear_code_validation():
@@ -220,8 +220,6 @@ def test_equivalence_map_compose_and_invert():
     rng = random.Random(8)
     for _ in range(10):
         d = rng.randint(2, 6)
-        from longhop import gf2
-
         emap = EquivalenceMap(d, tuple(gf2.random_invertible(d, rng)))
         ident = emap.then(emap.inverse())
         assert ident.rows == EquivalenceMap.identity(d).rows
@@ -231,8 +229,6 @@ def test_equivalence_map_compose_and_invert():
 
 def test_apply_equivalence_preserves_invariants():
     rng = random.Random(15)
-    from longhop import gf2
-
     for gens in (GeneratorSet(4, (1, 2, 4, 8, 15)), GeneratorSet(4, HOPS74)):
         base = bisection_fwht(gens)
         base_hist = distance_profile(gens).counts
@@ -258,9 +254,9 @@ def test_diagonalize_systematic_form():
         n = 1 << d
         while True:
             hops = tuple(rng.sample(range(1, n), rng.randint(d, d + 3)))
-            gens = GeneratorSet(d, hops)
-            if gens.spans():
+            if gf2.spans(hops, d):
                 break
+        gens = GeneratorSet(d, hops)
         normal, emap = diagonalize(gens)
         assert normal.hops[:d] == tuple(1 << i for i in range(d))
         assert sorted(emap.apply(h) for h in gens.hops) == sorted(normal.hops)

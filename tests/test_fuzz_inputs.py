@@ -15,16 +15,30 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from longhop import GeneratorSet, SolutionDB, cli, make_record
+from longhop import GeneratorSet, SolutionDB, cli, lh_hd, make_record
 from longhop.ecc import format_code, hops_to_code
 from longhop.graph import format_hops
-from longhop.soldb import dumps
+from longhop.soldb import REFERENCE_EXAMPLES, dumps
 
 ALPHABET = "0123456789abcdefABCDEF-#=/ \r\n"
 # Mutants whose headers ask for more than this are skipped, so that every
 # example runs in milliseconds.
 MAX_FUZZ_D = 12
 NEGATIVE_D_RECORD = "record d=-3 m=4 b=2 diam=2 avg=10/8 prov=x\n1\n2\n4\n7\n"
+NON_SPANNING_RECORD = "record d=3 m=3 b=1 diam=3 avg=12/8 prov=x\n1\n2\n3\n"
+
+
+def edited_record(gens, old, new):
+    """The store of one measured record, its header edited."""
+    db = SolutionDB()
+    db.add(make_record(gens, "x"))
+    text = dumps(db)
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+MESH3 = lh_hd(3, 7)
+REF8 = REFERENCE_EXAMPLES[1][1]
 
 
 @pytest.fixture(scope="module")
@@ -104,9 +118,21 @@ def test_mutated_code_files(workdir, text):
 @settings(deadline=None)
 @given(mutants(stores()))
 @example(NEGATIVE_D_RECORD)
+@example(NON_SPANNING_RECORD)
+# Metrics that no hop set can have, on the (3,7) and (8,18) records.
+@example(edited_record(MESH3, " b=4 ", " b=0 "))
+@example(edited_record(MESH3, " b=4 ", " b=-4 "))
+@example(edited_record(MESH3, " diam=1 ", " diam=-1 "))
+@example(edited_record(MESH3, " avg=7/8 ", " avg=-5/8 "))
+@example(edited_record(REF8, " b=6 ", " b=60 "))
 def test_mutated_stores(workdir, text):
     path = workdir / "lh.db"
     path.write_text(text)
     assert_clean_exit("db", "list", "--db", path)
     assert_clean_exit("db", "verify", "--db", path)
     assert_clean_exit("design", "-P", "64", "-R", "16", "--db", path)
+    assert_clean_exit("compare", "--family", "lh", "-R", "16", "--db", path)
+    assert_clean_exit(
+        "compare", "--family", "lh_vs_hypercube", "-R", "16", "--sizes", "3..4",
+        "--db", path,
+    )

@@ -27,30 +27,27 @@ from longhop import (
     parse_hops,
     save_hops,
 )
-from longhop import graph
+from longhop import gf2, graph
 from longhop.graph import hex_width
 
 FQ3 = GeneratorSet(3, (1, 2, 4, 7))
 
 
 @st.composite
-def generator_sets(draw, min_d=2, max_d=6, spanning=False):
+def generator_sets(draw, min_d=2, max_d=6):
     d = draw(st.integers(min_d, max_d))
     n = 1 << d
     m = draw(st.integers(d, min(n - 1, d + 4)))
     hops = draw(
         st.lists(st.integers(1, n - 1), min_size=m, max_size=m, unique=True)
     )
-    gens = GeneratorSet(d, tuple(hops))
-    if spanning:
-        assume(gens.spans())
-    return gens
+    assume(gf2.spans(hops, d))
+    return GeneratorSet(d, tuple(hops))
 
 
 def test_generator_set_basics():
     assert FQ3.n == 8
     assert FQ3.m == 4
-    assert FQ3.spans()
     assert FQ3.xor_all() == 0
     assert GeneratorSet(3, (1, 2, 4)).xor_all() == 7
 
@@ -179,7 +176,7 @@ def test_distance_profile_details():
     assert prof.far_count == 3
 
 
-@given(generator_sets(spanning=True))
+@given(generator_sets())
 def test_distance_profile_matches_bfs_oracle(gens):
     prof = distance_profile(gens)
     want = oracle.distances(gens.d, gens.hops)
@@ -192,6 +189,24 @@ def test_distance_profile_matches_bfs_oracle(gens):
 def test_distance_profile_disconnected():
     with pytest.raises(DisconnectedGraph, match="rank-2 subspace of d=3"):
         distance_profile(GeneratorSet(3, (1, 2, 3)))
+
+
+# Sets that would reach the codeword enumeration, the spectrum (705 hops
+# in a 10-dim subspace: m > 64 d) and the BFS pull step (2^13 reachable
+# nodes, a frontier past n/32) if they could be built.
+@pytest.mark.parametrize(
+    "d,hops,rank",
+    [
+        (3, (1, 2, 3), 2),
+        (11, tuple(random.Random(3).sample(range(1, 1 << 10), 705)), 10),
+        (14, tuple(1 << i for i in range(13)) + (3,), 13),
+    ],
+    ids=["d3", "d11-wide", "d14-pull"],
+)
+def test_generator_set_refuses_a_set_that_does_not_span(d, hops, rank):
+    with pytest.raises(DisconnectedGraph) as exc:
+        GeneratorSet(d, hops)
+    assert str(exc.value) == f"hops span a rank-{rank} subspace of d={d}"
 
 
 def test_distance_profile_memory_is_independent_of_m():
@@ -248,7 +263,7 @@ def assert_matches_oracle(gens):
     assert prof.far_count == want.count(max(want))
 
 
-@given(generator_sets(min_d=2, max_d=10, spanning=True))
+@given(generator_sets(min_d=2, max_d=10))
 def test_pull_step_from_level_one_matches_bfs_oracle(gens):
     # d < 6 leaves one partial word and every hop with hi = 0.
     entries = []
@@ -282,7 +297,6 @@ def _every_lo_set():
     ids=["b3-14", "cube-14", "lo-zero", "every-lo", "b3-13"],
 )
 def test_pull_step_matches_bfs_oracle(gens, pull_entries):
-    assert gens.spans()
     assert_matches_oracle(gens)
     assert len(pull_entries) == 1
 
@@ -292,11 +306,3 @@ def test_pull_step_matches_hd_closed_form(pull_entries):
     _, diameter, avg = hd_metrics(14, 8192)
     assert (prof.diameter, prof.avg) == (diameter, avg)
     assert pull_entries == [2]
-
-
-def test_distance_profile_disconnected_in_pull_step(pull_entries):
-    # 2^13 reachable nodes, and the frontier passes n/32 = 512 on the way.
-    gens = GeneratorSet(14, tuple(1 << i for i in range(13)) + (3,))
-    with pytest.raises(DisconnectedGraph, match="rank-13 subspace of d=14"):
-        distance_profile(gens)
-    assert len(pull_entries) == 1

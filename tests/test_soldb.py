@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from longhop import gf2
 from longhop import (
     DomainError,
     FormatError,
@@ -124,6 +125,28 @@ def test_loads_rejects(text):
         loads(text)
 
 
+@pytest.mark.parametrize(
+    "header,hops,problem",
+    [
+        ("b=0 diam=2 avg=10/8", "1247", "b=0 is outside [1, 4]"),
+        ("b=5 diam=2 avg=10/8", "1247", "b=5 is outside [1, 4]"),
+        ("b=2 diam=0 avg=10/8", "1247", "diam=0 is outside [1, 3]"),
+        ("b=2 diam=4 avg=10/8", "1247", "diam=4 is outside [1, 3]"),
+        ("b=2 diam=2 avg=6/8", "1247", "avg=6/8 is outside [7/8, 14/8]"),
+        ("b=2 diam=2 avg=15/8", "1247", "avg=15/8 is outside [7/8, 14/8]"),
+        ("b=1 diam=3 avg=12/8", "123", "hops span a rank-2 subspace of d=3"),
+    ],
+    ids=["b-0", "b-above-m", "diam-0", "diam-above-d", "avg-low", "avg-high",
+         "not-spanning"],
+)
+def test_loads_rejects_a_record_no_hop_set_can_have(header, hops, problem):
+    m = len(hops)
+    text = f"record d=3 m={m} {header} prov=x\n" + "".join(f"{h}\n" for h in hops)
+    with pytest.raises(FormatError) as exc:
+        loads(text)
+    assert str(exc.value) == f"record (d=3, m={m}): {problem}"
+
+
 def test_ingest_code_file(tmp_path):
     path = tmp_path / "code74.code"
     path.write_text(CODE74_TEXT)
@@ -183,20 +206,24 @@ def test_seed_defaults_is_idempotent(seeded_db):
 
 @st.composite
 def stores(draw):
+    # Hops that do not span are drawn and dropped before they are built;
+    # metrics are drawn from the ranges a record admits, not measured.
     db = SolutionDB()
     for d in draw(st.lists(st.integers(3, 9), max_size=4)):
-        m = draw(st.integers(d, min((1 << d) - 1, 24)))
-        if db.query(d, m) is not None:
-            continue
-        hops = draw(st.lists(st.integers(1, (1 << d) - 1), min_size=m,
+        n = 1 << d
+        m = draw(st.integers(d, min(n - 1, 24)))
+        hops = draw(st.lists(st.integers(1, n - 1), min_size=m,
                              max_size=m, unique=True))
+        if db.query(d, m) is not None or not gf2.spans(hops, d):
+            continue
         prov = draw(st.text(st.characters(
             blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=20))
+        diameter = draw(st.integers(1, d))
         db.add(SolutionRecord(
             gens=GeneratorSet(d, tuple(hops)),
-            b=draw(st.integers(0, 300)),
-            diameter=draw(st.integers(0, 30)),
-            total=draw(st.integers(0, 1 << 30)),
+            b=draw(st.integers(1, m)),
+            diameter=diameter,
+            total=draw(st.integers(n - 1, diameter * (n - 1))),
             provenance=prov,
         ))
     return db

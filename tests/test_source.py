@@ -35,3 +35,28 @@ def test_all_matches_the_package_imports():
     }
     public = {name for name in imported if not name.startswith("_")}
     assert public - set(exported) == set()
+
+
+def _calls(path, name):
+    """Line numbers in path that call `name`, bare or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_spanning_is_checked_only_where_a_generator_set_is_built():
+    # GeneratorSet refuses hops that do not span, so no engine asks again:
+    # DisconnectedGraph is raised and `spans` is called in graph.py alone.
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in SOURCES
+        if path.name != "graph.py"
+        for name in ("DisconnectedGraph", "spans")
+        for line in _calls(path, name)
+    ]
+    assert found == []
+    graph = next(path for path in SOURCES if path.name == "graph.py")
+    assert len(_calls(graph, "DisconnectedGraph")) == len(_calls(graph, "spans")) == 1
