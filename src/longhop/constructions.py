@@ -229,49 +229,31 @@ def _first_best(
     return best
 
 
-def _charge(cost: np.ndarray, copies: int, budget: int) -> tuple[int, int]:
+def _charge(cost: np.ndarray, budget: int) -> tuple[int, int]:
     """(candidates reached, budget left) when candidates costing `cost`
-    are each tried `copies` times in a row while budget is left.  The
-    last try may overdraw it, as a key charged after its b can."""
-    tries = np.repeat(cost, copies)
-    spent = np.cumsum(tries, dtype=np.int32)
-    tried = int(np.searchsorted(spent - tries, budget))
+    are tried in order while budget is left.  The last try may overdraw
+    it, as a key charged after its b can."""
+    spent = np.cumsum(cost, dtype=np.int32)
+    tried = int(np.searchsorted(spent - cost, budget))
     if tried:
         budget -= int(spent[tried - 1])
-    return -(-tried // copies), budget
-
-
-def _groups(hops: tuple[int, ...], free: np.ndarray, depth: int):
-    """A step's candidates in search order, in groups that differ only in
-    the last replacement: (positions, fixed, vs, copies).  The positions
-    before the last take the hops in `fixed`, the last takes each v in vs
-    in turn, and each candidate is tried `copies` times in a row (at
-    depth 2 the pair (v, w) is tried again as (w, v))."""
-    for i in range(len(hops)):
-        yield (i,), (), free, 1
-    if depth == 2:
-        for i, j in combinations(range(len(hops)), 2):
-            for a, v in enumerate(free[:-1].tolist()):
-                yield (i, j), (v,), free[a + 1:], 2
+    return tried, budget
 
 
 def optimize_secondary(
-    gens: GeneratorSet,
-    objective: str = "diameter",
-    depth: int = 1,
-    budget: int = 2000,
+    gens: GeneratorSet, objective: str = "diameter", budget: int = 2000
 ) -> GeneratorSet:
-    """Local search on secondary metrics by swapping hops in and out.
+    """Local search on secondary metrics by swapping one hop at a time.
 
     Never lets b fall below the b of `gens`.  `objective` is
     "diameter" (diameter first, then the count of nodes sitting at the
     diameter) or "avg_hops" (total distance).  Each step tries
-    replacing up to `depth` hops (1 or 2) and takes the best strict
-    improvement in lexicographic candidate order; stops at a local
-    optimum or when `budget` runs out.  A candidate's b costs one unit
-    of budget and its objective one more; a candidate that does not
-    span (b = 0) is skipped free of charge.  A hill climber, not an
-    exact optimizer.
+    replacing each hop, in hop order, by each unused word in increasing
+    order and takes the best strict improvement, the first one on ties;
+    stops at a local optimum or when `budget` runs out.  A candidate's b
+    costs one unit of budget and its objective one more; a candidate
+    that does not span (b = 0) is skipped free of charge.  A hill
+    climber, not an exact optimizer.
 
     Candidates are scored a neighbourhood at a time, through two
     identities of Cayley graphs over Z_2^d.  With C the cut counts of
@@ -282,18 +264,13 @@ def optimize_secondary(
     otherwise: one transform gives b for every v, and b(v) = 0 marks the
     v that do not span.  For distances, a shortest walk uses each hop at
     most once, so with D_T the per-node distances of the hops T that
-    stay, dist(T + v, x) = min(D_T[x], 1 + D_T[x ^ v]).  Depth 2 removes
-    both hops, fixes the first replacement a and scores every second
-    replacement w from the counts and distances with a added:
-    min(D, 1 + D[x^a], 1 + D[x^w], 2 + D[x^a^w]).  The cut counts are
-    taken once per step, the transform once per group of candidates the
-    budget reaches, and D_T, one hop at a time, once per removed
-    position or pair whose candidates get a key.
+    stay, dist(T + v, x) = min(D_T[x], 1 + D_T[x ^ v]).  The cut counts
+    are taken once per step, the transform once per position the budget
+    reaches, and D_T, one hop at a time, once per position whose
+    candidates get a key.
     """
     if objective not in ("diameter", "avg_hops"):
         raise DomainError(f"unknown objective {objective!r}")
-    if depth not in (1, 2):
-        raise DomainError("depth must be 1 or 2")
 
     nodes = np.arange(gens.n, dtype=np.int32)
 
@@ -309,33 +286,20 @@ def optimize_secondary(
         unused = np.ones(gens.n, dtype=bool)
         unused[[0, *hops]] = False
         free = nodes[unused]
-        removed = None
-        for positions, fixed, vs, copies in _groups(hops, free, depth):
-            if positions != removed:
-                removed = positions
-                rest = [h for p, h in enumerate(hops) if p not in positions]
-                rest_counts = counts - sum(parity(hops[p]) for p in positions)
-                rest_dist = None
-            b0, lifted = _lifted(rest_counts + sum(parity(v) for v in fixed))
+        for i, h in enumerate(hops):
+            b0, lifted = _lifted(counts - parity(h))
             # Budget per candidate: one unit for b when it spans, one
             # more for its key when b holds the floor.
             cost = np.array(
                 [(b > 0) + (b >= floor_b) for b in (b0, b0 + 1)], dtype=np.int8
-            )[lifted[vs].view(np.int8)]
-            reached, budget = _charge(cost, copies, budget)
-            keyed = vs[:reached][cost[:reached] == 2]
+            )[lifted[free].view(np.int8)]
+            reached, budget = _charge(cost, budget)
+            keyed = free[:reached][cost[:reached] == 2]
             if keyed.size:
-                if rest_dist is None:
-                    rest_dist = _distances(rest, nodes)
-                dist = rest_dist
-                for v in fixed:
-                    dist = _with_hop(dist, nodes, v)
-                k, v = _first_best(dist, nodes, keyed, objective)
+                rest = hops[:i] + hops[i + 1:]
+                k, v = _first_best(_distances(rest, nodes), nodes, keyed, objective)
                 if k < current_key and (step is None or k < step[0]):
-                    cand = list(hops)
-                    for p, h in zip(positions, (*fixed, v)):
-                        cand[p] = h
-                    step = (k, tuple(cand))
+                    step = (k, hops[:i] + (v,) + hops[i + 1:])
             if budget <= 0:
                 break
         if step is None:

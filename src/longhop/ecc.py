@@ -164,15 +164,6 @@ class EquivalenceMap:
             raise DomainError("dimension mismatch")
         return GeneratorSet(self.d, tuple(self.apply(h) for h in gens.hops))
 
-    def then(self, other: "EquivalenceMap") -> "EquivalenceMap":
-        """The composite map: apply self first, then `other`."""
-        if other.d != self.d:
-            raise DomainError("dimension mismatch")
-        return EquivalenceMap(self.d, tuple(other.apply(r) for r in self.rows))
-
-    def inverse(self) -> "EquivalenceMap":
-        return EquivalenceMap(self.d, tuple(gf2.invert(list(self.rows), self.d)))
-
 
 def diagonalize(gens: GeneratorSet):
     """Rewrite an equivalent hop set whose first d hops are the units.

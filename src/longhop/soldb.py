@@ -53,7 +53,8 @@ REFERENCE_EXAMPLES = (
 class SolutionRecord:
     """One verified solution: a hop set plus its measured metrics, which
     must be possible for it: 1 <= b <= m, 1 <= diameter <= d (the hops
-    hold a basis) and n - 1 <= total <= diameter (n - 1)."""
+    hold a basis) and n - 1 <= total <= diameter (n - 1).  The provenance
+    is one line, as the store writes it on the record's header."""
 
     gens: GeneratorSet
     b: int
@@ -72,6 +73,8 @@ class SolutionRecord:
             raise DomainError(
                 f"avg={self.total}/{n} is outside [{n - 1}/{n}, {top}/{n}]"
             )
+        if "".join(self.provenance.splitlines()) != self.provenance:
+            raise DomainError(f"provenance {self.provenance!r} holds a line break")
 
     @property
     def d(self) -> int:

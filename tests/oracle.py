@@ -133,7 +133,7 @@ def optimize_direct(d, m):
     return best, best_key[0]
 
 
-def optimize_secondary(d, hops, objective="diameter", depth=1, budget=2000):
+def optimize_secondary(d, hops, objective="diameter", budget=2000):
     """Referee for constructions.optimize_secondary: the per-candidate
     hill climber, each candidate's b from its own cut counts and its key
     from its own BFS.
@@ -160,13 +160,6 @@ def optimize_secondary(d, hops, objective="diameter", depth=1, budget=2000):
                 cand = list(hops)
                 cand[i] = v
                 yield tuple(cand)
-        if depth == 2:
-            for i, j in combinations(range(len(hops)), 2):
-                for v, w in combinations(free, 2):
-                    for a, b in ((v, w), (w, v)):
-                        cand = list(hops)
-                        cand[i], cand[j] = a, b
-                        yield tuple(cand)
 
     floor_b = min(cut_counts(d, hops)[1:])
     current = tuple(hops)

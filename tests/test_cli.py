@@ -288,6 +288,24 @@ def test_db_ingest(capsys, tmp_path, code74_file):
     assert out == "d=4 m=7 b=3 diam=3 avg=24/16 prov=renamed\n"
 
 
+def test_db_ingest_refuses_a_provenance_with_a_line_break(
+    capsys, tmp_path, code74_file
+):
+    db = tmp_path / "lh.db"
+    run(capsys, "db", "ingest", code74_file, "--db", str(db))
+    before = db.read_bytes()
+    code, out, err = run(
+        capsys, "db", "ingest", code74_file, "--db", str(db),
+        "--replace", "--prov", "x\ny",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: provenance 'x\\ny' holds a line break\n"
+    assert db.read_bytes() == before
+    code, out, _ = run(capsys, "db", "list", "--db", str(db))
+    assert code == 0
+    assert out == "d=4 m=7 b=3 diam=3 avg=24/16 prov=code translation: code74.code\n"
+
+
 def test_design(capsys, db_path):
     code, out, _ = run(
         capsys, "design", "-P", "96", "-R", "12", "--db", str(db_path)

@@ -230,22 +230,13 @@ def test_optimize_secondary_budget_and_validation():
     with pytest.raises(DomainError):
         optimize_secondary(start, objective="latency")
     with pytest.raises(DomainError):
-        optimize_secondary(start, depth=3)
-    with pytest.raises(DomainError):
         optimize_secondary(GeneratorSet(3, (1, 2, 3)))
-
-
-def test_optimize_secondary_depth_two_runs():
-    start = GeneratorSet(3, (1, 2, 4))
-    result = optimize_secondary(start, objective="diameter", depth=2, budget=500)
-    prof = distance_profile(result)
-    assert prof.diameter <= 3
 
 
 # Recorded search outputs.  Each start is paired with the smallest budget
 # at which the search takes its first step and the hops it then returns
 # for every larger budget up to 2000 (None: the start is a local optimum).
-# Both objectives and both depths give the same hops on these starts.
+# Both objectives give the same hops on these starts.
 # The neighbourhoods hold non-spanning candidates (the 3-cube's holds
 # (6, 2, 4)), which cost no budget, while b and the objective cost one
 # unit each; the budgets just below each step pin that accounting.
@@ -266,11 +257,8 @@ def test_optimize_secondary_goldens(start, first_step, after):
         moved = first_step is not None and budget >= first_step
         want = after if moved else start.hops
         for objective in ("diameter", "avg_hops"):
-            for depth in (1, 2):
-                got = optimize_secondary(
-                    start, objective=objective, depth=depth, budget=budget
-                )
-                assert got.hops == want, (objective, depth, budget)
+            got = optimize_secondary(start, objective=objective, budget=budget)
+            assert got.hops == want, (objective, budget)
 
 
 @st.composite
@@ -286,16 +274,13 @@ def search_starts(draw):
 @given(
     start=search_starts(),
     objective=st.sampled_from(["diameter", "avg_hops"]),
-    depth=st.sampled_from([1, 2]),
     budget=st.one_of(st.integers(0, 120), st.integers(121, 600)),
 )
-def test_optimize_secondary_matches_the_per_candidate_referee(
-    start, objective, depth, budget
-):
+def test_optimize_secondary_matches_the_per_candidate_referee(start, objective, budget):
     # Small budgets run out part-way through a step; large ones let the
     # small starts reach a local optimum.
-    got = optimize_secondary(start, objective=objective, depth=depth, budget=budget)
-    want = oracle.optimize_secondary(start.d, start.hops, objective, depth, budget)
+    got = optimize_secondary(start, objective=objective, budget=budget)
+    want = oracle.optimize_secondary(start.d, start.hops, objective, budget)
     assert got.hops == want
 
 

@@ -216,17 +216,6 @@ def test_equivalence_map_is_linear(x, y):
     assert LINEAR_MAP.apply(x ^ y) == LINEAR_MAP.apply(x) ^ LINEAR_MAP.apply(y)
 
 
-def test_equivalence_map_compose_and_invert():
-    rng = random.Random(8)
-    for _ in range(10):
-        d = rng.randint(2, 6)
-        emap = EquivalenceMap(d, tuple(gf2.random_invertible(d, rng)))
-        ident = emap.then(emap.inverse())
-        assert ident.rows == EquivalenceMap.identity(d).rows
-    with pytest.raises(DomainError):
-        EquivalenceMap.identity(3).then(EquivalenceMap.identity(4))
-
-
 def test_apply_equivalence_preserves_invariants():
     rng = random.Random(15)
     for gens in (GeneratorSet(4, (1, 2, 4, 8, 15)), GeneratorSet(4, HOPS74)):

@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from longhop import gf2
@@ -159,6 +159,24 @@ def test_ingest_code_file(tmp_path):
     rec2 = ingest_code_file(db, path, provenance="named", replace=True)
     assert db.query(4, 7).provenance == "named"
     assert rec2.b == 3
+
+
+@given(st.text())
+@example("x\ny")
+@example("a b")
+@example("tail\n")
+@example("")
+def test_a_provenance_is_refused_or_round_trips(prov):
+    # The header holds the provenance, so a line break in it would split
+    # the record; such a provenance is refused where the record is built.
+    try:
+        rec = make_record(GeneratorSet(3, (1, 2, 4, 7)), prov)
+    except DomainError:
+        assert "".join(prov.splitlines()) != prov
+        return
+    db = SolutionDB()
+    db.add(rec)
+    assert loads(dumps(db)).records() == [rec]
 
 
 def test_ingest_a_code_wider_than_63_columns(tmp_path):
