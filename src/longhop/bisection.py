@@ -17,12 +17,14 @@ thousands, take one FWHT of the hop indicator instead (24 bytes per
 node).  An enumeration oracle for tiny n keeps both honest.
 
 `bisection_fwht` needs only the minimum, so when m <= 64 d it first
-enumerates codewords in order of rising weight over an information set
-of d hops (the single-information-set case of the Brouwer-Zimmermann
-minimum-distance algorithm): about sum_{j <= b} C(d, j) codewords,
-kilobytes of memory.  It falls back to the full `cut_counts` spectrum
-when the next weight level would cost more than that spectrum, which
-`_ENUM_BUDGET` measures, and it goes straight there when m > 64 d.
+enumerates codewords in order of rising weight over the systematic form
+that `lh diag` prints, whose d unit hops (pivots picked lightest-first)
+are the information set.  This is the single-information-set case of
+the Brouwer-Zimmermann minimum-distance algorithm: about
+sum_{j <= b} C(d, j) codewords, kilobytes of memory.  It falls back to
+the full `cut_counts` spectrum when the next weight level would cost
+more than that spectrum, which `_ENUM_BUDGET` measures, and it goes
+straight there when m > 64 d.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from operator import xor
 import numpy as np
 
 from . import gf2
+from .ecc import diagonalize
 from .errors import BudgetExceeded, DomainError, LongHopError
 from .graph import GeneratorSet, check_dim, distance_profile
 from .walsh import fwht, walsh_values
@@ -175,19 +178,22 @@ def _low_weight(gens: GeneratorSet) -> tuple[int, int] | None:
     """(b, t) by enumerating codewords in order of rising weight, or None
     once the next weight level would take the enumeration past its budget.
 
-    With the first d independent hops as a basis, write k' = T k for the
-    map T that reads codeword k at those hops.  Codeword k then has at
-    least popcount(k') set bits, so once the weight level w exceeds the
-    best codeword seen, every minimizer has been met.  t is the smallest
-    T^-1 k' over them, the first minimum of the full spectrum.
+    The information set is the systematic form that `lh diag` prints:
+    `diagonalize` picks pivots lightest-first, maps the hops by M and
+    moves the pivots to the d unit hops in front.  Information vector k'
+    reads those d hops, and since parity(k' & M h) = parity(M^T k' & h),
+    its codeword is codeword M^T k' of the original set, hops reordered.
+    That codeword has at least popcount(k') set bits, so once the weight
+    level w exceeds the best codeword seen, every minimizer has been met.
+    t is the smallest M^T k' over them, the first minimum of the full
+    spectrum.
     """
     d, m = gens.d, gens.m
-    basis = list(islice(gf2.independent(gens.hops), d))
-    # back = T^-1 sends k' to k; codeword k' is the XOR of rows[j] over
-    # the set bits j of k'.
-    back = gf2.invert(gf2.transpose(basis, d), d)
-    code = gf2.transpose(gens.hops, d)
-    rows = [gf2.apply(code, k) for k in back]
+    systematic, emap = diagonalize(gens)
+    # Codeword k' is the XOR of rows[j] over the set bits j of k', and
+    # back = M^T sends k' to its Walsh index.
+    rows = gf2.transpose(systematic.hops, d)
+    back = gf2.transpose(emap.rows, d)
     budget = gens.n * -(-m // 64) * _ENUM_BUDGET
     spent = 0
     best, ties = m + 1, []

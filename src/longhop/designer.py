@@ -32,14 +32,6 @@ class DesignChoice:
     phi: Fraction
     score: Fraction
 
-    @property
-    def d(self) -> int:
-        return self.record.d
-
-    @property
-    def m(self) -> int:
-        return self.record.m
-
 
 def find_solution(
     db: SolutionDB,

@@ -72,36 +72,6 @@ def apply(rows, x: int) -> int:
     return out
 
 
-def invert(rows: list[int], d: int) -> list[int]:
-    """Inverse of a d x d matrix given as d row ints.
-
-    Rows are images of the unit vectors: the map sends x to the XOR of
-    rows[i] over the set bits i of x, and the inverse undoes that.
-    Raises DomainError when the matrix is singular.
-    """
-    if len(rows) != d:
-        raise DomainError(f"expected {d} rows, got {len(rows)}")
-    # Augment each row with an identity tag in the high bits, eliminate,
-    # and read the inverse back out of the tags.
-    aug = [(rows[i] & ((1 << d) - 1)) | (1 << (d + i)) for i in range(d)]
-    perm: list[int] = []
-    for col in range(d):
-        pivot = next(
-            (r for r in range(len(aug)) if r not in perm and aug[r] >> col & 1),
-            None,
-        )
-        if pivot is None:
-            raise DomainError("matrix is singular over GF(2)")
-        for r in range(d):
-            if r != pivot and aug[r] >> col & 1:
-                aug[r] ^= aug[pivot]
-        perm.append(pivot)
-    out = [0] * d
-    for col, pivot in enumerate(perm):
-        out[col] = aug[pivot] >> d
-    return out
-
-
 def random_invertible(d: int, rng: random.Random) -> list[int]:
     """Draw a uniformly random invertible d x d matrix by rejection."""
     if d <= 0:

@@ -58,7 +58,9 @@ class GeneratorSet:
                 raise DomainError(f"hop {h:#x} out of range for d={self.d}")
         if len(set(self.hops)) != len(self.hops):
             raise DomainError("hops must be distinct")
-        if not gf2.spans(self.hops, self.d):
+        # A proper subspace holds at most n/2 - 1 nonzero words, so m >= n/2
+        # distinct nonzero hops span without a scan (every lh_hd rung).
+        if self.m < n >> 1 and not gf2.spans(self.hops, self.d):
             raise DisconnectedGraph(
                 f"hops span a rank-{gf2.rank(self.hops)} subspace of d={self.d}"
             )

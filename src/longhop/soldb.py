@@ -107,6 +107,15 @@ def make_record(gens: GeneratorSet, provenance: str) -> SolutionRecord:
     )
 
 
+def _check_bounds(gens: GeneratorSet) -> None:
+    """Raise DomainError unless MIN_D <= d and m <= MAX_M, the sizes the
+    store holds; ingest calls it before anything is measured."""
+    if gens.d < MIN_D:
+        raise DomainError(f"d={gens.d} is below the store bound {MIN_D}")
+    if gens.m > MAX_M:
+        raise DomainError(f"m={gens.m} is above the store bound {MAX_M}")
+
+
 class SolutionDB:
     """In-memory (d, m) -> SolutionRecord map with text persistence."""
 
@@ -117,10 +126,7 @@ class SolutionDB:
         return len(self._records)
 
     def add(self, rec: SolutionRecord, replace: bool = False) -> None:
-        if rec.d < MIN_D:
-            raise DomainError(f"d={rec.d} is below the store bound {MIN_D}")
-        if rec.m > MAX_M:
-            raise DomainError(f"m={rec.m} is above the store bound {MAX_M}")
+        _check_bounds(rec.gens)
         key = (rec.d, rec.m)
         if key in self._records and not replace:
             raise DomainError(f"record (d={rec.d}, m={rec.m}) already present")
@@ -154,6 +160,7 @@ def ingest_code_file(db: SolutionDB, path, provenance: str | None = None,
     """Translate a generator-matrix file into a measured record and store it."""
     code = load_code(path)
     gens = code_to_hops(code)
+    _check_bounds(gens)
     if provenance is None:
         provenance = f"code translation: {Path(path).name}"
     rec = make_record(gens, provenance)

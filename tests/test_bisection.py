@@ -323,6 +323,19 @@ def test_bisection_of_wide_sets_skips_the_enumeration(monkeypatch):
     assert (rep.b, rep.t) == (min(want[1:]), want.index(min(want[1:]), 1))
 
 
+def test_every_seeded_record_enumerates_to_the_first_minimum(monkeypatch, seeded_db):
+    # The records `lh db verify` and `lh design` measure, up to d = 16.
+    calls = _count_calls(monkeypatch, "cut_counts")
+    monkeypatch.setattr(bisection, "_ENUM_BUDGET", float("inf"))
+    found = [bisection_fwht(rec.gens) for rec in seeded_db.records()]
+    assert calls == []
+    for rec, rep in zip(seeded_db.records(), found):
+        counts = cut_counts(rec.gens).tolist()
+        b = min(counts[1:])
+        assert (rep.b, rep.t) == (b, counts.index(b, 1))
+    assert len(found) == 64
+
+
 def test_bisect_memory_per_node():
     gens = low_density_b3(20)
     tracemalloc.start()

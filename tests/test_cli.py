@@ -12,8 +12,9 @@ import pytest
 
 import longhop
 import oracle
-from longhop import cli, graph, lh_hd, low_density_b3, save_hops
+from longhop import cli, graph, lh_hd, low_density_b3, save_hops, soldb
 from longhop.cli import main
+from longhop.ecc import hops_to_code, save_code
 
 FQ3_TEXT = "d=3 q=2\n1\n2\n4\n7\n"
 CODE74_TEXT = "1101000\n0110100\n1110010\n1010001\n"
@@ -304,6 +305,28 @@ def test_db_ingest_refuses_a_provenance_with_a_line_break(
     code, out, _ = run(capsys, "db", "list", "--db", str(db))
     assert code == 0
     assert out == "d=4 m=7 b=3 diam=3 avg=24/16 prov=code translation: code74.code\n"
+
+
+@pytest.mark.parametrize("gens, line", [
+    (graph.GeneratorSet(9, tuple(range(1, 258))), "m=257 is above the store bound 256"),
+    (graph.GeneratorSet(2, (1, 2, 3)), "d=2 is below the store bound 3"),
+])
+def test_db_ingest_refuses_out_of_bounds_codes_before_measuring(
+    capsys, monkeypatch, tmp_path, code74_file, gens, line
+):
+    db = tmp_path / "lh.db"
+    run(capsys, "db", "ingest", code74_file, "--db", str(db))
+    before = db.read_bytes()
+    path = tmp_path / "wide.code"
+    save_code(hops_to_code(gens), path)
+
+    def unmeasured(*args):
+        raise AssertionError("make_record ran for a code the store refuses")
+
+    monkeypatch.setattr(soldb, "make_record", unmeasured)
+    code, out, err = run(capsys, "db", "ingest", str(path), "--db", str(db))
+    assert (code, out, err) == (1, "", f"error: {line}\n")
+    assert db.read_bytes() == before
 
 
 def test_design(capsys, db_path):

@@ -30,7 +30,7 @@ from longhop import (
 )
 def test_find_solution_reference_requirements(seeded_db, ports, radix, d, m):
     choice = find_solution(seeded_db, ports, radix)
-    assert (choice.d, choice.m) == (d, m)
+    assert (choice.record.d, choice.record.m) == (d, m)
     assert choice.ports == ports
     assert choice.phi == Fraction(1)
     assert choice.score == 0
@@ -39,11 +39,11 @@ def test_find_solution_reference_requirements(seeded_db, ports, radix, d, m):
 
 def test_find_solution_at_least_ports(seeded_db):
     relaxed = find_solution(seeded_db, 100, 12)
-    assert (relaxed.d, relaxed.m) == (5, 9)
+    assert (relaxed.record.d, relaxed.record.m) == (5, 9)
     assert relaxed.ports == 96
     strict = find_solution(seeded_db, 100, 12, at_least_ports=True)
     assert strict.ports >= 100
-    assert (strict.d, strict.m) == (6, 10)
+    assert (strict.record.d, strict.record.m) == (6, 10)
 
 
 def test_find_solution_weights_change_the_pick(seeded_db):
@@ -52,7 +52,7 @@ def test_find_solution_weights_change_the_pick(seeded_db):
     choice = find_solution(
         seeded_db, 96, 12, weights=(Fraction(0), Fraction(1))
     )
-    assert (choice.d, choice.m) == (4, 8)
+    assert (choice.record.d, choice.record.m) == (4, 8)
     assert choice.phi == Fraction(1)
 
 
@@ -97,7 +97,7 @@ def test_find_solution_remeasures_the_chosen_b(seeded_db):
     )
     # The true b=6 record is the pick, at phi = 1 and a score of 0.
     choice = find_solution(seeded_db, 1536, 24)
-    assert (choice.d, choice.m, choice.record.b) == (8, 18, 6)
+    assert (choice.record.d, choice.record.m, choice.record.b) == (8, 18, 6)
     assert (choice.phi, choice.score) == (Fraction(1), Fraction(0))
 
 

@@ -46,29 +46,6 @@ def test_spans():
     assert not gf2.spans([1, 2, 4], 4)
 
 
-def test_invert_identity():
-    rows = [1, 2, 4, 8]
-    assert gf2.invert(rows, 4) == rows
-
-
-def test_invert_round_trip():
-    rng = random.Random(11)
-    for _ in range(25):
-        d = rng.randint(1, 8)
-        rows = gf2.random_invertible(d, rng)
-        inv = gf2.invert(rows, d)
-        for i in range(d):
-            assert _apply(inv, _apply(rows, 1 << i)) == 1 << i
-            assert _apply(rows, _apply(inv, 1 << i)) == 1 << i
-
-
-def test_invert_singular_raises():
-    with pytest.raises(DomainError):
-        gf2.invert([1, 2, 3], 3)
-    with pytest.raises(DomainError):
-        gf2.invert([1, 2], 3)
-
-
 def test_random_invertible_is_seeded():
     a = gf2.random_invertible(6, random.Random(99))
     b = gf2.random_invertible(6, random.Random(99))

@@ -4,6 +4,7 @@ import io
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -200,13 +201,34 @@ def test_distance_profile_disconnected():
         (3, (1, 2, 3), 2),
         (11, tuple(random.Random(3).sample(range(1, 1 << 10), 705)), 10),
         (14, tuple(1 << i for i in range(13)) + (3,), 13),
+    ] + [
+        # The largest sets that do not span: every nonzero word of a
+        # hyperplane, one short of the n/2 hops that always span.
+        (d, tuple(range(1, 1 << (d - 1))), d - 1) for d in range(3, 7)
     ],
-    ids=["d3", "d11-wide", "d14-pull"],
+    ids=["d3", "d11-wide", "d14-pull"] + [f"d{d}-hyperplane" for d in range(3, 7)],
 )
 def test_generator_set_refuses_a_set_that_does_not_span(d, hops, rank):
     with pytest.raises(DisconnectedGraph) as exc:
         GeneratorSet(d, hops)
     assert str(exc.value) == f"hops span a rank-{rank} subspace of d={d}"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_half_the_words_or_more_always_span(d):
+    # A proper subspace holds at most n/2 - 1 nonzero words.
+    words = range(1, 1 << d)
+    for m in range(1 << (d - 1), 1 << d):
+        for hops in combinations(words, m):
+            assert GeneratorSet(d, hops).m == m
+
+
+def test_half_distance_rungs_skip_the_span_scan(monkeypatch):
+    def scanned(*args):
+        raise AssertionError("m >= n/2 distinct hops span without a scan")
+
+    monkeypatch.setattr(gf2, "spans", scanned)
+    assert lh_hd(15, 16384).m == 16384
 
 
 def test_distance_profile_memory_is_independent_of_m():

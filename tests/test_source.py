@@ -1,6 +1,7 @@
 """Properties of the library source itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import longhop
@@ -60,3 +61,44 @@ def test_spanning_is_checked_only_where_a_generator_set_is_built():
     assert found == []
     graph = next(path for path in SOURCES if path.name == "graph.py")
     assert len(_calls(graph, "DisconnectedGraph")) == len(_calls(graph, "spans")) == 1
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _resolve(module, qualname):
+    obj = importlib.import_module(f"longhop.{module}")
+    for attr in qualname.split("."):
+        obj = getattr(obj, attr, None)
+    return obj
+
+
+def test_names_the_bench_uses_resolve():
+    # The bench wraps and calls library names from outside the package, so
+    # deleting one breaks only a bench run; here it breaks the tests.
+    spec = importlib.util.spec_from_file_location("bench_layers", BENCH / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    wrapped = [(module, qualname) for module, qualname, *_ in layers.LAYERS]
+    run = BENCH / "run.py"
+    tree = ast.parse(run.read_text(), filename=str(run))
+    # ("", "ecc") for `from longhop import ecc`, ("graph", "load_hops")
+    # for `from longhop.graph import load_hops`.
+    imported = [
+        (node.module.partition(".")[2], alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("longhop")
+        for alias in node.names
+    ]
+    modules = {name for sub, name in imported if not sub}
+    read = [
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    ]
+    names = wrapped + [(sub, name) for sub, name in imported if sub] + read
+    assert wrapped
+    assert modules >= {"bisection", "cli", "constructions", "ecc", "gf2", "graph", "soldb"}
+    assert [f"{sub}.{name}" for sub, name in names if _resolve(sub, name) is None] == []
