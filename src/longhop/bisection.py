@@ -16,35 +16,41 @@ node.  Wider sets, such as the half-distance rungs with m in the
 thousands, take one FWHT of the hop indicator instead (24 bytes per
 node).  An enumeration oracle for tiny n keeps both honest.
 
-`bisection_fwht` needs only the minimum, so when m <= 64 d it first
-enumerates codewords in order of rising weight over the systematic form
-that `lh diag` prints, whose d unit hops (pivots picked lightest-first)
-are the information set.  This is the single-information-set case of
-the Brouwer-Zimmermann minimum-distance algorithm: about
-sum_{j <= b} C(d, j) codewords, kilobytes of memory.  It falls back to
-the full `cut_counts` spectrum when the next weight level would cost
-more than that spectrum, which `_ENUM_BUDGET` measures, and it goes
-straight there when m > 64 d.
+`bisection_fwht` needs only the minimum, so when m <= 64 d it first runs
+the Brouwer-Zimmermann minimum-distance algorithm (`_low_weight`;
+Zimmermann 1996, Grassl 2006) on Python ints: k disjoint information
+sets, each a set of d hops whose d x d submatrix is invertible, and in
+rounds w = 1, 2, ... every codeword whose information vector in a set
+has weight w.  A codeword not yet met then weighs at least k w plus the
+sets already done this round, so the enumeration stops once that bound
+passes the lightest codeword met: about k sum_{j <= b/k} C(d, j)
+codewords, some 70 bytes each, and not much over the 2^d the code holds
+when k is large.  It falls back to the full `cut_counts` spectrum when
+the next level would pass the budget `_ENUM_BUDGET` sets, and goes
+straight there when m > 64 d.  numpy is imported by the functions that
+build arrays of n entries, so an enumeration that finishes never loads
+it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb
-from operator import xor
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import gf2
-from .ecc import diagonalize
 from .errors import BudgetExceeded, DomainError, LongHopError
 from .graph import GeneratorSet, check_dim, distance_profile
 from .walsh import fwht, walsh_values
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def eigenvalues(gens: GeneratorSet) -> np.ndarray:
     """All n adjacency eigenvalues, indexed by Walsh index k."""
+    import numpy as np
+
     indicator = np.zeros(gens.n, dtype=np.int64)
     indicator[list(gens.hops)] = 1
     return fwht(indicator)
@@ -59,6 +65,8 @@ def cut_counts(gens: GeneratorSet) -> np.ndarray:
     64 hops.  The FWHT costs n operations per dimension instead, so it
     takes over once the hops fill more than d words.
     """
+    import numpy as np
+
     d, m, n = gens.d, gens.m, gens.n
     if -(-m // 64) > d:
         diff = m - eigenvalues(gens)
@@ -85,6 +93,8 @@ class PartitionVector:
     signs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        import numpy as np
+
         s = np.asarray(self.signs, dtype=np.int8)
         if s.ndim != 1 or s.size == 0 or s.size & (s.size - 1):
             raise DomainError("partition length must be a power of two")
@@ -102,7 +112,7 @@ class PartitionVector:
 
     def plus_side(self) -> np.ndarray:
         """Node ids on the +1 side."""
-        return np.flatnonzero(self.signs == 1)
+        return (self.signs == 1).nonzero()[0]
 
     def side_mask(self) -> int:
         """Bit v set when node v is on the +1 side."""
@@ -117,11 +127,13 @@ def walsh_partition(d: int, k: int) -> PartitionVector:
     check_dim(d)
     if k <= 0:
         raise DomainError("walsh index 0 does not bisect")
-    return PartitionVector(walsh_values(k, 1 << d).astype(np.int8))
+    return PartitionVector(walsh_values(k, 1 << d))
 
 
 def cut_value(gens: GeneratorSet, partition) -> int:
     """Links with endpoints on opposite sides of a balanced partition."""
+    import numpy as np
+
     signs = partition.signs if isinstance(partition, PartitionVector) else (
         np.asarray(partition, dtype=np.int8)
     )
@@ -167,64 +179,116 @@ class BisectionReport:
 
 
 # Codewords the low-weight enumeration may visit per element of the
-# n * ceil(m/64) word pass that `cut_counts` would run instead.  One
-# enumerated codeword (w XORs of Python ints and a bit_count) measured
-# 0.7-0.9 us, against 2-3 ns for one element of that pass at d <= 20
-# and 9 ns at d = 24 (2 cores, Python 3.11, numpy 2.4), hence 1/256.
-_ENUM_BUDGET = 1 / 256
+# n * ceil(m/64) word pass that `cut_counts` would run instead, plus
+# 2^25 elements for the numpy import that pass also pays on a cold
+# start (0.17 s, as long as a 2^25-element pass).  One enumerated
+# codeword (two XORs of Python ints and a bit_count) measured 0.24-0.32
+# us, against 2.6-7.4 ns for one element of that pass at d = 16..24
+# (2 cores, Python 3.11, numpy 2.4), hence 1/64: at least 2^19
+# codewords (0.15 s, about 35 MB) on any set, where record (16,38)
+# needs 9,400, b3(24) 2,324 and no other seeded record more than 664.
+_ENUM_BUDGET = 1 / 64
+
+
+def _information_sets(gens: GeneratorSet) -> list[tuple[list[int], list[int]]]:
+    """Disjoint information sets, each as (rows, combos): rows[i] is the
+    codeword that reads 1 on the set's i'th pivot hop and 0 on its other
+    pivots, and combos[i] is its Walsh index.
+
+    Gauss-Jordan on the d codeword rows of the Walsh units; each set takes
+    its pivots from hops no earlier set used, and the first set that runs
+    out of such hops ends the list.  The hops span, so there is always
+    one set.  Each costs d^2 XORs of m-bit ints."""
+    d = gens.d
+    rows = gf2.transpose(gens.hops, d)
+    combos = [1 << i for i in range(d)]
+    free = (1 << gens.m) - 1
+    sets = []
+    while True:
+        rows, combos = rows[:], combos[:]
+        for i in range(d):
+            pivot = rows[i] & free
+            if not pivot:
+                return sets
+            pivot &= -pivot
+            free ^= pivot
+            for j in range(d):
+                if j != i and rows[j] & pivot:
+                    rows[j] ^= rows[i]
+                    combos[j] ^= combos[i]
+        sets.append((rows, combos))
+
+
+def _levels(rows: list[int], combos: list[int]):
+    """(codewords, Walsh indices) of the information vectors of weight
+    w = 1, 2, ..., d, one level per next().  A level is kept in groups
+    by the vector's top bit, so level w is level w - 1 with rows[i] added
+    to each vector whose top bit is below i: one XOR per codeword and one
+    per index."""
+    words, index = [[0]], [[0]]
+    for _ in rows:
+        words = [[]] + [
+            [x ^ r for x in chain.from_iterable(words[:i + 1])]
+            for i, r in enumerate(rows)
+        ]
+        index = [[]] + [
+            [x ^ a for x in chain.from_iterable(index[:i + 1])]
+            for i, a in enumerate(combos)
+        ]
+        yield chain.from_iterable(words), chain.from_iterable(index)
 
 
 def _low_weight(gens: GeneratorSet) -> tuple[int, int] | None:
-    """(b, t) by enumerating codewords in order of rising weight, or None
-    once the next weight level would take the enumeration past its budget.
+    """(b, t) by the Brouwer-Zimmermann enumeration, or None once the
+    next level would take it past its budget.
 
-    The information set is the systematic form that `lh diag` prints:
-    `diagonalize` picks pivots lightest-first, maps the hops by M and
-    moves the pivots to the d unit hops in front.  Information vector k'
-    reads those d hops, and since parity(k' & M h) = parity(M^T k' & h),
-    its codeword is codeword M^T k' of the original set, hops reordered.
-    That codeword has at least popcount(k') set bits, so once the weight
-    level w exceeds the best codeword seen, every minimizer has been met.
-    t is the smallest M^T k' over them, the first minimum of the full
-    spectrum.
+    With k disjoint information sets, round w visits level w of each set
+    in turn.  Each set's pivots carry its information vector, so before
+    level w of set j every codeword not yet met weighs at least
+    j (w + 1) + (k - j) w = k w + j.  Once that bound passes the
+    lightest weight b met, strictly, every codeword of weight b has been
+    met, so t, the smallest of their Walsh indices, is the first minimum
+    of the full spectrum.  Levels w..d of one set visit every codeword,
+    so where that is cheaper than the next round the other sets are
+    dropped.  The budget caps the codewords visited at
+    _ENUM_BUDGET (n ceil(m/64) + 2^25).
     """
     d, m = gens.d, gens.m
-    systematic, emap = diagonalize(gens)
-    # Codeword k' is the XOR of rows[j] over the set bits j of k', and
-    # back = M^T sends k' to its Walsh index.
-    rows = gf2.transpose(systematic.hops, d)
-    back = gf2.transpose(emap.rows, d)
-    budget = gens.n * -(-m // 64) * _ENUM_BUDGET
-    spent = 0
-    best, ties = m + 1, []
+    levels = [_levels(*pair) for pair in _information_sets(gens)]
+    k = len(levels)
+    # The fallback imports numpy too, as long as a 2^25-element word pass.
+    budget = _ENUM_BUDGET * (gens.n * -(-m // 64) + (1 << 25))
+    spent, best, t = 0, m + 1, 0
     for w in range(1, d + 1):
-        if w > best:
-            break
-        spent += comb(d, w)
-        if spent > budget:
-            return None
-        weights = [reduce(xor, c).bit_count() for c in combinations(rows, w)]
-        low = min(weights)
-        if low < best:
-            best, ties = low, []
-        if low == best:
-            ties += (
-                sum(1 << j for j in c)
-                for c, x in zip(combinations(range(d), w), weights)
-                if x == best
-            )
-    return best, min(gf2.apply(back, k) for k in ties)
+        # The first set's levels w..d hold every codeword not yet met, so
+        # once they cost no more than round w over all k sets, finish
+        # that set alone: a small code is not visited k times over.
+        if k > 1 and (1 << d) - sum(comb(d, v) for v in range(w)) <= k * comb(d, w):
+            levels, k = levels[:1], 1
+        for j, level in enumerate(levels):
+            if k * w + j > best:
+                return best, t
+            spent += comb(d, w)
+            if spent > budget:
+                return None
+            words, index = next(level)
+            weights = list(map(int.bit_count, words))
+            low = min(weights)
+            if low <= best:
+                first = min(i for x, i in zip(weights, index) if x == low)
+                best, t = (low, first) if low < best else (best, min(t, first))
+    return best, t
 
 
 def bisection_fwht(gens: GeneratorSet) -> BisectionReport:
     """Exact bisection b and its smallest Walsh index t.
 
     Two engines give the same (b, t).  When m <= 64 d, codewords are
-    enumerated in order of rising weight (`_low_weight`), about
-    sum_{j <= b} C(d, j) of them, kilobytes whatever n is.  Sets with
-    m > 64 d, and enumerations whose next weight level would pass
-    n ceil(m/64) * _ENUM_BUDGET codewords, scan the full spectrum from
-    `cut_counts` instead and take its first minimum over k >= 1.
+    enumerated over k disjoint information sets (`_low_weight`), about
+    k sum_{j <= b/k} C(d, j) of them, whatever n is, without numpy.
+    Sets with m > 64 d, and enumerations whose next level would pass
+    their budget, scan the full spectrum from `cut_counts` instead and
+    take its first minimum over k >= 1.
     """
     if -(-gens.m // 64) <= gens.d:
         found = _low_weight(gens)
@@ -232,7 +296,7 @@ def bisection_fwht(gens: GeneratorSet) -> BisectionReport:
             b, t = found
             return BisectionReport(d=gens.d, b=b, t=t)
     counts = cut_counts(gens)
-    t = int(np.argmin(counts[1:])) + 1
+    t = int(counts[1:].argmin()) + 1
     b = int(counts[t])
     if b == 0:
         raise LongHopError(
@@ -253,6 +317,8 @@ def brute_force_bisection(gens: GeneratorSet):
     Returns (B, achieving PartitionVector), the partition being the
     first optimum in lexicographic order of the +1 side.
     """
+    import numpy as np
+
     n = gens.n
     if n > BRUTE_FORCE_MAX_NODES:
         raise DomainError(f"brute force caps n at {BRUTE_FORCE_MAX_NODES}, got n={n}")
@@ -297,6 +363,8 @@ def optimize_direct(d: int, m: int, budget: int = 100_000):
     sum_{j <= r} C(m, j) nodes within r steps, so no diameter is below
     the smallest r at which that sum reaches n.
     """
+    import numpy as np
+
     check_dim(d)
     n = 1 << d
     if n > 64:

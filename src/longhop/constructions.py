@@ -3,14 +3,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import gf2
 from .bisection import bisection_fwht, cut_counts
 from .errors import DomainError, LongHopError
 from .graph import GeneratorSet, check_dim
 from .walsh import MAX_DIM, fwht
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def hypercube(d: int) -> GeneratorSet:
@@ -178,12 +180,16 @@ def _with_hop(dist: np.ndarray, nodes: np.ndarray, h) -> np.ndarray:
 
     Exact because a shortest walk uses each hop at most once (twice
     cancels).  A column of hops gives one row of distances per hop."""
+    import numpy as np
+
     return np.minimum(dist, np.take(dist, nodes ^ h) + 1)
 
 
 def _distances(hops, nodes: np.ndarray) -> np.ndarray:
     """uint8 distance from node 0 to every node over `hops`, _UNREACHED
     where they do not reach: the empty set's, one hop added at a time."""
+    import numpy as np
+
     dist = np.full(nodes.size, _UNREACHED, dtype=np.uint8)
     dist[0] = 0
     for h in hops:
@@ -194,6 +200,8 @@ def _distances(hops, nodes: np.ndarray) -> np.ndarray:
 def _scores(rows: np.ndarray, objective: str) -> np.ndarray:
     """The search key of each row of per-node distances as one int64:
     diameter * (n + 1) + far_count, or the total distance."""
+    import numpy as np
+
     if objective == "avg_hops":
         return rows.sum(axis=1, dtype=np.int64)
     diameter = rows.max(axis=1)
@@ -211,7 +219,7 @@ def _lifted(base: np.ndarray) -> tuple[int, np.ndarray]:
     b0 = int(base[1:].min())
     low = base == b0
     low[0] = False
-    return b0, fwht(low.view(np.int8)) == -np.count_nonzero(low)
+    return b0, fwht(low.view("i1")) == -int(low.sum())
 
 
 def _first_best(
@@ -223,7 +231,7 @@ def _first_best(
     best = None
     for a in range(0, vs.size, rows):
         keys = _scores(_with_hop(dist, nodes, vs[a:a + rows, None]), objective)
-        i = int(np.argmin(keys))
+        i = int(keys.argmin())
         if best is None or keys[i] < best[0]:
             best = (int(keys[i]), int(vs[a + i]))
     return best
@@ -233,8 +241,8 @@ def _charge(cost: np.ndarray, budget: int) -> tuple[int, int]:
     """(candidates reached, budget left) when candidates costing `cost`
     are tried in order while budget is left.  The last try may overdraw
     it, as a key charged after its b can."""
-    spent = np.cumsum(cost, dtype=np.int32)
-    tried = int(np.searchsorted(spent - cost, budget))
+    spent = cost.cumsum(dtype="i4")
+    tried = int((spent - cost).searchsorted(budget))
     if tried:
         budget -= int(spent[tried - 1])
     return tried, budget
@@ -271,6 +279,7 @@ def optimize_secondary(
     """
     if objective not in ("diameter", "avg_hops"):
         raise DomainError(f"unknown objective {objective!r}")
+    import numpy as np
 
     nodes = np.arange(gens.n, dtype=np.int32)
 

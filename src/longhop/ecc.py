@@ -16,13 +16,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import gf2
 from .errors import DomainError, FormatError
 from .graph import GeneratorSet, read_lines
 from .walsh import MAX_DIM
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,8 @@ def codewords(code: LinearCode) -> np.ndarray:
         raise DomainError(f"codewords need width <= 63, got {code.width}")
     if code.k > MAX_DIM:
         raise DomainError(f"2^{code.k} codewords is past the supported limit")
+    import numpy as np
+
     words = np.zeros(1, dtype=np.int64)
     for r in code.rows:
         words = np.concatenate([words, words ^ r])
@@ -111,6 +115,8 @@ def min_weight(code: LinearCode) -> int:
     Whenever the rows are independent this equals the bisection b of
     code_to_hops(code), i.e. (m - max nonzero-index eigenvalue) / 2.
     """
+    import numpy as np
+
     words = codewords(code)
     weights = np.bitwise_count(words)
     nonzero = weights[words != 0]

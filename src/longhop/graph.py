@@ -24,13 +24,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
-from typing import IO
-
-import numpy as np
+from typing import IO, TYPE_CHECKING
 
 from . import gf2
 from .errors import DisconnectedGraph, DomainError, FormatError, LongHopError
 from .walsh import MAX_DIM
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def check_dim(d: int) -> None:
@@ -201,6 +202,8 @@ def adjacency(gens: GeneratorSet) -> np.ndarray:
     n = gens.n
     if n > ADJACENCY_MAX_NODES:
         raise DomainError(f"adjacency matrix for n={n} exceeds {ADJACENCY_MAX_NODES}")
+    import numpy as np
+
     a = np.zeros((n, n), dtype=np.uint8)
     v = np.arange(n)
     for h in gens.hops:
@@ -218,7 +221,7 @@ _GATHER = 1 << 14
 # _SWAP_MASKS[j] marks the bits of a 64-bit word whose position has bit j
 # clear; the swap built from it exchanges bits p and p ^ 2^j.
 _SWAP_MASKS = tuple(
-    np.uint64(sum(1 << p for p in range(64) if not p >> j & 1)) for j in range(6)
+    sum(1 << p for p in range(64) if not p >> j & 1) for j in range(6)
 )
 
 
@@ -258,6 +261,8 @@ def _push_levels(
     """Top-down levels, appending each level's size to counts.  Returns the
     packed (unseen, frontier) words once the frontier is large enough for
     the pull step, or None when the search is over."""
+    import numpy as np
+
     n = gens.n
     hops = np.array(gens.hops)
     unseen = np.ones(n, dtype=bool)
@@ -288,6 +293,8 @@ def _push_levels(
 def _pack(mask: np.ndarray) -> np.ndarray:
     """Bool node mask as '<u8' words: node v at bit v & 63 of word v >> 6
     (one zero-padded word when n < 64)."""
+    import numpy as np
+
     packed = np.packbits(mask, bitorder="little")
     return np.pad(packed, (0, -packed.size % 8)).view("<u8")
 
@@ -299,6 +306,8 @@ def _pull_levels(
     counts.  Hop h = hi << 6 | lo reads frontier bit (v & 63) ^ lo of word
     (v >> 6) ^ hi: an in-word permutation shared by every hop with that lo,
     then a word gather."""
+    import numpy as np
+
     n = gens.n
     groups: dict[int, list[int]] = {}
     for h in gens.hops:
@@ -335,7 +344,7 @@ def _in_word_variants(
     if clear:
         yield from _in_word_variants(words, clear, bit + 1)
     if flipped:
-        s, mask = 1 << bit, _SWAP_MASKS[bit]
+        s, mask = 1 << bit, words.dtype.type(_SWAP_MASKS[bit])
         swapped = ((words & mask) << s) | ((words >> s) & mask)
         yield from _in_word_variants(swapped, flipped, bit + 1)
 
@@ -344,6 +353,8 @@ def _or_gathered(variant, his, idx, out) -> None:
     """out |= variant[idx ^ hi] for every hi in his, in gathers of at most
     _GATHER words: several hops per gather when the words are few, word
     chunks of one hop when they are many."""
+    import numpy as np
+
     step = min(idx.size, _GATHER)
     rows = _GATHER // step
     for i in range(0, his.size, rows):

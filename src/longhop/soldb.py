@@ -73,8 +73,7 @@ class SolutionRecord:
             raise DomainError(
                 f"avg={self.total}/{n} is outside [{n - 1}/{n}, {top}/{n}]"
             )
-        if "".join(self.provenance.splitlines()) != self.provenance:
-            raise DomainError(f"provenance {self.provenance!r} holds a line break")
+        _check_provenance(self.provenance)
 
     @property
     def d(self) -> int:
@@ -116,6 +115,12 @@ def _check_bounds(gens: GeneratorSet) -> None:
         raise DomainError(f"m={gens.m} is above the store bound {MAX_M}")
 
 
+def _check_provenance(provenance: str) -> None:
+    """Raise DomainError unless the provenance fits on one line."""
+    if "".join(provenance.splitlines()) != provenance:
+        raise DomainError(f"provenance {provenance!r} holds a line break")
+
+
 class SolutionDB:
     """In-memory (d, m) -> SolutionRecord map with text persistence."""
 
@@ -127,10 +132,14 @@ class SolutionDB:
 
     def add(self, rec: SolutionRecord, replace: bool = False) -> None:
         _check_bounds(rec.gens)
-        key = (rec.d, rec.m)
-        if key in self._records and not replace:
-            raise DomainError(f"record (d={rec.d}, m={rec.m}) already present")
-        self._records[key] = rec
+        self._check_key(rec.gens, replace)
+        self._records[rec.d, rec.m] = rec
+
+    def _check_key(self, gens: GeneratorSet, replace: bool) -> None:
+        """Raise DomainError if the (d, m) key of gens is taken and may
+        not be replaced."""
+        if not replace and (gens.d, gens.m) in self._records:
+            raise DomainError(f"record (d={gens.d}, m={gens.m}) already present")
 
     def query(self, d: int, m: int) -> SolutionRecord | None:
         """Exact-key lookup; absence is a normal outcome."""
@@ -157,12 +166,15 @@ class SolutionDB:
 
 def ingest_code_file(db: SolutionDB, path, provenance: str | None = None,
                      replace: bool = False) -> SolutionRecord:
-    """Translate a generator-matrix file into a measured record and store it."""
+    """Translate a generator-matrix file into a measured record and store
+    it.  A record the store would refuse is refused before it is measured."""
     code = load_code(path)
     gens = code_to_hops(code)
-    _check_bounds(gens)
     if provenance is None:
         provenance = f"code translation: {Path(path).name}"
+    _check_bounds(gens)
+    _check_provenance(provenance)
+    db._check_key(gens, replace)
     rec = make_record(gens, provenance)
     db.add(rec, replace=replace)
     return rec

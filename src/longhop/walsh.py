@@ -7,9 +7,12 @@ bit through b -> (-1)^b.  All transform arithmetic is exact int64.
 """
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Largest supported cube dimension.  2^24 int64 eigenvalues is 128 MiB,
 # which is as much as a single in-memory spectrum should ever need.
@@ -18,6 +21,8 @@ MAX_DIM = 24
 
 def walsh_values(k: int, n: int) -> np.ndarray:
     """Row k of the n x n Sylvester-ordered Hadamard matrix (+1/-1)."""
+    import numpy as np
+
     if n <= 0 or n & (n - 1):
         raise DomainError(f"n must be a power of two, got {n}")
     if not 0 <= k < n:
@@ -33,6 +38,8 @@ def fwht(values) -> np.ndarray:
     Returns H_n @ values as int64 (Sylvester / natural ordering, no
     normalization), so applying it twice multiplies by n.
     """
+    import numpy as np
+
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise DomainError("fwht expects a one-dimensional vector")

@@ -324,9 +324,9 @@ def test_bisection_of_wide_sets_skips_the_enumeration(monkeypatch):
 
 
 def test_every_seeded_record_enumerates_to_the_first_minimum(monkeypatch, seeded_db):
-    # The records `lh db verify` and `lh design` measure, up to d = 16.
+    # The records `lh db verify` and `lh design` measure, up to d = 16,
+    # at the default budget: `lh design` never needs numpy.
     calls = _count_calls(monkeypatch, "cut_counts")
-    monkeypatch.setattr(bisection, "_ENUM_BUDGET", float("inf"))
     found = [bisection_fwht(rec.gens) for rec in seeded_db.records()]
     assert calls == []
     for rec, rep in zip(seeded_db.records(), found):
@@ -334,6 +334,48 @@ def test_every_seeded_record_enumerates_to_the_first_minimum(monkeypatch, seeded
         b = min(counts[1:])
         assert (rep.b, rep.t) == (b, counts.index(b, 1))
     assert len(found) == 64
+
+
+@st.composite
+def design_sized_sets(draw):
+    # Sizes `lh design` measures, where m in [2d, 4d] gives 2-4 disjoint
+    # information sets.
+    d = draw(st.integers(11, 16))
+    m = draw(st.integers(2 * d, 4 * d))
+    hops = random.Random(draw(st.integers(0, 2**32))).sample(range(1, 1 << d), m)
+    assume(gf2.spans(hops, d))
+    return GeneratorSet(d, tuple(hops))
+
+
+@given(design_sized_sets())
+@settings(deadline=None, max_examples=25)
+def test_several_information_sets_give_the_first_minimum(gens):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_calls(mp, "cut_counts")
+        rep = bisection_fwht(gens)
+    assert calls == []
+    counts = cut_counts(gens)
+    t = int(counts[1:].argmin()) + 1
+    assert (rep.b, rep.t) == (counts[t], t)
+
+
+def test_information_sets_bound_every_codeword():
+    # What the stopping bound rests on: each set maps the information
+    # vectors one to one onto the codewords, and since the sets' pivots
+    # are disjoint, a codeword weighs at least the total weight of its
+    # information vectors.
+    gens = _random_spanning(random.Random(3), 10, 40)
+    units = gf2.transpose(gens.hops, gens.d)
+    sets = bisection._information_sets(gens)
+    assert len(sets) >= 3
+    total = [0] * gens.n
+    for rows, combos in sets:
+        index = [gf2.apply(combos, x) for x in range(gens.n)]
+        assert sorted(index) == list(range(gens.n))
+        for x, k in enumerate(index):
+            assert gf2.apply(rows, x) == gf2.apply(units, k)
+            total[k] += x.bit_count()
+    assert all(t <= gf2.apply(units, k).bit_count() for k, t in enumerate(total))
 
 
 def test_bisect_memory_per_node():

@@ -307,12 +307,19 @@ def test_db_ingest_refuses_a_provenance_with_a_line_break(
     assert out == "d=4 m=7 b=3 diam=3 avg=24/16 prov=code translation: code74.code\n"
 
 
-@pytest.mark.parametrize("gens, line", [
-    (graph.GeneratorSet(9, tuple(range(1, 258))), "m=257 is above the store bound 256"),
-    (graph.GeneratorSet(2, (1, 2, 3)), "d=2 is below the store bound 3"),
+CODE74_HOPS = graph.GeneratorSet(4, (1, 2, 4, 8, 7, 0xE, 0xB))
+
+
+@pytest.mark.parametrize("gens, line, options", [
+    (graph.GeneratorSet(9, tuple(range(1, 258))), "m=257 is above the store bound 256", ()),
+    (graph.GeneratorSet(2, (1, 2, 3)), "d=2 is below the store bound 3", ()),
+    # The store already holds (4, 7): the code is refused for its key, or
+    # for its provenance even where it may replace the record.
+    (CODE74_HOPS, "record (d=4, m=7) already present", ()),
+    (CODE74_HOPS, "provenance 'x\\ny' holds a line break", ("--replace", "--prov", "x\ny")),
 ])
 def test_db_ingest_refuses_out_of_bounds_codes_before_measuring(
-    capsys, monkeypatch, tmp_path, code74_file, gens, line
+    capsys, monkeypatch, tmp_path, code74_file, gens, line, options
 ):
     db = tmp_path / "lh.db"
     run(capsys, "db", "ingest", code74_file, "--db", str(db))
@@ -324,7 +331,7 @@ def test_db_ingest_refuses_out_of_bounds_codes_before_measuring(
         raise AssertionError("make_record ran for a code the store refuses")
 
     monkeypatch.setattr(soldb, "make_record", unmeasured)
-    code, out, err = run(capsys, "db", "ingest", str(path), "--db", str(db))
+    code, out, err = run(capsys, "db", "ingest", str(path), "--db", str(db), *options)
     assert (code, out, err) == (1, "", f"error: {line}\n")
     assert db.read_bytes() == before
 
@@ -591,3 +598,44 @@ def test_module_entry_point(fq3_file, tmp_path):
     cube = tmp_path / "cube14.hops"
     cube.write_text("d=14 q=2\n" + "".join(f"{1 << i:04X}\n" for i in range(14)))
     assert run_child([*lh, "metrics", str(cube)]) == "diam=14 avg=114688/16384 (7.0)\n"
+
+
+# Runs `main` in a fresh process (pytest itself has numpy loaded) and
+# tells on stderr whether numpy was imported by the end.
+COLD_SCRIPT = (
+    "import sys\n"
+    "from longhop.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('numpy' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "-P", "96", "-R", "12", "--db", "{db}"],
+    ["db", "list", "--db", "{db}"],
+    ["wire", "--record", "16,38", "-R", "48", "--rows", "0..FF", "--db", "{db}"],
+    ["compare", "--family", "lh_vs_hypercube", "-R", "24", "--db", "{db}"],
+    ["compare", "--family", "dragonfly", "-R", "15"],
+    ["translate", "--to-hops", "{code}"],
+    ["translate", "--to-code", "{record}"],
+    ["build", "hd", "-d", "15", "-m", "16384"],
+    ["build", "b3", "-d", "24"],
+    ["build", "mesh", "-d", "10"],
+    ["build", "augment", "{b3_12}"],
+    ["diag", "{record}"],
+    ["bisect", "{record}"],
+    ["bisect", "{b3_24}"],
+], ids=" ".join)
+def test_cold_commands_do_not_import_numpy(tmp_path, seeded_db, db_path, code74_file, argv):
+    # Record (16,38) and b3(24) need the codeword enumeration to finish.
+    files = {"db": db_path, "code": code74_file}
+    for name, gens in [
+        ("record", seeded_db.query(16, 38).gens),
+        ("b3_12", low_density_b3(12)),
+        ("b3_24", low_density_b3(24)),
+    ]:
+        files[name] = tmp_path / f"{name}.hops"
+        save_hops(gens, files[name])
+    proc = child([sys.executable, "-c", COLD_SCRIPT, *(a.format(**files) for a in argv)])
+    assert (proc.returncode, proc.stderr) == (0, "False\n")
