@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
+import tempfile
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -21,8 +23,8 @@ from .graph import (
     format_hops,
     hex_width,
     load_hops,
-    spectrum_rows,
-    write_rows,
+    spectrum_tails,
+    write_table,
 )
 
 DEFAULT_DB = "lh.db"
@@ -47,12 +49,42 @@ def _load_db(args) -> soldb.SolutionDB:
 
 @contextmanager
 def _output(args):
-    """The stream a command writes to: the `-o` file if given, else stdout."""
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            yield fh
-    else:
+    """The stream a command writes to: stdout, or the `-o` file.  A regular
+    file is written to a temporary file beside it, which replaces it only
+    once the command has written everything; on any error the file keeps
+    its old bytes and the temporary file is removed."""
+    if not getattr(args, "out", None):
         yield sys.stdout
+        return
+    target = os.path.realpath(args.out)
+    if os.path.exists(target) and not os.path.isfile(target):
+        # A device or a FIFO (-o /dev/stdout) cannot be replaced.
+        with open(target, "w") as fh:
+            yield fh
+        return
+    head, name = os.path.split(target)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=head)
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, args.out) from None
+    try:
+        with open(fd, "w") as fh:
+            yield fh
+        os.chmod(tmp, _file_mode(target))
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _file_mode(path: str) -> int:
+    """The permissions open(path, "w") would leave: the file's own if it
+    exists, else 0o666 less the umask."""
+    if os.path.exists(path):
+        return stat.S_IMODE(os.stat(path).st_mode)
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
 
 
 def _emit(args, text: str) -> None:
@@ -97,10 +129,10 @@ def cmd_oracle(args) -> int:
 def cmd_spectrum(args) -> int:
     gens = load_hops(args.file)
     cuts = cut_counts(gens)
-    template = f"%0{hex_width(gens.d)}X\t%d\t%d\n"
+    tails = spectrum_tails(gens.m)
     with _output(args) as out:
         out.write("# k\tlambda\tcut\n")
-        write_rows(out, template, spectrum_rows(gens.m, cuts))
+        write_table(out, range(gens.n), hex_width(gens.d), tails, cuts)
     return 0
 
 
@@ -183,8 +215,7 @@ def cmd_wire(args) -> int:
         raise LongHopError(f"no record (d={d}, m={m}) in the database")
     table = designer.WiringTable(rec.gens, args.radix)
     lo, hi = _parse_range(args.rows, base=16) if args.rows else (0, None)
-    # Before _output opens, and so empties, the -o file.
-    lo, hi = table.check_rows(lo, hi)
+    # write() checks the range; on a bad one _output leaves the -o file alone.
     with _output(args) as out:
         table.write(out, lo, hi)
     return 0

@@ -15,7 +15,7 @@ from typing import IO
 
 from .bisection import bisection_fwht
 from .errors import DomainError, LongHopError
-from .graph import GeneratorSet, hex_width, write_rows
+from .graph import GeneratorSet, hex_width, write_table
 from .soldb import SolutionDB, SolutionRecord
 
 DEFAULT_WEIGHTS = (Fraction(7, 10), Fraction(3, 10))
@@ -117,25 +117,21 @@ class WiringTable:
     def n(self) -> int:
         return self.gens.n
 
-    def check_rows(self, lo: int = 0, hi: int | None = None) -> tuple[int, int]:
-        """Rows lo..hi (inclusive), hi defaulting to the last row; raises
-        DomainError when the range leaves the table."""
+    def write(self, stream: IO[str], lo: int = 0, hi: int | None = None) -> None:
+        """Stream header plus rows lo..hi (inclusive, hi defaulting to the
+        last row) in label order; DomainError when the range leaves the
+        table."""
         hi = self.n - 1 if hi is None else hi
         if not 0 <= lo <= hi < self.n:
             raise DomainError(f"row range {lo}..{hi} out of [0, {self.n - 1}]")
-        return lo, hi
+        import numpy as np
 
-    def write(self, stream: IO[str], lo: int = 0, hi: int | None = None) -> None:
-        """Stream header plus rows lo..hi (inclusive) in label order."""
-        lo, hi = self.check_rows(lo, hi)
-        hops = self.gens.hops
         ports = "".join(f"\t#{s}" for s in range(1, self.radix + 1))
         stream.write(f"Sw/Pt:{ports}\n")
-        template = (
-            "%X:"
-            + f"\t%0{hex_width(self.gens.d)}X" * len(hops)
-            + "\t**" * (self.radix - len(hops))
-            + "\n"
+        hops = self.gens.hops
+        free = "\t**" * (self.radix - len(hops)) + "\n"
+        tails = np.frombuffer(free.encode("ascii"), dtype=np.uint8).reshape(1, -1)
+        write_table(
+            stream, range(lo, hi + 1), hex_width(self.gens.d), tails,
+            hops=hops, colon=True,
         )
-        rows = ((v, *[v ^ h for h in hops]) for v in range(lo, hi + 1))
-        write_rows(stream, template, rows)

@@ -19,10 +19,9 @@ from about 2.5 s to about 0.45 s on 2 cores, and its traced peak from
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from pathlib import Path
 from typing import IO, TYPE_CHECKING
 
@@ -119,26 +118,93 @@ def hex_width(d: int) -> int:
     return (d + 3) // 4
 
 
-# Rows formatted per write in write_rows.  A row's tuple, ints and text
-# live until its block is written, so the text held at once does not grow
-# with n: a spectrum block traces about 80 KB, a (16,38) wiring block 0.8 MB.
-_ROWS_PER_WRITE = 256
+# A table goes out in blocks of at most _ROWS_PER_WRITE rows and, past
+# one row, at most _BYTES_PER_WRITE bytes, so the text and the arrays
+# behind one block do not grow with n or with the row width (a radix of
+# 100000 makes 300 KB wiring rows).
+_ROWS_PER_WRITE = 2048
+_BYTES_PER_WRITE = 1 << 16
 
 
-def write_rows(stream: IO[str], template: str, rows: Iterable[tuple]) -> None:
-    """Write `template % row` for every row, _ROWS_PER_WRITE rows per write."""
-    rows = iter(rows)
-    while block := list(islice(rows, _ROWS_PER_WRITE)):
-        stream.write("".join(map(template.__mod__, block)))
+def write_table(
+    stream: IO[str],
+    rows: range,
+    digits: int,
+    tails: np.ndarray,
+    keys: np.ndarray | None = None,
+    hops: Sequence[int] = (),
+    colon: bool = False,
+) -> None:
+    """Write one line per v in rows: a hex label for v, then a tab and
+    v ^ h in `digits` hex digits for each h in hops, then row keys[v] of
+    the uint8 table `tails` (row 0 when keys is None), NUL bytes dropped.
+    The label is v zero-padded to `digits` digits, or with colon v at its
+    own width and a `:`.
+
+    Each block is a uint8 array, one line per row: every hex digit is a
+    16-entry lookup of (x >> 4 i) & 15 and every tail a gathered row of
+    the table.  The label width changes only at powers of 16, so a block
+    is built in groups of rows that share it, then written with one
+    stream.write.
+    """
+    import numpy as np
+
+    # A bytes search, not tails.all(): the reduction would fault in
+    # about 200 KB more of numpy's code (peak RSS).
+    ragged = b"\0" in tails.tobytes()
+    hop_words = np.array(hops, dtype=np.uint32).reshape(1, -1)
+    cells_len = len(hops) * (1 + digits)
+    tail_len = tails.shape[1]
+    longest = len(f"{rows[-1]:X}") + 1 if colon else digits
+    step = _BYTES_PER_WRITE // (longest + cells_len + tail_len)
+    step = max(1, min(_ROWS_PER_WRITE, step))
+    for start in range(rows.start, rows.stop, step):
+        stop = min(start + step, rows.stop)
+        parts = []
+        while start < stop:
+            label = len(f"{start:X}") if colon else digits
+            end = min(stop, 16**label) if colon else stop
+            v = np.arange(start, end, dtype=np.uint32)
+            block = np.empty((v.size, label + colon + cells_len + tail_len), np.uint8)
+            _hex_digits(v, block[:, :label])
+            if colon:
+                block[:, label] = ord(":")
+            if hops:
+                cells = block[:, label + colon : -tail_len]
+                cells = cells.reshape(v.size, len(hops), 1 + digits)
+                cells[:, :, 0] = ord("\t")
+                _hex_digits(v[:, None] ^ hop_words, cells[:, :, 1:])
+            block[:, -tail_len:] = tails[0] if keys is None else tails[keys[start:end]]
+            parts.append((block[block != 0] if ragged else block).tobytes())
+            start = end
+        stream.write(b"".join(parts).decode("ascii"))
 
 
-def spectrum_rows(m: int, cuts: np.ndarray) -> Iterator[tuple[int, int, int]]:
-    """(k, m - 2 cut, cut) rows of a spectrum table, turned into ints one
-    write block at a time."""
-    for lo in range(0, cuts.size, _ROWS_PER_WRITE):
-        cut = cuts[lo:lo + _ROWS_PER_WRITE]
-        lam = (m - 2 * cut).tolist()
-        yield from zip(range(lo, lo + cut.size), lam, cut.tolist())
+def spectrum_tails(m: int) -> np.ndarray:
+    r"""The write_table tails of a spectrum: row c is `\t{m - 2c}\t{c}\n`
+    for c in 0..m, in ASCII padded with NUL; m - 2c is negative past m/2.
+    Built _ROWS_PER_WRITE rows at a time, so that on the m = n/2 rungs few
+    Python strings are alive at once."""
+    import numpy as np
+
+    width = 2 * len(str(m)) + 4
+    tails = np.zeros((m + 1, width), np.uint8)
+    for lo in range(0, m + 1, _ROWS_PER_WRITE):
+        hi = min(lo + _ROWS_PER_WRITE, m + 1)
+        text = [f"\t{m - 2 * c}\t{c}\n".encode("ascii") for c in range(lo, hi)]
+        tails[lo:hi] = np.array(text, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    return tails
+
+
+def _hex_digits(x: np.ndarray, out: np.ndarray) -> None:
+    """out[..., i] = the i-th of out.shape[-1] hex digits of x, most
+    significant first, in ASCII."""
+    import numpy as np
+
+    lookup = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
+    places = out.shape[-1]
+    for i in range(places):
+        out[..., i] = lookup[(x >> 4 * (places - 1 - i)) & 15]
 
 
 def read_lines(text: str) -> list[str]:

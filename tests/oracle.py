@@ -63,6 +63,25 @@ def cut_counts(d, hops):
     return [sum(parity(k & h) for h in hops) for k in range(1 << d)]
 
 
+def spectrum_table(d, m, cuts):
+    """The `lh spectrum` table, one `%` template per row: the hex k, then
+    lambda = m - 2 cut and the cut."""
+    template = f"%0{(d + 3) // 4}X\t%d\t%d\n"
+    rows = (template % (k, m - 2 * c, c) for k, c in enumerate(cuts))
+    return "# k\tlambda\tcut\n" + "".join(rows)
+
+
+def wiring_table(d, hops, radix, lo, hi):
+    """The `lh wire` table for rows lo..hi, one `%` template per row: the
+    row label, the peer v ^ h at each hop's port, `**` on free ports."""
+    ports = "".join(f"\t#{s}" for s in range(1, radix + 1))
+    template = (
+        "%X:" + f"\t%0{(d + 3) // 4}X" * len(hops) + "\t**" * (radix - len(hops)) + "\n"
+    )
+    rows = (template % (v, *[v ^ h for h in hops]) for v in range(lo, hi + 1))
+    return f"Sw/Pt:{ports}\n" + "".join(rows)
+
+
 def distances(d, hops):
     """Hop distance from node 0 to every node, by plain BFS. -1 = unreachable."""
     n = 1 << d

@@ -1,18 +1,37 @@
 """Command-line behavior: golden output, files, exit codes, determinism."""
 
+import hashlib
+import io
 import os
 import re
 import shutil
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
+# Loaded before any test traces memory, so no traced peak counts its import.
+import numpy  # noqa: F401
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import longhop
 import oracle
-from longhop import cli, graph, lh_hd, low_density_b3, save_hops, soldb
+from longhop import (
+    GeneratorSet,
+    WiringTable,
+    cli,
+    designer,
+    gf2,
+    graph,
+    lh_hd,
+    low_density_b3,
+    save_hops,
+    soldb,
+)
 from longhop.cli import main
 from longhop.ecc import hops_to_code, save_code
 
@@ -148,6 +167,129 @@ def test_spectrum_memory_per_node(tmp_path):
     assert peak < 16 << 18
     with open(out_file) as fh:
         assert sum(1 for _ in fh) == 1 + (1 << 18)
+
+
+# sha256 of the bytes `lh spectrum` and `lh wire` printed with one `%`
+# template per row, before the byte-table emitter replaced it.
+TABLE_DIGESTS = {
+    "spectrum b3(16)":
+        "bc5a6e7cafd54fcfe06da99fdd3c944c0c19181300a3e44ed270eda1c929cf18",
+    "spectrum (16,38)":
+        "fce946163d2a8f6149e4170ddc81f49d6b521238782cf97769f424896b25d775",
+    "wire (16,38) -R 48":
+        "c8b2ad42be75c49ebeedc8cdd46aab2f5923f41affe8bf733f2bb999cab175b2",
+}
+
+
+@pytest.mark.parametrize("table", TABLE_DIGESTS)
+def test_table_digests(capsys, seeded_db, db_path, tmp_path, table):
+    hops_file = tmp_path / "set.hops"
+    if table == "spectrum b3(16)":
+        save_hops(low_density_b3(16), hops_file)
+    else:
+        save_hops(seeded_db.query(16, 38).gens, hops_file)
+    if table.startswith("spectrum"):
+        argv = ["spectrum", str(hops_file)]
+    else:
+        argv = ["wire", "--record", "16,38", "-R", "48", "--db", str(db_path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    out_file = tmp_path / "table.tsv"
+    assert main([*argv, "-o", str(out_file)]) == 0
+    assert out_file.read_bytes() == out.encode()
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == TABLE_DIGESTS[table]
+
+
+@pytest.mark.parametrize("rows", ["F..10", "FF..100", "FFF..1000"])
+def test_wire_rows_across_label_widths(capsys, seeded_db, db_path, tmp_path, rows):
+    argv = ["wire", "--record", "16,38", "-R", "48", "--rows", rows, "--db", str(db_path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    lo, hi = (int(x, 16) for x in rows.split(".."))
+    assert out == oracle.wiring_table(16, seeded_db.query(16, 38).gens.hops, 48, lo, hi)
+    out_file = tmp_path / "rows.tsv"
+    assert main([*argv, "-o", str(out_file)]) == 0
+    assert out_file.read_bytes() == out.encode()
+
+
+@st.composite
+def table_cases(draw):
+    """A spanning set with d = 1..12, a radix of m + 1..m + 40 and a row
+    range, one that crosses a label-width boundary when the table has one."""
+    d = draw(st.integers(1, 12))
+    n = 1 << d
+    m = draw(st.integers(d, min(n - 1, d + 24)))
+    hops = draw(st.lists(st.integers(1, n - 1), min_size=m, max_size=m, unique=True))
+    assume(gf2.spans(hops, d))
+    radix = draw(st.integers(m + 1, m + 40))
+    edges = [edge for edge in (0x10, 0x100, 0x1000) if edge < n]
+    if edges and draw(st.booleans()):
+        edge = draw(st.sampled_from(edges))
+        lo = draw(st.integers(max(0, edge - 20), edge - 1))
+        hi = draw(st.integers(edge, min(n - 1, edge + 20)))
+    else:
+        lo = draw(st.integers(0, n - 1))
+        hi = draw(st.integers(lo, n - 1))
+    return GeneratorSet(d, tuple(hops)), radix, lo, hi
+
+
+@settings(deadline=None, max_examples=60)
+@given(table_cases())
+def test_tables_match_the_percent_referee(tmp_path_factory, case):
+    # Odd and even m, and cuts past m/2, so lambda = m - 2 cut goes negative.
+    gens, radix, lo, hi = case
+    work = tmp_path_factory.mktemp("tables")
+    hops_file = work / "set.hops"
+    save_hops(gens, hops_file)
+    stdout, wiring = io.StringIO(), io.StringIO()
+    with mock.patch.object(graph, "_ROWS_PER_WRITE", 3):
+        with redirect_stdout(stdout):
+            assert main(["spectrum", str(hops_file)]) == 0
+        assert main(["spectrum", str(hops_file), "-o", str(work / "s.tsv")]) == 0
+        WiringTable(gens, radix).write(wiring, lo, hi)
+    cuts = oracle.cut_counts(gens.d, gens.hops)
+    want = oracle.spectrum_table(gens.d, gens.m, cuts)
+    assert stdout.getvalue() == want
+    assert (work / "s.tsv").read_bytes() == want.encode()
+    assert wiring.getvalue() == oracle.wiring_table(gens.d, gens.hops, radix, lo, hi)
+
+
+def traced_peak(argv):
+    """Exit code and tracemalloc peak of main(argv)."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wire_memory_does_not_grow_with_n(db_path, tmp_path):
+    # The 65,536-row table is 14.8 MB; it goes out in blocks of at most
+    # graph._BYTES_PER_WRITE bytes, so the store and a few blocks make
+    # the peak, as they would at any n.
+    out_file = tmp_path / "wires.tsv"
+    code, peak = traced_peak([
+        "wire", "--record", "16,38", "-R", "48", "--db", str(db_path), "-o", str(out_file),
+    ])
+    assert code == 0
+    assert out_file.stat().st_size > 14 << 20
+    assert peak < 1 << 20
+
+
+def test_wire_blocks_are_bounded_in_bytes(db_path, tmp_path):
+    # At radix 100000 a row of record (5,9) is 300 KB and its 32 rows are
+    # 9.6 MB.  A block holds one such row, so the whole table peaks no
+    # higher than its first row alone; the 690 KB header weighs on both.
+    peaks = {}
+    for rows in ("0..1F", "0..0"):
+        code, peaks[rows] = traced_peak([
+            "wire", "--record", "5,9", "-R", "100000", "--rows", rows,
+            "--db", str(db_path), "-o", str(tmp_path / f"{rows}.tsv"),
+        ])
+        assert code == 0
+    assert (tmp_path / "0..1F.tsv").stat().st_size > 32 * 300_000
+    assert peaks["0..1F"] < peaks["0..0"] + (1 << 20)
 
 
 def test_translate_both_ways(capsys, code74_file, tmp_path):
@@ -402,6 +544,60 @@ def test_wire_bad_rows_leave_the_output_file_alone(capsys, db_path, tmp_path):
     assert out_file.read_text() == "keep"
 
 
+class FailingStream:
+    """Passes the first `left` writes on to `stream`, then runs out of memory."""
+
+    def __init__(self, stream, left):
+        self.stream, self.left = stream, left
+
+    def write(self, text):
+        if not self.left:
+            raise MemoryError
+        self.left -= 1
+        self.stream.write(text)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "wire"])
+def test_output_file_is_replaced_only_once_complete(
+    capsys, monkeypatch, db_path, fq3_file, tmp_path, command
+):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out_file = out_dir / "table.tsv"
+    out_file.write_text("keep")
+    out_file.chmod(0o640)
+    argv = {
+        "spectrum": ["spectrum", fq3_file],
+        "wire": ["wire", "--record", "5,9", "-R", "12", "--db", str(db_path)],
+    }[command]
+    # Three rows per write; the third block of rows fails.
+    monkeypatch.setattr(graph, "_ROWS_PER_WRITE", 3)
+    owner = cli if command == "spectrum" else designer
+    write_table = owner.write_table
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, "write_table", lambda stream, *args, **kwargs: write_table(
+            FailingStream(stream, 2), *args, **kwargs
+        ))
+        code, out, err = run(capsys, *argv, "-o", str(out_file))
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+    assert out_file.read_text() == "keep"
+    assert os.listdir(out_dir) == ["table.tsv"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert main([*argv, "-o", str(out_file)]) == 0
+    assert out_file.read_text() == out
+    assert os.listdir(out_dir) == ["table.tsv"]
+    assert out_file.stat().st_mode & 0o777 == 0o640
+    # A new file gets the permissions open() would give it.
+    new_file = out_dir / "new.tsv"
+    assert main([*argv, "-o", str(new_file)]) == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert new_file.stat().st_mode & 0o777 == 0o666 & ~umask
+    # A device cannot be replaced, so it is written in place.
+    assert main([*argv, "-o", os.devnull]) == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -614,7 +810,6 @@ COLD_SCRIPT = (
 @pytest.mark.parametrize("argv", [
     ["design", "-P", "96", "-R", "12", "--db", "{db}"],
     ["db", "list", "--db", "{db}"],
-    ["wire", "--record", "16,38", "-R", "48", "--rows", "0..FF", "--db", "{db}"],
     ["compare", "--family", "lh_vs_hypercube", "-R", "24", "--db", "{db}"],
     ["compare", "--family", "dragonfly", "-R", "15"],
     ["translate", "--to-hops", "{code}"],

@@ -29,7 +29,7 @@ from longhop import (
     save_hops,
 )
 from longhop import gf2, graph
-from longhop.graph import hex_width
+from longhop.graph import hex_width, spectrum_tails
 
 FQ3 = GeneratorSet(3, (1, 2, 4, 7))
 
@@ -243,6 +243,20 @@ def test_distance_profile_memory_is_independent_of_m():
         tracemalloc.stop()
     assert (prof.diameter, prof.far_count) == (2, 4095)
     assert peak < 1 << 20
+
+
+def test_spectrum_tails_memory_per_node():
+    # The rung d = 16, m = 32768 has a tail table of n/2 + 1 rows of 14
+    # bytes, built a block of strings at a time: it stays well under the
+    # 24 bytes a node of the FWHT that gives that rung its cut counts.
+    tracemalloc.start()
+    try:
+        tails = spectrum_tails(1 << 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tails.shape == ((1 << 15) + 1, 14)
+    assert peak < 16 << 16
 
 
 def test_distance_profile_memory_per_node():
