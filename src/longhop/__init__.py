@@ -3,128 +3,9 @@
 Exact bisection analysis of XOR-hop networks, translation to and from
 binary linear codes, deterministic constructions, and deployment
 artifacts (solution records, wiring tables, topology comparisons).
+Import what you need from the submodules, e.g.
+`from longhop.bisection import bisection_fwht`; importing the package
+itself loads none of them.
 """
-from .bisection import (
-    BisectionReport,
-    PartitionVector,
-    bisection_fwht,
-    brute_force_bisection,
-    cut_counts,
-    cut_value,
-    eigenvalues,
-    optimize_direct,
-    walsh_partition,
-)
-from .constructions import (
-    augment_odd_b,
-    b3_overhead,
-    folded_cube,
-    hd_ladder,
-    hd_metrics,
-    hypercube,
-    lh_hd,
-    lh_hd_reduced,
-    low_density_b3,
-    mesh,
-    optimize_secondary,
-)
-from .designer import DesignChoice, WiringTable, find_solution
-from .ecc import (
-    EquivalenceMap,
-    LinearCode,
-    code_to_hops,
-    codewords,
-    diagonalize,
-    hops_to_code,
-    load_code,
-    min_change_expansion,
-    min_weight,
-    save_code,
-    verify_duality,
-)
-from .errors import (
-    BudgetExceeded,
-    DisconnectedGraph,
-    DomainError,
-    FormatError,
-    LongHopError,
-)
-from .graph import (
-    DistanceProfile,
-    GeneratorSet,
-    adjacency,
-    distance_profile,
-    format_hops,
-    load_hops,
-    parse_hops,
-    save_hops,
-)
-from .soldb import (
-    SolutionDB,
-    SolutionRecord,
-    ingest_code_file,
-    make_record,
-    seed_defaults,
-    seed_reference_examples,
-)
-from .walsh import fwht, walsh_values
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BisectionReport",
-    "BudgetExceeded",
-    "DesignChoice",
-    "DisconnectedGraph",
-    "DistanceProfile",
-    "DomainError",
-    "EquivalenceMap",
-    "FormatError",
-    "GeneratorSet",
-    "LinearCode",
-    "LongHopError",
-    "PartitionVector",
-    "SolutionDB",
-    "SolutionRecord",
-    "WiringTable",
-    "adjacency",
-    "augment_odd_b",
-    "b3_overhead",
-    "bisection_fwht",
-    "brute_force_bisection",
-    "code_to_hops",
-    "codewords",
-    "cut_counts",
-    "cut_value",
-    "diagonalize",
-    "distance_profile",
-    "eigenvalues",
-    "find_solution",
-    "folded_cube",
-    "format_hops",
-    "fwht",
-    "hd_ladder",
-    "hd_metrics",
-    "hops_to_code",
-    "hypercube",
-    "ingest_code_file",
-    "lh_hd",
-    "lh_hd_reduced",
-    "load_code",
-    "load_hops",
-    "low_density_b3",
-    "make_record",
-    "mesh",
-    "min_change_expansion",
-    "min_weight",
-    "optimize_direct",
-    "optimize_secondary",
-    "parse_hops",
-    "save_code",
-    "save_hops",
-    "seed_defaults",
-    "seed_reference_examples",
-    "verify_duality",
-    "walsh_partition",
-    "walsh_values",
-]

@@ -33,7 +33,7 @@ it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb
 from typing import TYPE_CHECKING
@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 from . import gf2
 from .errors import BudgetExceeded, DomainError, LongHopError
 from .graph import GeneratorSet, check_dim, distance_profile
-from .walsh import fwht, walsh_values
+from .walsh import fwht
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,74 +87,6 @@ def cut_counts(gens: GeneratorSet) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PartitionVector:
-    """A +1/-1 labeling of the n nodes with equal halves, +1 at node 0."""
-
-    signs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        import numpy as np
-
-        s = np.asarray(self.signs, dtype=np.int8)
-        if s.ndim != 1 or s.size == 0 or s.size & (s.size - 1):
-            raise DomainError("partition length must be a power of two")
-        if not np.isin(s, (-1, 1)).all():
-            raise DomainError("partition entries must be +1 or -1")
-        if int(s.sum()) != 0:
-            raise DomainError("partition must split nodes into equal halves")
-        if s[0] != 1:
-            raise DomainError("node 0 belongs to the +1 side by convention")
-        object.__setattr__(self, "signs", s)
-
-    @property
-    def n(self) -> int:
-        return int(self.signs.size)
-
-    def plus_side(self) -> np.ndarray:
-        """Node ids on the +1 side."""
-        return (self.signs == 1).nonzero()[0]
-
-    def side_mask(self) -> int:
-        """Bit v set when node v is on the +1 side."""
-        mask = 0
-        for v in self.plus_side():
-            mask |= 1 << int(v)
-        return mask
-
-
-def walsh_partition(d: int, k: int) -> PartitionVector:
-    """The equipartition cut out by Walsh function k (k >= 1)."""
-    check_dim(d)
-    if k <= 0:
-        raise DomainError("walsh index 0 does not bisect")
-    return PartitionVector(walsh_values(k, 1 << d))
-
-
-def cut_value(gens: GeneratorSet, partition) -> int:
-    """Links with endpoints on opposite sides of a balanced partition."""
-    import numpy as np
-
-    signs = partition.signs if isinstance(partition, PartitionVector) else (
-        np.asarray(partition, dtype=np.int8)
-    )
-    if signs.size != gens.n:
-        raise DomainError(
-            f"partition has {signs.size} entries for n={gens.n} nodes"
-        )
-    if not np.isin(signs, (-1, 1)).all():
-        raise DomainError("partition entries must be +1 or -1")
-    if int(signs.sum()) != 0:
-        raise DomainError("cut_value expects a balanced partition")
-    x = np.arange(gens.n)
-    crossings = 0
-    for h in gens.hops:
-        crossings += int(np.count_nonzero(signs != signs[x ^ h]))
-    if crossings % 2:
-        raise LongHopError("each crossing link must be seen from both ends")
-    return crossings // 2
-
-
-@dataclass(frozen=True)
 class BisectionReport:
     """Exact bisection: b per node pair and the smallest Walsh index t
     that reaches it."""
@@ -171,11 +103,6 @@ class BisectionReport:
     def B(self) -> int:
         """Total links across the optimal bisection, b * n/2."""
         return self.b * (self.n // 2)
-
-    @property
-    def partition(self) -> PartitionVector:
-        """A partition achieving the optimum: the Walsh-t split."""
-        return walsh_partition(self.d, self.t)
 
 
 # Codewords the low-weight enumeration may visit per element of the
@@ -309,16 +236,14 @@ def bisection_fwht(gens: GeneratorSet) -> BisectionReport:
 BRUTE_FORCE_MAX_NODES = 16
 
 
-def brute_force_bisection(gens: GeneratorSet):
+def brute_force_bisection(gens: GeneratorSet) -> tuple[int, int]:
     """Minimum cut over every balanced partition, by sheer enumeration.
 
     Independent of all Walsh machinery, so it can referee the
     transform.  Only sensible for tiny graphs; refuses n > BRUTE_FORCE_MAX_NODES.
-    Returns (B, achieving PartitionVector), the partition being the
-    first optimum in lexicographic order of the +1 side.
+    Returns (B, side): bit v of side is set when node v is on the side
+    of node 0 in the first optimum, in lexicographic order of that side.
     """
-    import numpy as np
-
     n = gens.n
     if n > BRUTE_FORCE_MAX_NODES:
         raise DomainError(f"brute force caps n at {BRUTE_FORCE_MAX_NODES}, got n={n}")
@@ -334,9 +259,7 @@ def brute_force_bisection(gens: GeneratorSet):
         if best_cut is None or cut < best_cut:
             best_cut = cut
             best_side = side
-    signs = np.full(n, -1, dtype=np.int8)
-    signs[sorted(best_side)] = 1
-    return best_cut, PartitionVector(signs)
+    return best_cut, sum(1 << v for v in best_side)
 
 
 # m-subsets scored per block in optimize_direct: a block's subset-by-k

@@ -2,7 +2,9 @@
 
 All output is deterministic: identical invocations produce identical
 bytes.  Rationals are always shown as num/den with a decimal rendering
-in parentheses, never decimal-only.
+in parentheses, never decimal-only.  Each `cmd_*` function imports
+the library modules it runs, so building the parser loads none of them
+and a command loads only its own.
 """
 from __future__ import annotations
 
@@ -14,20 +16,19 @@ import tempfile
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import compare, constructions, designer, ecc, soldb
-from .bisection import bisection_fwht, brute_force_bisection, cut_counts
 from .errors import LongHopError
-from .graph import (
-    distance_profile,
-    format_hops,
-    hex_width,
-    load_hops,
-    spectrum_tails,
-    write_table,
-)
+
+if TYPE_CHECKING:
+    from .soldb import SolutionDB
 
 DEFAULT_DB = "lh.db"
+# The `lh compare --family` choices; "lh" and "lh_vs_hypercube" read the store.
+FAMILIES = (
+    "lh", "hypercube", "folded_cube", "flattened_butterfly",
+    "fat_tree2", "fat_tree3", "dragonfly", "lh_vs_hypercube",
+)
 
 
 def _fmt_fraction(fr: Fraction) -> str:
@@ -40,11 +41,13 @@ def _db_path(args) -> Path:
     return Path(os.environ.get("LH_DB", DEFAULT_DB))
 
 
-def _load_db(args) -> soldb.SolutionDB:
+def _load_db(args) -> SolutionDB:
+    from .soldb import load
+
     path = _db_path(args)
     if not path.exists():
         raise LongHopError(f"database {path} not found; run `lh db seed`")
-    return soldb.load(path)
+    return load(path)
 
 
 @contextmanager
@@ -110,6 +113,9 @@ def _parse_range(spec: str, base: int = 10) -> tuple[int, int]:
 
 
 def cmd_bisect(args) -> int:
+    from .bisection import bisection_fwht
+    from .graph import load_hops
+
     gens = load_hops(args.file)
     rep = bisection_fwht(gens)
     print(f"b={rep.b} B={rep.B} t={rep.t:X}")
@@ -117,16 +123,22 @@ def cmd_bisect(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .bisection import brute_force_bisection
+    from .graph import load_hops
+
     gens = load_hops(args.file)
-    B, partition = brute_force_bisection(gens)
+    B, side = brute_force_bisection(gens)
     b = Fraction(B, gens.n // 2)
     b_text = str(b.numerator) if b.denominator == 1 else _fmt_fraction(b)
     width = max(1, (gens.n + 3) // 4)
-    print(f"B={B} b={b_text} side={partition.side_mask():0{width}X}")
+    print(f"B={B} b={b_text} side={side:0{width}X}")
     return 0
 
 
 def cmd_spectrum(args) -> int:
+    from .bisection import cut_counts
+    from .graph import hex_width, load_hops, spectrum_tails, write_table
+
     gens = load_hops(args.file)
     cuts = cut_counts(gens)
     tails = spectrum_tails(gens.m)
@@ -137,6 +149,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    from .graph import distance_profile, load_hops
+
     gens = load_hops(args.file)
     prof = distance_profile(gens)
     print(f"diam={prof.diameter} avg={prof.total}/{prof.n} ({float(prof.avg)!r})")
@@ -144,6 +158,9 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    from . import ecc
+    from .graph import format_hops, load_hops
+
     if args.to_hops:
         code = ecc.load_code(args.to_hops)
         _emit(args, format_hops(ecc.code_to_hops(code)))
@@ -154,6 +171,9 @@ def cmd_translate(args) -> int:
 
 
 def cmd_build(args) -> int:
+    from . import constructions
+    from .graph import format_hops, load_hops
+
     if args.kind == "hd":
         gens = constructions.lh_hd(args.dim, args.hops)
     elif args.kind == "b3":
@@ -175,13 +195,18 @@ def cmd_build(args) -> int:
 
 
 def cmd_diag(args) -> int:
+    from .ecc import diagonalize
+    from .graph import format_hops, load_hops
+
     gens = load_hops(args.file)
-    normalized, _ = ecc.diagonalize(gens)
+    normalized, _ = diagonalize(gens)
     _emit(args, format_hops(normalized))
     return 0
 
 
 def cmd_design(args) -> int:
+    from . import designer
+
     db = _load_db(args)
     phi = _fraction("--phi", args.phi)
     weights = designer.DEFAULT_WEIGHTS
@@ -204,6 +229,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_wire(args) -> int:
+    from .designer import WiringTable
+
     db = _load_db(args)
     try:
         d_text, m_text = args.record.split(",")
@@ -213,7 +240,7 @@ def cmd_wire(args) -> int:
     rec = db.query(d, m)
     if rec is None:
         raise LongHopError(f"no record (d={d}, m={m}) in the database")
-    table = designer.WiringTable(rec.gens, args.radix)
+    table = WiringTable(rec.gens, args.radix)
     lo, hi = _parse_range(args.rows, base=16) if args.rows else (0, None)
     # write() checks the range; on a bad one _output leaves the -o file alone.
     with _output(args) as out:
@@ -222,6 +249,8 @@ def cmd_wire(args) -> int:
 
 
 def cmd_db(args) -> int:
+    from . import soldb
+
     path = _db_path(args)
     if args.action == "seed":
         if path.exists() and not args.force:
@@ -255,6 +284,8 @@ def cmd_db(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import compare
+
     sizes = None
     if args.sizes:
         lo, hi = _parse_range(args.sizes)
@@ -362,11 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_db)
 
     p = sub.add_parser("compare", help="ports/switch and cables/port series")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=compare.FAMILIES + ("lh_vs_hypercube",),
-    )
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("-R", "--radix", type=int, required=True)
     p.add_argument("--sizes", help="size range like 3..8")
     p.add_argument("--db")

@@ -11,19 +11,12 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .soldb import SolutionDB, SolutionRecord
 
-FAMILIES = (
-    "lh",
-    "hypercube",
-    "folded_cube",
-    "flattened_butterfly",
-    "fat_tree2",
-    "fat_tree3",
-    "dragonfly",
-)
+if TYPE_CHECKING:
+    from .soldb import SolutionDB, SolutionRecord
 
 
 @dataclass(frozen=True)

@@ -72,23 +72,6 @@ def hd_metrics(d: int, m: int) -> tuple[int, int, Fraction]:
     return b, diameter, Fraction(2 * n - 2 - m, n)
 
 
-def lh_hd_reduced(gens: GeneratorSet, r: int) -> GeneratorSet:
-    """Drop the last r hops (r = 1 or 2) from an unreduced lh_hd set.
-
-    Removing one hop always lowers b by exactly 1.  Removing two lowers
-    it by 2 on every ladder rung except m = n-2, where the two smallest
-    hops are exactly what separates that rung from the m = n-4 rung, so
-    b drops by only 1 there.
-    """
-    if r not in (1, 2):
-        raise DomainError("r must be 1 or 2")
-    d, m = gens.d, gens.m
-    n = 1 << d
-    if m not in hd_ladder(d) or gens.hops != tuple(range(n - 1, n - m - 1, -1)):
-        raise DomainError("expects an unreduced lh_hd generator set")
-    return GeneratorSet(d, gens.hops[: m - r])
-
-
 def b3_overhead(d: int) -> int:
     """Smallest L with 2^L - L - 1 >= d: extra hops needed for b = 3."""
     if d < 1:

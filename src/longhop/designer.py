@@ -19,6 +19,9 @@ from .graph import GeneratorSet, hex_width, write_table
 from .soldb import SolutionDB, SolutionRecord
 
 DEFAULT_WEIGHTS = (Fraction(7, 10), Fraction(3, 10))
+# The wiring header goes out this many `\t#s` port cells per write, so a
+# huge radix holds a block of them at a time, not one string per port.
+_PORTS_PER_WRITE = 4096
 
 
 @dataclass(frozen=True)
@@ -26,7 +29,6 @@ class DesignChoice:
     """A scored match between a requirement and a stored record."""
 
     record: SolutionRecord
-    radix: int
     free_ports: int
     ports: int
     phi: Fraction
@@ -77,7 +79,6 @@ def find_solution(
         if best is None or score < best.score:
             best = DesignChoice(
                 record=rec,
-                radix=radix,
                 free_ports=E,
                 ports=achieved_ports,
                 phi=achieved_phi,
@@ -126,8 +127,12 @@ class WiringTable:
             raise DomainError(f"row range {lo}..{hi} out of [0, {self.n - 1}]")
         import numpy as np
 
-        ports = "".join(f"\t#{s}" for s in range(1, self.radix + 1))
-        stream.write(f"Sw/Pt:{ports}\n")
+        head = "Sw/Pt:"
+        for first in range(1, self.radix + 1, _PORTS_PER_WRITE):
+            stop = min(first + _PORTS_PER_WRITE, self.radix + 1)
+            cells = "".join(f"\t#{s}" for s in range(first, stop))
+            stream.write(head + cells + "\n" * (stop > self.radix))
+            head = ""
         hops = self.gens.hops
         free = "\t**" * (self.radix - len(hops)) + "\n"
         tails = np.frombuffer(free.encode("ascii"), dtype=np.uint8).reshape(1, -1)

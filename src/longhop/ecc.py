@@ -125,20 +125,6 @@ def min_weight(code: LinearCode) -> int:
     return int(nonzero.min())
 
 
-def verify_duality(code: LinearCode) -> bool:
-    """Check the central identity: min codeword weight == graph bisection b.
-
-    Enumerates the codewords on one side and takes b straight from the
-    Walsh transform of the translated hop graph on the other; the two
-    never communicate.
-    """
-    from .bisection import eigenvalues
-
-    gens = code_to_hops(code)
-    b = (gens.m - int(eigenvalues(gens)[1:].max())) // 2
-    return min_weight(code) == b
-
-
 @dataclass(frozen=True)
 class EquivalenceMap:
     """An invertible linear map on Z_2^d, stored as images of the units."""

@@ -259,24 +259,6 @@ def save_hops(gens: GeneratorSet, path) -> None:
     Path(path).write_text(format_hops(gens))
 
 
-# Largest n adjacency() builds: its n x n bytes are 256 MiB there.
-ADJACENCY_MAX_NODES = 1 << 14
-
-
-def adjacency(gens: GeneratorSet) -> np.ndarray:
-    """Dense 0/1 adjacency matrix, for n up to ADJACENCY_MAX_NODES."""
-    n = gens.n
-    if n > ADJACENCY_MAX_NODES:
-        raise DomainError(f"adjacency matrix for n={n} exceeds {ADJACENCY_MAX_NODES}")
-    import numpy as np
-
-    a = np.zeros((n, n), dtype=np.uint8)
-    v = np.arange(n)
-    for h in gens.hops:
-        a[v, v ^ h] = 1
-    return a
-
-
 # The BFS switches from the push step to the pull step once the frontier
 # holds at least n >> _PULL_SHIFT nodes, on graphs of at least _PULL_MIN_N
 # nodes; below that the per-level cost of the packed words never pays off.

@@ -3,7 +3,9 @@
 Records carry measured metrics, never transcribed ones: every metric is
 recomputed from the hop list on ingest, and `verify` can recheck the
 whole store at any time.  The file format is line-oriented and diffable
-so the seed set can live in version control.
+so the seed set can live in version control.  `seed_defaults` and
+`ingest_code_file` import `constructions` and `ecc` when they run, so
+commands that only read the store load neither.
 """
 from __future__ import annotations
 
@@ -13,9 +15,7 @@ from fractions import Fraction
 from itertools import groupby
 from pathlib import Path
 
-from . import constructions
 from .bisection import bisection_fwht
-from .ecc import code_to_hops, load_code
 from .errors import DomainError, FormatError
 from .graph import GeneratorSet, distance_profile, format_hop_lines, parse_hop_lines
 
@@ -168,6 +168,8 @@ def ingest_code_file(db: SolutionDB, path, provenance: str | None = None,
                      replace: bool = False) -> SolutionRecord:
     """Translate a generator-matrix file into a measured record and store
     it.  A record the store would refuse is refused before it is measured."""
+    from .ecc import code_to_hops, load_code
+
     code = load_code(path)
     gens = code_to_hops(code)
     if provenance is None:
@@ -196,6 +198,8 @@ def seed_defaults(db: SolutionDB) -> int:
     Construction rungs whose m exceeds the store bound are skipped, as
     is any (d, m) key already present (reference records win ties).
     """
+    from . import constructions
+
     added = seed_reference_examples(db)
     families = []
     for d in range(3, 13):

@@ -19,18 +19,6 @@ if TYPE_CHECKING:
 MAX_DIM = 24
 
 
-def walsh_values(k: int, n: int) -> np.ndarray:
-    """Row k of the n x n Sylvester-ordered Hadamard matrix (+1/-1)."""
-    import numpy as np
-
-    if n <= 0 or n & (n - 1):
-        raise DomainError(f"n must be a power of two, got {n}")
-    if not 0 <= k < n:
-        raise DomainError(f"walsh index {k} out of range for n={n}")
-    bits = np.bitwise_count(np.arange(n, dtype=np.uint32) & k) & 1
-    return 1 - 2 * bits.astype(np.int64)
-
-
 def fwht(values) -> np.ndarray:
     """Walsh-Hadamard transform of an integer vector, exactly, in place order.
 

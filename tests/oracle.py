@@ -30,6 +30,21 @@ def eigenvalues(d, hops):
     return [sum(walsh_sign(k, h) for h in hops) for k in range(1 << d)]
 
 
+def walsh_side(d, k):
+    """The nodes x with parity(k & x) = 0: one side of the Walsh-k split."""
+    return {x for x in range(1 << d) if not parity(k & x)}
+
+
+def adjacency(d, hops):
+    """The n x n 0/1 adjacency matrix as lists, one edge v -- v ^ h at a time."""
+    n = 1 << d
+    rows = [[0] * n for _ in range(n)]
+    for v in range(n):
+        for h in hops:
+            rows[v][v ^ h] = 1
+    return rows
+
+
 def cut_edges(d, hops, side):
     """Count edges with exactly one endpoint in `side` (a set of nodes)."""
     count = 0

@@ -13,34 +13,35 @@ from fractions import Fraction
 import numpy as np
 
 import oracle
-from longhop import (
-    GeneratorSet,
-    adjacency,
+from longhop.bisection import (
     bisection_fwht,
     brute_force_bisection,
-    code_to_hops,
     cut_counts,
-    cut_value,
-    diagonalize,
-    distance_profile,
     eigenvalues,
-    find_solution,
+    optimize_direct,
+)
+from longhop.compare import alternative_series, lh_series, versus_hypercube
+from longhop.constructions import (
+    augment_odd_b,
+    b3_overhead,
     folded_cube,
-    fwht,
     hd_ladder,
     lh_hd,
     low_density_b3,
-    make_record,
-    min_weight,
-    optimize_direct,
-    verify_duality,
 )
-from longhop.constructions import augment_odd_b, b3_overhead
-from longhop.designer import WiringTable
-from longhop.compare import alternative_series, lh_series, versus_hypercube
-from longhop.ecc import EquivalenceMap, LinearCode, hops_to_code
+from longhop.designer import WiringTable, find_solution
+from longhop.ecc import (
+    EquivalenceMap,
+    LinearCode,
+    code_to_hops,
+    diagonalize,
+    hops_to_code,
+    min_weight,
+)
 from longhop.gf2 import random_invertible, spans
-from longhop.walsh import walsh_values
+from longhop.graph import GeneratorSet, distance_profile
+from longhop.soldb import make_record
+from longhop.walsh import fwht
 
 
 def _wiring_rows(gens, radix, lo, hi):
@@ -69,8 +70,7 @@ def test_criterion_1_exact_goldens():
     done = _timed(1.0)
     fq4 = GeneratorSet(4, (1, 2, 4, 8, 0xF))
     assert bisection_fwht(fq4).B == 16
-    block = np.array([1 if v & 4 == 0 else -1 for v in range(16)], dtype=np.int8)
-    assert cut_value(fq4, block) == 16
+    assert oracle.cut_edges(4, fq4.hops, oracle.walsh_side(4, 4)) == 16
     done()
 
     done = _timed(1.0)
@@ -80,7 +80,7 @@ def test_criterion_1_exact_goldens():
     assert min_weight(code) == 3
     rep = bisection_fwht(gens)
     assert (rep.b, rep.B) == (3, 24)
-    assert verify_duality(code)
+    assert 2 * min_weight(code) == gens.m - int(eigenvalues(gens)[1:].max())
     done()
 
     done = _timed(1.0)
@@ -108,9 +108,11 @@ def test_criterion_2_engine_equivalence():
         assert counts.tolist() == oracle.cut_counts(gens.d, gens.hops)
         transform = (gens.m - eigenvalues(gens)) >> 1
         assert np.array_equal(counts, transform)
-        B, part = brute_force_bisection(gens)
+        B, side = brute_force_bisection(gens)
         assert B == fast.B
-        assert cut_value(gens, part) == B
+        assert side & 1 and side.bit_count() == n // 2
+        nodes = {v for v in range(n) if side >> v & 1}
+        assert oracle.cut_edges(d, hops, nodes) == B
     done()
 
 
@@ -203,7 +205,8 @@ def test_criterion_5_equivalence_invariance():
 def test_criterion_6_walsh_layer():
     """criterion 6: orthogonality, xor closure, balance, transform checks"""
     n = 256
-    H = np.stack([walsh_values(k, n) for k in range(n)])
+    # Hadamard rows from the library's own transform of the unit vectors.
+    H = np.stack([fwht(unit) for unit in np.eye(n, dtype=np.int64)])
     assert np.array_equal(H @ H.T, n * np.eye(n, dtype=np.int64))
     idx = np.arange(n)
     for j in range(n):
@@ -229,8 +232,8 @@ def test_criterion_7_eigen_equation():
             if spans(hops, d):
                 break
         gens = GeneratorSet(d, hops)
-        A = adjacency(gens).astype(np.int64)
-        H = np.stack([walsh_values(k, n) for k in range(n)])
+        A = np.array(oracle.adjacency(d, hops))
+        H = np.stack([fwht(unit) for unit in np.eye(n, dtype=np.int64)])
         lam = fwht(np.isin(np.arange(n), gens.hops).astype(np.int64))
         assert np.array_equal(A @ H.T, H.T * lam[None, :])
 
@@ -280,4 +283,4 @@ def test_criterion_duality_identity():
         gens = GeneratorSet(d, hops)
         code = hops_to_code(gens)
         assert min_weight(code) == bisection_fwht(gens).b
-        assert verify_duality(code)
+        assert 2 * min_weight(code) == gens.m - int(eigenvalues(gens)[1:].max())

@@ -10,22 +10,17 @@ from hypothesis import strategies as st
 
 import oracle
 from longhop import bisection, gf2
-from longhop import (
-    BudgetExceeded,
-    DomainError,
-    GeneratorSet,
-    PartitionVector,
-    adjacency,
+from longhop.bisection import (
     bisection_fwht,
     brute_force_bisection,
     cut_counts,
-    cut_value,
     eigenvalues,
-    low_density_b3,
     optimize_direct,
-    walsh_partition,
 )
-from longhop.walsh import walsh_values
+from longhop.constructions import low_density_b3
+from longhop.errors import BudgetExceeded, DomainError
+from longhop.graph import GeneratorSet
+from longhop.walsh import fwht
 
 FQ3 = GeneratorSet(3, (1, 2, 4, 7))
 FQ4 = GeneratorSet(4, (1, 2, 4, 8, 15))
@@ -59,8 +54,8 @@ def test_eigen_equation_holds():
     rng = random.Random(6)
     for _ in range(5):
         gens = _random_spanning(rng, rng.choice([3, 4, 5, 6]))
-        A = adjacency(gens).astype(np.int64)
-        H = np.stack([walsh_values(k, gens.n) for k in range(gens.n)])
+        A = np.array(oracle.adjacency(gens.d, gens.hops))
+        H = np.stack([fwht(unit) for unit in np.eye(gens.n, dtype=np.int64)])
         lam = eigenvalues(gens)
         assert np.array_equal(A @ H.T, H.T * lam[None, :])
 
@@ -148,55 +143,15 @@ def test_zero_xor_forces_even_cuts():
         checked += 1
 
 
-def test_partition_vector_validation():
-    PartitionVector(np.array([1, -1, -1, 1], dtype=np.int8))
-    with pytest.raises(DomainError):
-        PartitionVector(np.array([1, -1, -1], dtype=np.int8))
-    with pytest.raises(DomainError):
-        PartitionVector(np.array([1, 1, -1, 2], dtype=np.int8))
-    with pytest.raises(DomainError):
-        PartitionVector(np.array([1, 1, 1, -1], dtype=np.int8))
-    with pytest.raises(DomainError):
-        PartitionVector(np.array([-1, 1, 1, -1], dtype=np.int8))
-
-
-def test_partition_vector_sides():
-    part = walsh_partition(3, 1)
-    assert part.plus_side().tolist() == [0, 2, 4, 6]
-    assert part.side_mask() == 0b01010101
-    with pytest.raises(DomainError):
-        walsh_partition(3, 0)
-    with pytest.raises(DomainError, match="dimension"):
-        walsh_partition(-1, 1)
-
-
 def test_cut_value_equals_scaled_count():
+    # The Walsh-k split cuts C_k links per node pair, counted edge by edge.
     rng = random.Random(21)
     for _ in range(5):
         gens = _random_spanning(rng, rng.choice([3, 4, 5]))
         counts = cut_counts(gens)
         for k in range(1, gens.n):
-            cut = cut_value(gens, walsh_partition(gens.d, k))
+            cut = oracle.cut_edges(gens.d, gens.hops, oracle.walsh_side(gens.d, k))
             assert cut == int(counts[k]) * gens.n // 2
-
-
-def test_cut_value_matches_edge_count_oracle():
-    rng = random.Random(22)
-    for _ in range(10):
-        gens = _random_spanning(rng, 4)
-        side = {0, *rng.sample(range(1, 16), 7)}
-        signs = np.array([1 if v in side else -1 for v in range(16)], dtype=np.int8)
-        assert cut_value(gens, signs) == oracle.cut_edges(gens.d, gens.hops, side)
-
-
-def test_cut_value_validation():
-    with pytest.raises(DomainError):
-        cut_value(FQ3, np.ones(8, dtype=np.int8))
-    with pytest.raises(DomainError):
-        cut_value(FQ3, np.array([1, -1, 1, -1], dtype=np.int8))
-    bad = np.zeros(8, dtype=np.int8)
-    with pytest.raises(DomainError):
-        cut_value(FQ3, bad)
 
 
 def test_bisection_fwht_golden():
@@ -213,7 +168,8 @@ def test_report_partition_achieves_the_optimum():
     for _ in range(8):
         gens = _random_spanning(rng, rng.choice([3, 4, 5]))
         rep = bisection_fwht(gens)
-        assert cut_value(gens, rep.partition) == rep.B
+        side = oracle.walsh_side(gens.d, rep.t)
+        assert oracle.cut_edges(gens.d, gens.hops, side) == rep.B
 
 
 def test_t_is_the_smallest_minimizer():
@@ -230,18 +186,20 @@ def test_engines_agree_with_brute_force():
         gens = _random_spanning(rng, d)
         fast = bisection_fwht(gens)
         assert cut_counts(gens).tolist() == oracle.cut_counts(gens.d, gens.hops)
-        B, part = brute_force_bisection(gens)
+        B, side = brute_force_bisection(gens)
         assert B == fast.B
-        assert cut_value(gens, part) == B
+        assert side & 1 and side.bit_count() == gens.n // 2
+        nodes = {v for v in range(gens.n) if side >> v & 1}
+        assert oracle.cut_edges(gens.d, gens.hops, nodes) == B
 
 
 def test_brute_force_matches_enumeration_oracle():
     rng = random.Random(53)
     for _ in range(5):
         gens = _random_spanning(rng, 3)
-        B, _ = brute_force_bisection(gens)
-        want, _ = oracle.min_bisection(gens.d, gens.hops)
-        assert B == want
+        # Both take the first optimum in the same order of sides.
+        want, side = oracle.min_bisection(gens.d, gens.hops)
+        assert brute_force_bisection(gens) == (want, sum(1 << v for v in side))
 
 
 def test_brute_force_guard():

@@ -20,20 +20,12 @@ from hypothesis import strategies as st
 
 import longhop
 import oracle
-from longhop import (
-    GeneratorSet,
-    WiringTable,
-    cli,
-    designer,
-    gf2,
-    graph,
-    lh_hd,
-    low_density_b3,
-    save_hops,
-    soldb,
-)
+from longhop import cli, designer, gf2, graph, soldb
 from longhop.cli import main
+from longhop.constructions import lh_hd, low_density_b3
+from longhop.designer import WiringTable
 from longhop.ecc import hops_to_code, save_code
+from longhop.graph import GeneratorSet, save_hops
 
 FQ3_TEXT = "d=3 q=2\n1\n2\n4\n7\n"
 CODE74_TEXT = "1101000\n0110100\n1110010\n1010001\n"
@@ -280,7 +272,8 @@ def test_wire_memory_does_not_grow_with_n(db_path, tmp_path):
 def test_wire_blocks_are_bounded_in_bytes(db_path, tmp_path):
     # At radix 100000 a row of record (5,9) is 300 KB and its 32 rows are
     # 9.6 MB.  A block holds one such row, so the whole table peaks no
-    # higher than its first row alone; the 690 KB header weighs on both.
+    # higher than its first row alone.  The 690 KB header goes out 4096
+    # ports at a time; one string per port would trace about 7 MB.
     peaks = {}
     for rows in ("0..1F", "0..0"):
         code, peaks[rows] = traced_peak([
@@ -290,6 +283,7 @@ def test_wire_blocks_are_bounded_in_bytes(db_path, tmp_path):
         assert code == 0
     assert (tmp_path / "0..1F.tsv").stat().st_size > 32 * 300_000
     assert peaks["0..1F"] < peaks["0..0"] + (1 << 20)
+    assert peaks["0..0"] < 3 << 20
 
 
 def test_translate_both_ways(capsys, code74_file, tmp_path):
@@ -572,7 +566,8 @@ def test_output_file_is_replaced_only_once_complete(
     }[command]
     # Three rows per write; the third block of rows fails.
     monkeypatch.setattr(graph, "_ROWS_PER_WRITE", 3)
-    owner = cli if command == "spectrum" else designer
+    # cmd_spectrum imports write_table from graph when it runs.
+    owner = graph if command == "spectrum" else designer
     write_table = owner.write_table
     with monkeypatch.context() as patch:
         patch.setattr(owner, "write_table", lambda stream, *args, **kwargs: write_table(
@@ -796,35 +791,59 @@ def test_module_entry_point(fq3_file, tmp_path):
     assert run_child([*lh, "metrics", str(cube)]) == "diam=14 avg=114688/16384 (7.0)\n"
 
 
-# Runs `main` in a fresh process (pytest itself has numpy loaded) and
-# tells on stderr whether numpy was imported by the end.
+def test_importing_the_cli_loads_no_command_module():
+    # Each cmd_* function imports what it runs, so importing the CLI and
+    # building its parser loads no other longhop module.
+    script = (
+        "import sys, longhop.cli\n"
+        "longhop.cli._build_parser()\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('longhop')))\n"
+    )
+    out = run_child([sys.executable, "-c", script])
+    assert out == "longhop longhop.cli longhop.errors\n"
+
+
+# Runs `main` in a fresh process (pytest itself has numpy and every
+# longhop module loaded) and tells on stderr which longhop modules were
+# loaded by the end, then whether numpy was.
 COLD_SCRIPT = (
     "import sys\n"
     "from longhop.cli import main\n"
     "code = main(sys.argv[1:])\n"
+    "print(*sorted(m for m in sys.modules if m.startswith('longhop.')), file=sys.stderr)\n"
     "print('numpy' in sys.modules, file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
+# Commands that never load numpy, each with the longhop modules it loads
+# besides cli and errors: only what it runs.
+STORE_MODULES = "bisection gf2 graph soldb walsh"
+HOP_MODULES = "gf2 graph walsh"
+COLD = [
+    (["design", "-P", "96", "-R", "12", "--db", "{db}"], f"designer {STORE_MODULES}"),
+    (["db", "list", "--db", "{db}"], STORE_MODULES),
+    (["compare", "--family", "lh_vs_hypercube", "-R", "24", "--db", "{db}"],
+     f"compare {STORE_MODULES}"),
+    (["compare", "--family", "dragonfly", "-R", "15"], "compare"),
+    (["translate", "--to-hops", "{code}"], f"ecc {HOP_MODULES}"),
+    (["translate", "--to-code", "{record}"], f"ecc {HOP_MODULES}"),
+    (["build", "hd", "-d", "15", "-m", "16384"], f"bisection constructions {HOP_MODULES}"),
+    (["build", "b3", "-d", "24"], f"bisection constructions {HOP_MODULES}"),
+    (["build", "mesh", "-d", "10"], f"bisection constructions {HOP_MODULES}"),
+    (["build", "augment", "{b3_12}"], f"bisection constructions {HOP_MODULES}"),
+    (["diag", "{record}"], f"ecc {HOP_MODULES}"),
+    (["bisect", "{record}"], f"bisection {HOP_MODULES}"),
+    (["bisect", "{b3_24}"], f"bisection {HOP_MODULES}"),
+    (["oracle", "{fq3}"], f"bisection {HOP_MODULES}"),
+]
 
-@pytest.mark.parametrize("argv", [
-    ["design", "-P", "96", "-R", "12", "--db", "{db}"],
-    ["db", "list", "--db", "{db}"],
-    ["compare", "--family", "lh_vs_hypercube", "-R", "24", "--db", "{db}"],
-    ["compare", "--family", "dragonfly", "-R", "15"],
-    ["translate", "--to-hops", "{code}"],
-    ["translate", "--to-code", "{record}"],
-    ["build", "hd", "-d", "15", "-m", "16384"],
-    ["build", "b3", "-d", "24"],
-    ["build", "mesh", "-d", "10"],
-    ["build", "augment", "{b3_12}"],
-    ["diag", "{record}"],
-    ["bisect", "{record}"],
-    ["bisect", "{b3_24}"],
-], ids=" ".join)
-def test_cold_commands_do_not_import_numpy(tmp_path, seeded_db, db_path, code74_file, argv):
+
+@pytest.mark.parametrize("argv,modules", COLD, ids=[" ".join(argv) for argv, _ in COLD])
+def test_cold_commands_do_not_import_numpy(
+    tmp_path, seeded_db, db_path, code74_file, fq3_file, argv, modules
+):
     # Record (16,38) and b3(24) need the codeword enumeration to finish.
-    files = {"db": db_path, "code": code74_file}
+    files = {"db": db_path, "code": code74_file, "fq3": fq3_file}
     for name, gens in [
         ("record", seeded_db.query(16, 38).gens),
         ("b3_12", low_density_b3(12)),
@@ -833,4 +852,5 @@ def test_cold_commands_do_not_import_numpy(tmp_path, seeded_db, db_path, code74_
         files[name] = tmp_path / f"{name}.hops"
         save_hops(gens, files[name])
     proc = child([sys.executable, "-c", COLD_SCRIPT, *(a.format(**files) for a in argv)])
-    assert (proc.returncode, proc.stderr) == (0, "False\n")
+    loaded = sorted(f"longhop.{m}" for m in ["cli", "errors", *modules.split()])
+    assert (proc.returncode, proc.stderr) == (0, " ".join(loaded) + "\nFalse\n")

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from longhop import DomainError
 from longhop.compare import (
     CSV_COLUMNS,
     alternative_series,
@@ -21,6 +20,7 @@ from longhop.compare import (
     versus_hypercube,
     yield_csv,
 )
+from longhop.errors import DomainError
 
 
 def _check_cable_identity(row):

@@ -8,24 +8,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from longhop import (
-    DomainError,
-    GeneratorSet,
+from longhop.bisection import bisection_fwht
+from longhop.constructions import (
     augment_odd_b,
+    b3_default_columns,
     b3_overhead,
-    bisection_fwht,
-    distance_profile,
     folded_cube,
     hd_ladder,
     hd_metrics,
     hypercube,
     lh_hd,
-    lh_hd_reduced,
     low_density_b3,
     mesh,
     optimize_secondary,
 )
-from longhop.constructions import b3_default_columns
+from longhop.errors import DomainError
+from longhop.graph import GeneratorSet, distance_profile
 
 
 def test_basic_families():
@@ -89,14 +87,18 @@ def test_hd_law_measured(d):
 
 
 def test_lh_hd_reduced_examples():
+    # A rung with its last r hops dropped.
     base = lh_hd(4, 8)
     assert bisection_fwht(base).b == 4
-    assert bisection_fwht(lh_hd_reduced(base, 1)).b == 3
-    assert bisection_fwht(lh_hd_reduced(base, 2)).b == 2
+    assert bisection_fwht(GeneratorSet(4, base.hops[:7])).b == 3
+    assert bisection_fwht(GeneratorSet(4, base.hops[:6])).b == 2
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_lh_hd_reduced_law(d):
+    # Dropping one hop lowers b by 1; dropping two lowers it by 2, except
+    # on the m = n - 2 rung, whose two smallest hops are exactly what
+    # separates it from the m = n - 4 rung, so b drops by 1 there.
     n = 1 << d
     for m in hd_ladder(d):
         base = lh_hd(d, m)
@@ -105,16 +107,7 @@ def test_lh_hd_reduced_law(d):
             if m - r < d:
                 continue
             expect = b - 1 if (r == 2 and m == n - 2) else b - r
-            assert bisection_fwht(lh_hd_reduced(base, r)).b == expect
-
-
-def test_lh_hd_reduced_validation():
-    base = lh_hd(4, 8)
-    with pytest.raises(DomainError):
-        lh_hd_reduced(base, 3)
-    shuffled = GeneratorSet(4, tuple(reversed(base.hops)))
-    with pytest.raises(DomainError):
-        lh_hd_reduced(shuffled, 1)
+            assert bisection_fwht(GeneratorSet(d, base.hops[:m - r])).b == expect
 
 
 def test_b3_overhead_values():

@@ -6,18 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from longhop import (
-    DomainError,
-    GeneratorSet,
-    LongHopError,
-    SolutionDB,
-    WiringTable,
-    find_solution,
-    gf2,
-    graph,
-    make_record,
-    soldb,
-)
+from longhop import gf2, graph, soldb
+from longhop.designer import WiringTable, find_solution
+from longhop.errors import DomainError, LongHopError
+from longhop.graph import GeneratorSet
+from longhop.soldb import SolutionDB, make_record
 
 
 @pytest.mark.parametrize(

@@ -8,31 +8,25 @@ from hypothesis import strategies as st
 
 import oracle
 from longhop import gf2
-from longhop import (
-    DomainError,
-    EquivalenceMap,
-    FormatError,
-    GeneratorSet,
-    LinearCode,
-    bisection_fwht,
-    code_to_hops,
-    codewords,
-    cut_counts,
-    diagonalize,
-    distance_profile,
-    hops_to_code,
-    min_weight,
-    verify_duality,
-)
+from longhop.bisection import bisection_fwht, cut_counts, eigenvalues
 from longhop.constructions import lh_hd, low_density_b3
 from longhop.ecc import (
+    EquivalenceMap,
+    LinearCode,
     MinChangeResult,
+    code_to_hops,
+    codewords,
+    diagonalize,
     format_code,
+    hops_to_code,
     load_code,
     min_change_expansion,
+    min_weight,
     parse_code,
     save_code,
 )
+from longhop.errors import DomainError, FormatError
+from longhop.graph import GeneratorSet, distance_profile
 from longhop.soldb import REFERENCE_EXAMPLES
 
 # A [7,4] single-error-correcting generator matrix and its hop form.
@@ -133,7 +127,7 @@ def test_codes_wider_than_63_columns_translate():
     assert parse_code(format_code(code)) == code
     assert code_to_hops(code) == gens
     # Only the int64 codeword enumeration is capped at 63 columns.
-    for engine in (codewords, min_weight, verify_duality):
+    for engine in (codewords, min_weight):
         with pytest.raises(DomainError, match="width <= 63"):
             engine(code)
     with pytest.raises(DomainError, match="width <= 63"):
@@ -159,26 +153,24 @@ def test_min_weight_matches_oracle():
         assert min_weight(code) == oracle.min_weight(rows)
 
 
+def transform_b(code):
+    """b of the code's hop graph from its top nonzero-index eigenvalue,
+    (m - lambda) / 2, with no codeword enumerated."""
+    gens = code_to_hops(code)
+    lam = int(eigenvalues(gens)[1:].max())
+    assert (gens.m - lam) % 2 == 0
+    return (gens.m - lam) // 2
+
+
 def test_min_weight_equals_bisection():
-    assert verify_duality(CODE74)
-    assert verify_duality(CODE43)
-
-
-def test_duality_takes_b_from_the_transform(monkeypatch):
-    # cut_counts enumerates codewords too, so the graph side must not use it.
-    from longhop import bisection
-
-    def no_codewords(gens):
-        raise AssertionError("verify_duality reached the codeword engine")
-
-    monkeypatch.setattr(bisection, "cut_counts", no_codewords)
-    assert verify_duality(CODE74)
-    assert verify_duality(CODE43)
+    assert min_weight(CODE74) == transform_b(CODE74) == 3
+    assert min_weight(CODE43) == transform_b(CODE43) == 2
 
 
 @given(spanning_sets(max_d=5))
 def test_duality_holds_on_random_sets(gens):
-    assert verify_duality(hops_to_code(gens))
+    code = hops_to_code(gens)
+    assert min_weight(code) == transform_b(code)
 
 
 def test_equivalence_map_validation():

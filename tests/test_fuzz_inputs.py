@@ -15,10 +15,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from longhop import GeneratorSet, SolutionDB, cli, lh_hd, make_record
+from longhop import cli
+from longhop.constructions import lh_hd
 from longhop.ecc import format_code, hops_to_code
-from longhop.graph import format_hops
-from longhop.soldb import REFERENCE_EXAMPLES, dumps
+from longhop.graph import GeneratorSet, format_hops
+from longhop.soldb import REFERENCE_EXAMPLES, SolutionDB, dumps, make_record
 
 ALPHABET = "0123456789abcdefABCDEF-#=/ \r\n"
 # Mutants whose headers ask for more than this are skipped, so that every

@@ -1,4 +1,4 @@
-"""Generator sets, the hop-list file format, adjacency, and BFS metrics."""
+"""Generator sets, the hop-list file format, and BFS metrics."""
 
 import io
 import random
@@ -12,24 +12,20 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracle
-from longhop import (
-    DisconnectedGraph,
-    DomainError,
-    FormatError,
+from longhop import gf2, graph
+from longhop.constructions import hd_metrics, lh_hd, low_density_b3
+from longhop.designer import WiringTable
+from longhop.errors import DisconnectedGraph, DomainError, FormatError
+from longhop.graph import (
     GeneratorSet,
-    WiringTable,
-    adjacency,
     distance_profile,
     format_hops,
-    hd_metrics,
-    lh_hd,
+    hex_width,
     load_hops,
-    low_density_b3,
     parse_hops,
     save_hops,
+    spectrum_tails,
 )
-from longhop import gf2, graph
-from longhop.graph import hex_width, spectrum_tails
 
 FQ3 = GeneratorSet(3, (1, 2, 4, 7))
 
@@ -134,20 +130,17 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_adjacency_golden():
-    A = adjacency(FQ3)
-    want = np.zeros((8, 8), dtype=np.uint8)
-    for v in range(8):
-        for h in FQ3.hops:
-            want[v, v ^ h] = 1
-    assert np.array_equal(A, want)
-    assert np.array_equal(A, A.T)
-    assert (A.sum(axis=1) == FQ3.m).all()
-
-
-def test_adjacency_cap():
-    big = GeneratorSet(15, tuple(1 << i for i in range(15)))
-    with pytest.raises(DomainError):
-        adjacency(big)
+    # The referee's adjacency matrix of FQ3: node v links to all but
+    # v ^ 3, v ^ 5 and v ^ 6, so its powers reach every node in 2 steps,
+    # as the BFS profile says.
+    A = np.array(oracle.adjacency(FQ3.d, FQ3.hops))
+    want = [[int(u ^ v not in (0, 3, 5, 6)) for v in range(8)] for u in range(8)]
+    assert A.tolist() == want
+    reached = np.eye(8, dtype=np.int64)
+    for steps in range(3):
+        want_total = sum(distance_profile(FQ3).counts[:steps + 1])
+        assert np.count_nonzero(reached[0]) == want_total
+        reached = reached + A @ reached
 
 
 @pytest.mark.parametrize(

@@ -8,21 +8,23 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from longhop import gf2
-from longhop import (
-    DomainError,
-    FormatError,
-    GeneratorSet,
+from longhop.constructions import lh_hd
+from longhop.ecc import hops_to_code, save_code
+from longhop.errors import DomainError, FormatError
+from longhop.graph import GeneratorSet
+from longhop.soldb import (
+    REFERENCE_EXAMPLES,
     SolutionDB,
     SolutionRecord,
-    hops_to_code,
+    dumps,
     ingest_code_file,
-    lh_hd,
+    load,
+    loads,
     make_record,
+    save,
     seed_defaults,
     seed_reference_examples,
 )
-from longhop.ecc import save_code
-from longhop.soldb import REFERENCE_EXAMPLES, dumps, load, loads, save
 
 CODE74_TEXT = "1101000\n0110100\n1110010\n1010001\n"
 
