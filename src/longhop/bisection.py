@@ -117,33 +117,19 @@ class BisectionReport:
 _ENUM_BUDGET = 1 / 64
 
 
-def _information_sets(gens: GeneratorSet) -> list[tuple[list[int], list[int]]]:
-    """Disjoint information sets, each as (rows, combos): rows[i] is the
-    codeword that reads 1 on the set's i'th pivot hop and 0 on its other
-    pivots, and combos[i] is its Walsh index.
+def _information_sets(gens: GeneratorSet):
+    """Yield disjoint information sets, one at a time, each as (rows,
+    combos): rows[i] is the codeword that reads 1 on the set's i'th pivot
+    hop and 0 on its other pivots, and combos[i] is its Walsh index.
 
-    Gauss-Jordan on the d codeword rows of the Walsh units; each set takes
-    its pivots from hops no earlier set used, and the first set that runs
-    out of such hops ends the list.  The hops span, so there is always
-    one set.  Each costs d^2 XORs of m-bit ints."""
+    gf2.row_reduce on the d codeword rows of the Walsh units; each set
+    takes its pivots from hops no earlier set used, and the first set
+    that runs out of such hops ends them.  The hops span, so there is
+    always one set.  Each costs d^2 XORs of m-bit ints."""
     d = gens.d
-    rows = gf2.transpose(gens.hops, d)
-    combos = [1 << i for i in range(d)]
-    free = (1 << gens.m) - 1
-    sets = []
-    while True:
-        rows, combos = rows[:], combos[:]
-        for i in range(d):
-            pivot = rows[i] & free
-            if not pivot:
-                return sets
-            pivot &= -pivot
-            free ^= pivot
-            for j in range(d):
-                if j != i and rows[j] & pivot:
-                    rows[j] ^= rows[i]
-                    combos[j] ^= combos[i]
-        sets.append((rows, combos))
+    found = (gf2.transpose(gens.hops, d), [1 << i for i in range(d)], (1 << gens.m) - 1)
+    while (found := gf2.row_reduce(*found)) is not None:
+        yield found[:2]
 
 
 def _levels(rows: list[int], combos: list[int]):
@@ -177,11 +163,19 @@ def _low_weight(gens: GeneratorSet) -> tuple[int, int] | None:
     met, so t, the smallest of their Walsh indices, is the first minimum
     of the full spectrum.  Levels w..d of one set visit every codeword,
     so where that is cheaper than the next round the other sets are
-    dropped.  The budget caps the codewords visited at
+    dropped, and where it is from the start they are never built.  The
+    budget caps the codewords visited at
     _ENUM_BUDGET (n ceil(m/64) + 2^25).
     """
     d, m = gens.d, gens.m
-    levels = [_levels(*pair) for pair in _information_sets(gens)]
+    sets = _information_sets(gens)
+    levels = [_levels(*next(sets))]
+    # At most m // d disjoint sets exist.  When the first set's levels,
+    # all 2^d - 1 codewords, cost no more than rounds 1 and 2 over that
+    # many sets, the other sets are not built: a small code is visited
+    # once, by one set.
+    if (1 << d) - 1 > m // d * (d + comb(d, 2)):
+        levels += (_levels(*pair) for pair in sets)
     k = len(levels)
     # The fallback imports numpy too, as long as a 2^25-element word pass.
     budget = _ENUM_BUDGET * (gens.n * -(-m // 64) + (1 << 25))

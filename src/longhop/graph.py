@@ -7,14 +7,18 @@ the edge set only depends on the set of hops.  It is connected exactly
 when the hops span Z_2^d, and `GeneratorSet` refuses hops that do not.
 
 The distance profile is a direction-optimizing BFS (Beamer, Asanovic and
-Patterson, SC 2012).  While the frontier is small it pushes: frontier ^ h
-is scattered into a bool mask per node.  Once the frontier holds n/32
-nodes, on graphs of n >= 2^13, it pulls for the rest of the search: node
-v is reached when frontier[v ^ h] holds for some hop h, and on packed
-64-node words that is a permutation of bits within each word followed by
-a gather of words.  On b3(24) (d = 24, 29 hops) this takes the profile
-from about 2.5 s to about 0.45 s on 2 cores, and its traced peak from
-8.0 to 2.45 bytes per node.
+Patterson, SC 2012) run in the systematic basis: the linear map that
+sends d independent hops to the unit vectors is a graph isomorphism, so
+it first maps the hops there.  Each level then takes the cheaper of two
+steps.  The sparse step works from node lists: it pushes frontier ^ h
+while the frontier is the shorter list, and pulls into the unseen nodes
+once they are.  The dense step works on packed 64-node words: a unit hop
+is a swap of bits within each word or a flip of word blocks, and the
+first min(m - d, d - 6) other hops enter as delayed sources (every XOR
+of j of them joins level j if still unseen), so only the hops beyond
+those are gathered.  On b3(24) (d = 24, 29 hops) this takes the profile
+from 0.40-0.48 s to 0.10-0.12 s in-process on 2 cores, and its traced
+peak from 2.45 to 0.50 bytes per node.
 """
 from __future__ import annotations
 
@@ -259,12 +263,31 @@ def save_hops(gens: GeneratorSet, path) -> None:
     Path(path).write_text(format_hops(gens))
 
 
-# The BFS switches from the push step to the pull step once the frontier
-# holds at least n >> _PULL_SHIFT nodes, on graphs of at least _PULL_MIN_N
-# nodes; below that the per-level cost of the packed words never pays off.
-_PULL_MIN_N = 1 << 13
-_PULL_SHIFT = 5
-# Words per gather in the pull step (128 KB of indices and of results).
+# Costs of a level, in word operations of the dense step (0.6-0.9 ns
+# each at d >= 20; 2 cores, Python 3.11, numpy 2.4).  A dense level
+# costs _dense_ops per word, plus _LEVEL_OPS (about 60 us) for the numpy
+# calls it makes beyond a sparse level's.  A sparse level costs, per
+# candidate v ^ h, _MASK_COST on a bool mask (1-3 ns) and _SPARSE_COST
+# on packed words (20-30 ns to push, 8-20 ns to pull).  A level takes the
+# sparse step when that costs no more.  The constants were fitted to
+# both steps' times on every level of the 64 seeded records and of b3,
+# half-distance and random sets at d = 12..24; on those, the steps they
+# pick take within 1 % of the faster step's total.
+_MASK_COST = 4
+_SPARSE_COST = 33
+_LEVEL_OPS = 80_000
+# A gathered hop costs _GATHER_COST word operations per word.
+_GATHER_COST = 6
+# The dense step checks which words still need a gather every
+# _CHECK_HOPS gathered hops, and gathers only into those once they are
+# at most 1/_SPARSE_WORDS of the words.
+_CHECK_HOPS = 4
+_SPARSE_WORDS = 8
+# On at most _MASK_WORDS words (a 64 KB mask) the sparse step reads and
+# writes bool masks of the nodes.
+_MASK_WORDS = 1 << 10
+# Candidates per block of the sparse step, and words per gather in the
+# dense step (128 KB of indices and of results).
 _GATHER = 1 << 14
 # _SWAP_MASKS[j] marks the bits of a 64-bit word whose position has bit j
 # clear; the swap built from it exchanges bits p and p ^ 2^j.
@@ -277,104 +300,250 @@ def distance_profile(gens: GeneratorSet) -> DistanceProfile:
     """Level-synchronous BFS from node 0 that keeps only the size of each
     level; O(n) bytes whatever m is.
 
-    Each level runs one of two steps, chosen from the frontier size.  The
-    push step scatters frontier ^ h into a bool mask, one hop at a time, or
-    hops ^ v, one frontier node at a time, whichever list is shorter; it
-    runs while the frontier holds fewer than n/32 nodes, and always when
-    n < 2^13.  From then on the pull step runs on packed 64-node words:
-    node v joins the next level when frontier[v ^ h] holds for some hop h.
-    The push step holds two bool masks (2 bytes per node), 8 bytes per hop
-    and 16 bytes per frontier node, and its frontier stays below n/32, so
-    the traced peak stays under 2.5 bytes per node at d >= 20; below that,
-    fixed buffers of a few hundred KB dominate.  The search stops once
-    every node is reached.  Time is another matter: a pull level gathers
-    n/64 words per hop, about m n / 64 word operations, so on the m = n/2
-    rungs it grows about 4x per step in d (`lh metrics`: 30 s at d = 20).
+    The hops are first mapped so that d of them are unit vectors; the
+    other r are the extras.  Unseen nodes and each level are kept as
+    packed 64-node words, and each level takes the step the costs above
+    rate cheaper (when no level can be dense, the hops are not mapped):
+    - the sparse step lists the frontier, or the unseen nodes once fewer,
+      and tests v ^ h for each listed v and hop h;
+    - the dense step ORs into the next level every unit hop's image of
+      the frontier (in-word swaps for bits 0-5, block flips above), then
+      the gathers of the extras beyond the first min(r, d - 6), in blocks
+      that stop once every unseen node is reached, then the level's
+      delayed sources.
+    The sources are exact because a shortest path uses each hop at most
+    once, so dist(x) = min over subsets S of those extras of
+    |S| + dist'(x ^ a_S), where a_S is the XOR of S and dist' uses the
+    other hops: a_S seeds the search at level |S|, whichever step made
+    the levels before.
+
+    Three word arrays, a scratch array, the 2^min(r, d - 6) <= n/64
+    sources and node lists that the cost rule keeps short hold the traced
+    peak near 0.7 bytes per node on b3(20) and 0.5 on b3(24); gathered
+    extras add up to 7 word arrays of in-word variants, 1.4-1.8 bytes per
+    node on random 64-hop sets.  The m = n/2 rungs need one dense level,
+    which the units and sources nearly fill, so it stops after a few
+    gathers: 0.09 s at d = 20 (`lh metrics`: 0.9 s, from 30 s).
     """
-    n = gens.n
+    import numpy as np
+
+    n, d, m = gens.n, gens.d, gens.m
+    words = -(-n // 64)
+    cap = min(m - d, max(d - 6, 0))
+    dense_ops = words * _dense_ops(d, m - d - cap) + _LEVEL_OPS
+    cost = _MASK_COST if words <= _MASK_WORDS else _SPARSE_COST
+    if (n >> 1) * m * cost <= dense_ops:
+        # No list is longer than n/2, so every level is sparse, and the
+        # sparse step needs no basis.
+        hops = np.array(gens.hops, dtype="<i8")
+    else:
+        hops = _systematic_hops(gens)
+    his = None
+    unseen = np.full(words, (1 << min(n, 64)) - 1, dtype="<u8")
+    unseen[0] ^= 1
+    frontier = np.zeros(words, dtype="<u8")
+    frontier[0] = 1
     counts = [1]
-    handover = _push_levels(gens, counts)
-    if handover is not None:
-        _pull_levels(gens, *handover, counts)
-    if sum(counts) != n:
-        raise LongHopError(
-            f"BFS reached {sum(counts)} of {n} nodes over spanning hops"
-        )
+    reached = 1
+    while reached < n:
+        if min(counts[-1], n - reached) * m * cost <= dense_ops:
+            push = counts[-1] <= n - reached
+            frontier = _sparse_level(frontier, unseen, hops, push)
+        else:
+            if his is None:
+                extras = hops[hops & (hops - 1) != 0]
+                sources = _subset_xors(extras[:cap])
+                sizes = np.bitwise_count(np.arange(sources.size))
+                his = _by_lo(extras[cap:])
+            level = sources[sizes == len(counts)]
+            frontier = _dense_level(frontier, unseen, d, his, level)
+        size = int(np.bitwise_count(frontier).sum())
+        if not size:
+            break
+        reached += size
+        counts.append(size)
+    if reached != n:
+        raise LongHopError(f"BFS reached {reached} of {n} nodes over spanning hops")
     return DistanceProfile(tuple(counts))
 
 
-def _push_levels(
-    gens: GeneratorSet, counts: list[int]
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Top-down levels, appending each level's size to counts.  Returns the
-    packed (unseen, frontier) words once the frontier is large enough for
-    the pull step, or None when the search is over."""
+def _systematic_hops(gens: GeneratorSet) -> np.ndarray:
+    """The hops, as int64, under the linear map that sends d independent
+    hops to the unit vectors: a graph isomorphism, so the profile is the
+    same.  Hops that hold all d units are kept as they are.  Otherwise
+    gf2.row_reduce on the d rows of the hops' bit matrix finds the map;
+    numpy builds those rows from byte planes and applies the map one byte
+    of each hop at a time, through 256-entry tables."""
     import numpy as np
 
-    n = gens.n
-    hops = np.array(gens.hops)
-    unseen = np.ones(n, dtype=bool)
-    unseen[0] = False
-    nxt = ~unseen
-    size = reached = 1
-    while size and reached < n:
-        if n >= _PULL_MIN_N and size << _PULL_SHIFT >= n:
-            return _pack(unseen), _pack(nxt)
-        frontier = np.flatnonzero(nxt)
-        nxt.fill(False)
-        # XOR commutes, so scatter once per entry of the shorter list; level
-        # 1 (frontier {0}) is the single scatter nxt[hops] = True.
-        few, many = sorted((frontier, hops), key=len)
-        for x in few.tolist():
-            nxt[many ^ x] = True
-        # None of these is alive while the masks are packed at handover.
-        del frontier, few, many
-        nxt &= unseen
-        unseen ^= nxt
-        size = int(np.count_nonzero(nxt))
-        reached += size
-        if size:
-            counts.append(size)
-    return None
+    d, m = gens.d, gens.m
+    hops = np.array(gens.hops, dtype="<i8")
+    # The hops are distinct, so d powers of two among them are the units.
+    if np.count_nonzero(hops & (hops - 1) == 0) == d:
+        return hops
+    planes = np.ascontiguousarray(hops.view("u1").reshape(m, 8)[:, : -(-d // 8)].T)
+    rows = [
+        int.from_bytes(
+            np.packbits(planes[i >> 3] & 1 << (i & 7), bitorder="little").tobytes(),
+            "little",
+        )
+        for i in range(d)
+    ]
+    combos = gf2.row_reduce(rows, [1 << i for i in range(d)], (1 << m) - 1)[1]
+    # The image of unit j: bit i is bit j of combos[i].
+    images = [sum((c >> j & 1) << i for i, c in enumerate(combos)) for j in range(d)]
+    out = np.zeros_like(hops)
+    for j in range(0, d, 8):
+        table = _subset_xors(np.array(images[j : j + 8]))
+        out ^= table[hops >> j & 255]
+    return out
 
 
-def _pack(mask: np.ndarray) -> np.ndarray:
-    """Bool node mask as '<u8' words: node v at bit v & 63 of word v >> 6
-    (one zero-padded word when n < 64)."""
+def _subset_xors(extras: np.ndarray) -> np.ndarray:
+    """XOR of extras[i] over the set bits i of S, for every S < 2^len."""
     import numpy as np
 
-    packed = np.packbits(mask, bitorder="little")
-    return np.pad(packed, (0, -packed.size % 8)).view("<u8")
+    out = np.zeros(1 << extras.size, dtype=np.int64)
+    for i, a in enumerate(extras.tolist()):
+        np.bitwise_xor(out[: 1 << i], a, out=out[1 << i : 2 << i])
+    return out
 
 
-def _pull_levels(
-    gens: GeneratorSet, unseen: np.ndarray, frontier: np.ndarray, counts: list[int]
-) -> None:
-    """Bottom-up levels on packed words, appending each level's size to
-    counts.  Hop h = hi << 6 | lo reads frontier bit (v & 63) ^ lo of word
-    (v >> 6) ^ hi: an in-word permutation shared by every hop with that lo,
-    then a word gather."""
+def _by_lo(rest: np.ndarray) -> dict[int, np.ndarray]:
+    """The hops h = hi << 6 | lo of rest as {lo: the his of that lo}."""
     import numpy as np
 
-    n = gens.n
-    groups: dict[int, list[int]] = {}
-    for h in gens.hops:
-        groups.setdefault(h & 63, []).append(h >> 6)
-    his = {lo: np.array(group) for lo, group in groups.items()}
-    idx = np.arange(unseen.size)
-    reached = sum(counts)
-    while reached < n:
-        nxt = np.zeros_like(unseen)
-        for lo, variant in _in_word_variants(frontier, list(his)):
-            _or_gathered(variant, his[lo], idx, nxt)
-        nxt &= unseen
-        unseen ^= nxt
-        size = int(np.bitwise_count(nxt).sum())
-        if not size:
-            return
-        reached += size
-        counts.append(size)
-        frontier = nxt
+    if not rest.size:
+        return {}
+    rest = rest[np.argsort(rest & 63, kind="stable")]
+    los = rest & 63
+    cuts = [0, *(np.flatnonzero(np.diff(los)) + 1).tolist(), rest.size]
+    his = rest >> 6
+    return {lo: his[a:b] for lo, a, b in zip(los[cuts[:-1]].tolist(), cuts, cuts[1:])}
+
+
+def _dense_ops(d: int, gathered: int) -> int:
+    """Word operations per word of one dense level: 6 per in-word unit
+    swap, 2 per block flip, _GATHER_COST per gathered hop."""
+    return 6 * min(d, 6) + 2 * max(d - 6, 0) + _GATHER_COST * gathered
+
+
+def _get(words: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Bit v of the packed words for each node v in nodes, as 0 or 1."""
+    return words.view("u1")[nodes >> 3] >> (nodes & 7) & 1
+
+
+def _set(words: np.ndarray, nodes: np.ndarray) -> None:
+    """Set bit v of the packed words for each node v in nodes."""
+    import numpy as np
+
+    np.bitwise_or.at(words.view("u1"), nodes >> 3, (1 << (nodes & 7)).astype("u1"))
+
+
+def _nodes(words: np.ndarray) -> np.ndarray:
+    """The set bits of packed words as node indices, in order."""
+    import numpy as np
+
+    if words.size <= _MASK_WORDS:
+        return np.flatnonzero(_unpack(words))
+    at = np.flatnonzero(words)
+    bits = np.unpackbits(words[at].view("u1"), bitorder="little").reshape(-1, 64)
+    row, col = np.nonzero(bits)
+    return at[row] << 6 | col
+
+
+def _unpack(words: np.ndarray) -> np.ndarray:
+    """Packed words as a bool mask of the nodes."""
+    import numpy as np
+
+    return np.unpackbits(words.view("u1"), bitorder="little").view(bool)
+
+
+def _sparse_level(
+    frontier: np.ndarray, unseen: np.ndarray, hops: np.ndarray, push: bool
+) -> np.ndarray:
+    """The next level from node lists: with push, every v ^ h for v in
+    the frontier; else each unseen node v with some v ^ h in the
+    frontier.  The listed nodes go in blocks of about _GATHER candidates
+    (one node's m, when m is more).  On at most _MASK_WORDS words the
+    frontier is read, and the level written, as a bool mask of the
+    nodes."""
+    import numpy as np
+
+    small = frontier.size <= _MASK_WORDS
+    if small:
+        front = None if push else _unpack(frontier)
+        mask = np.zeros(64 * frontier.size, dtype=bool)
+    else:
+        nxt = np.zeros_like(frontier)
+    nodes = _nodes(frontier if push else unseen)
+    rows = max(1, _GATHER // hops.size)
+    for a in range(0, nodes.size, rows):
+        found = nodes[a : a + rows, None] ^ hops
+        if not push:
+            hit = front[found] if small else _get(frontier, found)
+            found = nodes[a : a + rows][hit.any(axis=1)]
+        if small:
+            mask[found] = True
+        else:
+            _set(nxt, found.ravel())
+    if small:
+        nxt = np.packbits(mask, bitorder="little").view("<u8")
+    nxt &= unseen
+    unseen ^= nxt
+    return nxt
+
+
+def _dense_level(
+    frontier: np.ndarray, unseen: np.ndarray, d: int, his: dict, sources: np.ndarray
+) -> np.ndarray:
+    """The next level on packed words: unit hops as in-word swaps (bits
+    0-5) and block flips (bits 6 up); every other hop h = hi << 6 | lo as
+    an in-word permutation shared by the hops with that lo, then a word
+    gather; then the level's delayed sources."""
+    import numpy as np
+
+    nxt = np.zeros_like(frontier)
+    tmp = np.empty_like(frontier)
+    for j in range(min(d, 6)):
+        s, mask = 1 << j, frontier.dtype.type(_SWAP_MASKS[j])
+        np.bitwise_and(frontier, mask, out=tmp)
+        np.left_shift(tmp, s, out=tmp)
+        nxt |= tmp
+        np.right_shift(frontier, s, out=tmp)
+        tmp &= mask
+        nxt |= tmp
+    for j in range(6, d):
+        k = 1 << (j - 6)
+        pairs = nxt.reshape(-1, 2, k)
+        np.bitwise_or(pairs, frontier.reshape(-1, 2, k)[:, ::-1], out=pairs)
+    _set(nxt, sources)
+    # The other hops go in blocks, and after every _CHECK_HOPS or more
+    # hops the words that still hold an unseen node not reached are
+    # counted: the gathers stop once there are none, and go only into
+    # those words once they are few.
+    chunk = max(_CHECK_HOPS, _GATHER // frontier.size)
+    idx, since = None, _CHECK_HOPS
+    for lo, variant in _in_word_variants(frontier, list(his)):
+        for i in range(0, his[lo].size, chunk):
+            if since >= _CHECK_HOPS:
+                np.bitwise_not(nxt, out=tmp)
+                tmp &= unseen
+                pending = np.count_nonzero(tmp)
+                if not pending:
+                    break
+                if pending * _SPARSE_WORDS <= tmp.size:
+                    idx = np.flatnonzero(tmp)
+                since = 0
+            block = his[lo][i : i + chunk]
+            _or_gathered(variant, block, nxt, idx)
+            since += block.size
+        else:
+            continue
+        break
+    nxt &= unseen
+    unseen ^= nxt
+    return nxt
 
 
 def _in_word_variants(
@@ -397,16 +566,22 @@ def _in_word_variants(
         yield from _in_word_variants(swapped, flipped, bit + 1)
 
 
-def _or_gathered(variant, his, idx, out) -> None:
-    """out |= variant[idx ^ hi] for every hi in his, in gathers of at most
-    _GATHER words: several hops per gather when the words are few, word
-    chunks of one hop when they are many."""
+def _or_gathered(variant, his, out, idx=None) -> None:
+    """out[w] |= variant[w ^ hi] for every hi in his and every word w, or
+    every w in idx, in gathers of at most _GATHER words: several hops per
+    gather when the words are few, word chunks of one hop when they are
+    many."""
     import numpy as np
 
-    step = min(idx.size, _GATHER)
+    size = out.size if idx is None else idx.size
+    step = min(size, _GATHER)
     rows = _GATHER // step
-    for i in range(0, his.size, rows):
-        block = his[i : i + rows, None]
-        for a in range(0, idx.size, step):
-            gathered = variant[idx[a : a + step] ^ block]
-            out[a : a + step] |= np.bitwise_or.reduce(gathered, axis=0)
+    for a in range(0, size, step):
+        words = np.arange(a, min(a + step, size)) if idx is None else idx[a : a + step]
+        acc = np.bitwise_or.reduce(variant[words ^ his[:rows, None]], axis=0)
+        for i in range(rows, his.size, rows):
+            acc |= np.bitwise_or.reduce(variant[words ^ his[i : i + rows, None]], axis=0)
+        if idx is None:
+            out[a : a + step] |= acc
+        else:
+            out[words] |= acc

@@ -324,7 +324,7 @@ def test_information_sets_bound_every_codeword():
     # information vectors.
     gens = _random_spanning(random.Random(3), 10, 40)
     units = gf2.transpose(gens.hops, gens.d)
-    sets = bisection._information_sets(gens)
+    sets = list(bisection._information_sets(gens))
     assert len(sets) >= 3
     total = [0] * gens.n
     for rows, combos in sets:

@@ -93,3 +93,23 @@ def test_transvect_matches_a_bit_loop(matrix, data):
 def test_apply_matches_a_bit_loop(rows, data):
     x = data.draw(st.integers(0, 2 ** len(rows) - 1))
     assert gf2.apply(rows, x) == _apply(rows, x)
+
+
+@given(st.lists(st.integers(0, 255), min_size=1, max_size=6), st.integers(0, 255))
+def test_row_reduce_is_gauss_jordan(rows, free):
+    found = gf2.row_reduce(rows, [1 << i for i in range(len(rows))], free)
+    # Restricted to the columns of free, the rows have full rank exactly
+    # when the reduction finds a pivot for each.
+    full = gf2.rank([r & free for r in rows]) == len(rows)
+    assert (found is not None) == full
+    if found is None:
+        return
+    out, combos, left = found
+    pivots = free & ~left
+    assert left & pivots == 0 and pivots.bit_count() == len(rows)
+    for r, c in zip(out, combos):
+        # Each output row is the XOR its combo names, and holds exactly
+        # one pivot column, a different one for each row.
+        assert r == _apply(rows, c)
+        assert (r & pivots).bit_count() == 1
+    assert gf2.rank([r & pivots for r in out]) == len(rows)

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -253,9 +253,10 @@ def test_spectrum_tails_memory_per_node():
 
 
 def test_distance_profile_memory_per_node():
-    # b3(20) pulls from level 6 on.  Pushing all the way, with two bool
-    # masks and int64 indices of frontiers up to n/2, peaks near 8 bytes
-    # a node.
+    # b3(20) runs dense levels on packed words from level 5 on; the sparse
+    # levels before them hold node lists of a few thousand entries.
+    # Pushing all the way on bool masks, with int64 indices of frontiers
+    # up to n/2, peaks near 8 bytes a node.
     gens = low_density_b3(20)
     tracemalloc.start()
     try:
@@ -263,26 +264,51 @@ def test_distance_profile_memory_per_node():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * gens.n
+    assert peak < 1.5 * gens.n
 
 
-def recording_pull(entries):
-    """graph._pull_levels, also noting in entries how many levels were
-    already counted when the BFS handed over to the pull step."""
-    pull = graph._pull_levels
+def test_distance_profile_memory_per_node_at_d24():
+    gens = low_density_b3(24)
+    tracemalloc.start()
+    try:
+        prof = distance_profile(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (prof.diameter, prof.far_count) == (13, 1)
+    assert peak < 1.5 * gens.n
 
-    def recording(gens, unseen, frontier, counts):
-        entries.append(len(counts))
-        pull(gens, unseen, frontier, counts)
 
-    return recording
+def record_steps(mp, steps):
+    """Patch graph._sparse_level and graph._dense_level so that each also
+    notes in steps that it computed a level."""
+    sparse, dense = graph._sparse_level, graph._dense_level
+
+    def sparse_step(*args):
+        steps.append("sparse")
+        return sparse(*args)
+
+    def dense_step(*args):
+        steps.append("dense")
+        return dense(*args)
+
+    mp.setattr(graph, "_sparse_level", sparse_step)
+    mp.setattr(graph, "_dense_level", dense_step)
+
+
+def force_steps(mp, steps, step):
+    """Record the steps, and make every level take `step`."""
+    record_steps(mp, steps)
+    cost = 0 if step == "sparse" else float("inf")
+    mp.setattr(graph, "_MASK_COST", cost)
+    mp.setattr(graph, "_SPARSE_COST", cost)
 
 
 @pytest.fixture()
-def pull_entries(monkeypatch):
-    entries = []
-    monkeypatch.setattr(graph, "_pull_levels", recording_pull(entries))
-    return entries
+def steps(monkeypatch):
+    steps = []
+    record_steps(monkeypatch, steps)
+    return steps
 
 
 def assert_matches_oracle(gens):
@@ -290,18 +316,64 @@ def assert_matches_oracle(gens):
     want = oracle.distances(gens.d, gens.hops)
     assert prof.counts == tuple(np.bincount(want).tolist())
     assert prof.far_count == want.count(max(want))
+    return prof
 
 
-@given(generator_sets(min_d=2, max_d=10))
-def test_pull_step_from_level_one_matches_bfs_oracle(gens):
-    # d < 6 leaves one partial word and every hop with hi = 0.
+@given(generator_sets(min_d=2, max_d=10), st.sampled_from([1, 4]), st.booleans())
+def test_pull_step_from_level_one_matches_bfs_oracle(gens, check_hops, listed):
+    # The dense (pull) step on every level.  d < 6 leaves one partial word
+    # and every hop with hi = 0; d > 6 has delayed sources.  The coverage
+    # check runs after every hop or every 4, and gathers go into a list
+    # of words whenever one is left or into all of them.
     entries = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph, "_PULL_MIN_N", 1)
-        mp.setattr(graph, "_PULL_SHIFT", graph.MAX_DIM)
-        mp.setattr(graph, "_pull_levels", recording_pull(entries))
-        assert_matches_oracle(gens)
-    assert entries == [1]
+        force_steps(mp, entries, "dense")
+        mp.setattr(graph, "_CHECK_HOPS", check_hops)
+        mp.setattr(graph, "_SPARSE_WORDS", 0 if listed else float("inf"))
+        prof = assert_matches_oracle(gens)
+    assert entries == ["dense"] * prof.diameter
+
+
+@given(generator_sets(min_d=2, max_d=10), st.booleans())
+def test_sparse_step_from_level_one_matches_bfs_oracle(gens, masked):
+    # The sparse step on every level: it pushes from the frontier while
+    # that is the shorter list and pulls into the unseen nodes after, on
+    # bool masks or on the packed words.
+    entries = []
+    with pytest.MonkeyPatch.context() as mp:
+        force_steps(mp, entries, "sparse")
+        mp.setattr(graph, "_MASK_WORDS", graph._MASK_WORDS if masked else 0)
+        prof = assert_matches_oracle(gens)
+    assert entries == ["sparse"] * prof.diameter
+
+
+@st.composite
+def capped_sets(draw):
+    """Spanning sets with d = 2..14 and r = m - d extra hops one below, at
+    or one above the cap max(d - 6, 0) on the hops that become delayed
+    sources."""
+    d = draw(st.integers(2, 14))
+    r = max(0, max(d - 6, 0) + draw(st.sampled_from([-1, 0, 1])))
+    m = min(d + r, (1 << d) - 1)
+    hops = draw(
+        st.lists(st.integers(1, (1 << d) - 1), min_size=m, max_size=m, unique=True)
+    )
+    assume(gf2.spans(hops, d))
+    return GeneratorSet(d, tuple(hops))
+
+
+@given(capped_sets())
+@settings(deadline=None, max_examples=60)
+def test_distance_profile_around_the_source_cap_matches_bfs_oracle(gens):
+    assert_matches_oracle(gens)
+
+
+@given(capped_sets(), st.integers(0, 2**32))
+@settings(deadline=None)
+def test_distance_profile_is_invariant_under_invertible_maps(gens, seed):
+    rows = gf2.random_invertible(gens.d, random.Random(seed))
+    mapped = GeneratorSet(gens.d, tuple(gf2.apply(rows, h) for h in gens.hops))
+    assert distance_profile(mapped) == distance_profile(gens)
 
 
 def _every_lo_set():
@@ -325,13 +397,13 @@ def _every_lo_set():
     ],
     ids=["b3-14", "cube-14", "lo-zero", "every-lo", "b3-13"],
 )
-def test_pull_step_matches_bfs_oracle(gens, pull_entries):
+def test_pull_step_matches_bfs_oracle(gens, steps):
     assert_matches_oracle(gens)
-    assert len(pull_entries) == 1
+    assert "dense" in steps
 
 
-def test_pull_step_matches_hd_closed_form(pull_entries):
+def test_pull_step_matches_hd_closed_form(steps):
     prof = distance_profile(lh_hd(14, 8192))
     _, diameter, avg = hd_metrics(14, 8192)
     assert (prof.diameter, prof.avg) == (diameter, avg)
-    assert pull_entries == [2]
+    assert steps == ["sparse", "dense"]
