@@ -161,11 +161,10 @@ def _low_weight(gens: GeneratorSet) -> tuple[int, int] | None:
     j (w + 1) + (k - j) w = k w + j.  Once that bound passes the
     lightest weight b met, strictly, every codeword of weight b has been
     met, so t, the smallest of their Walsh indices, is the first minimum
-    of the full spectrum.  Levels w..d of one set visit every codeword,
-    so where that is cheaper than the next round the other sets are
-    dropped, and where it is from the start they are never built.  The
-    budget caps the codewords visited at
-    _ENUM_BUDGET (n ceil(m/64) + 2^25).
+    of the full spectrum.  The levels of one set visit every codeword, so
+    where that costs no more than the first two rounds over every set,
+    the other sets are never built.  The budget caps the codewords
+    visited at _ENUM_BUDGET (n ceil(m/64) + 2^25).
     """
     d, m = gens.d, gens.m
     sets = _information_sets(gens)
@@ -181,11 +180,6 @@ def _low_weight(gens: GeneratorSet) -> tuple[int, int] | None:
     budget = _ENUM_BUDGET * (gens.n * -(-m // 64) + (1 << 25))
     spent, best, t = 0, m + 1, 0
     for w in range(1, d + 1):
-        # The first set's levels w..d hold every codeword not yet met, so
-        # once they cost no more than round w over all k sets, finish
-        # that set alone: a small code is not visited k times over.
-        if k > 1 and (1 << d) - sum(comb(d, v) for v in range(w)) <= k * comb(d, w):
-            levels, k = levels[:1], 1
         for j, level in enumerate(levels):
             if k * w + j > best:
                 return best, t

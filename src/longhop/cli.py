@@ -288,7 +288,12 @@ def cmd_compare(args) -> int:
 
     sizes = None
     if args.sizes:
+        from .walsh import MAX_DIM
+
         lo, hi = _parse_range(args.sizes)
+        # Past it, sizes mean numbers too long to print or too many rows.
+        if not (0 <= lo <= MAX_DIM and 0 <= hi <= MAX_DIM):
+            raise LongHopError(f"--sizes must lie in 0..{MAX_DIM}, got {args.sizes}")
         sizes = range(lo, hi + 1)
     if args.family == "lh":
         db = _load_db(args)

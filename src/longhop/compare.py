@@ -107,15 +107,13 @@ def flattened_butterfly_row(dims: int, radix: int) -> ComparisonRow:
     """All-to-all in each of `dims` dimensions of an even-ary cube.
 
     Picks the largest even arity q with (q-1)*dims + q/2 <= radix, so
-    the q/2 per-switch external ports ride at phi = 1 (b = q/2).
+    the q/2 per-switch external ports ride at phi = 1 (b = q/2).  With
+    q = 2p that reads p (2 dims + 1) <= radix + dims.
     """
     if dims < 1:
         raise DomainError("flattened butterfly needs at least one dimension")
-    q = None
-    for cand in range(2, radix + 2, 2):
-        if (cand - 1) * dims + cand // 2 <= radix:
-            q = cand
-    if q is None:
+    q = 2 * ((radix + dims) // (2 * dims + 1))
+    if q < 2:
         raise DomainError(
             f"radix {radix} cannot host a {dims}-dimension flattened butterfly"
         )

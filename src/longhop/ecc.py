@@ -74,10 +74,6 @@ def load_code(path) -> LinearCode:
     return parse_code(Path(path).read_text())
 
 
-def save_code(code: LinearCode, path) -> None:
-    Path(path).write_text(format_code(code))
-
-
 def code_to_hops(code: LinearCode) -> GeneratorSet:
     """Read the columns right-to-left as hops over Z_2^k.  Independent
     rows are exactly spanning hops, which GeneratorSet checks."""
@@ -141,10 +137,6 @@ class EquivalenceMap:
                 raise DomainError(f"row {r:#x} out of range for d={self.d}")
         if gf2.rank(self.rows) != self.d:
             raise DomainError("equivalence map must be invertible")
-
-    @classmethod
-    def identity(cls, d: int) -> "EquivalenceMap":
-        return cls(d, tuple(1 << i for i in range(d)))
 
     def apply(self, x: int) -> int:
         if not 0 <= x < 1 << self.d:

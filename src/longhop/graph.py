@@ -16,9 +16,7 @@ once they are.  The dense step works on packed 64-node words: a unit hop
 is a swap of bits within each word or a flip of word blocks, and the
 first min(m - d, d - 6) other hops enter as delayed sources (every XOR
 of j of them joins level j if still unseen), so only the hops beyond
-those are gathered.  On b3(24) (d = 24, 29 hops) this takes the profile
-from 0.40-0.48 s to 0.10-0.12 s in-process on 2 cores, and its traced
-peak from 2.45 to 0.50 bytes per node.
+those are gathered.
 """
 from __future__ import annotations
 
@@ -259,21 +257,16 @@ def load_hops(path) -> GeneratorSet:
     return parse_hops(Path(path).read_text())
 
 
-def save_hops(gens: GeneratorSet, path) -> None:
-    Path(path).write_text(format_hops(gens))
-
-
 # Costs of a level, in word operations of the dense step (0.6-0.9 ns
 # each at d >= 20; 2 cores, Python 3.11, numpy 2.4).  A dense level
 # costs _dense_ops per word, plus _LEVEL_OPS (about 60 us) for the numpy
-# calls it makes beyond a sparse level's.  A sparse level costs, per
-# candidate v ^ h, _MASK_COST on a bool mask (1-3 ns) and _SPARSE_COST
-# on packed words (20-30 ns to push, 8-20 ns to pull).  A level takes the
-# sparse step when that costs no more.  The constants were fitted to
-# both steps' times on every level of the 64 seeded records and of b3,
-# half-distance and random sets at d = 12..24; on those, the steps they
-# pick take within 1 % of the faster step's total.
-_MASK_COST = 4
+# calls it makes beyond a sparse level's.  A sparse level costs
+# _SPARSE_COST per candidate v ^ h (20-30 ns to push, 8-20 ns to pull).
+# A level takes the sparse step when that costs no more.  The constants
+# were fitted to both steps' times on every level of the 64 seeded
+# records and of b3, half-distance and random sets at d = 12..24; on the
+# records and on such sets up to d = 22, the steps the rule picks take
+# within 2 % of the faster step's time summed over the levels.
 _SPARSE_COST = 33
 _LEVEL_OPS = 80_000
 # A gathered hop costs _GATHER_COST word operations per word.
@@ -283,9 +276,6 @@ _GATHER_COST = 6
 # at most 1/_SPARSE_WORDS of the words.
 _CHECK_HOPS = 4
 _SPARSE_WORDS = 8
-# On at most _MASK_WORDS words (a 64 KB mask) the sparse step reads and
-# writes bool masks of the nodes.
-_MASK_WORDS = 1 << 10
 # Candidates per block of the sparse step, and words per gather in the
 # dense step (128 KB of indices and of results).
 _GATHER = 1 << 14
@@ -322,8 +312,8 @@ def distance_profile(gens: GeneratorSet) -> DistanceProfile:
     peak near 0.7 bytes per node on b3(20) and 0.5 on b3(24); gathered
     extras add up to 7 word arrays of in-word variants, 1.4-1.8 bytes per
     node on random 64-hop sets.  The m = n/2 rungs need one dense level,
-    which the units and sources nearly fill, so it stops after a few
-    gathers: 0.09 s at d = 20 (`lh metrics`: 0.9 s, from 30 s).
+    level 2, which the units and sources fill before any hop is
+    gathered: 0.08 s in-process at d = 20 (2 cores).
     """
     import numpy as np
 
@@ -331,8 +321,7 @@ def distance_profile(gens: GeneratorSet) -> DistanceProfile:
     words = -(-n // 64)
     cap = min(m - d, max(d - 6, 0))
     dense_ops = words * _dense_ops(d, m - d - cap) + _LEVEL_OPS
-    cost = _MASK_COST if words <= _MASK_WORDS else _SPARSE_COST
-    if (n >> 1) * m * cost <= dense_ops:
+    if (n >> 1) * m * _SPARSE_COST <= dense_ops:
         # No list is longer than n/2, so every level is sparse, and the
         # sparse step needs no basis.
         hops = np.array(gens.hops, dtype="<i8")
@@ -346,7 +335,7 @@ def distance_profile(gens: GeneratorSet) -> DistanceProfile:
     counts = [1]
     reached = 1
     while reached < n:
-        if min(counts[-1], n - reached) * m * cost <= dense_ops:
+        if min(counts[-1], n - reached) * m * _SPARSE_COST <= dense_ops:
             push = counts[-1] <= n - reached
             frontier = _sparse_level(frontier, unseen, hops, push)
         else:
@@ -444,19 +433,10 @@ def _nodes(words: np.ndarray) -> np.ndarray:
     """The set bits of packed words as node indices, in order."""
     import numpy as np
 
-    if words.size <= _MASK_WORDS:
-        return np.flatnonzero(_unpack(words))
     at = np.flatnonzero(words)
     bits = np.unpackbits(words[at].view("u1"), bitorder="little").reshape(-1, 64)
     row, col = np.nonzero(bits)
     return at[row] << 6 | col
-
-
-def _unpack(words: np.ndarray) -> np.ndarray:
-    """Packed words as a bool mask of the nodes."""
-    import numpy as np
-
-    return np.unpackbits(words.view("u1"), bitorder="little").view(bool)
 
 
 def _sparse_level(
@@ -465,30 +445,17 @@ def _sparse_level(
     """The next level from node lists: with push, every v ^ h for v in
     the frontier; else each unseen node v with some v ^ h in the
     frontier.  The listed nodes go in blocks of about _GATHER candidates
-    (one node's m, when m is more).  On at most _MASK_WORDS words the
-    frontier is read, and the level written, as a bool mask of the
-    nodes."""
+    (one node's m, when m is more)."""
     import numpy as np
 
-    small = frontier.size <= _MASK_WORDS
-    if small:
-        front = None if push else _unpack(frontier)
-        mask = np.zeros(64 * frontier.size, dtype=bool)
-    else:
-        nxt = np.zeros_like(frontier)
+    nxt = np.zeros_like(frontier)
     nodes = _nodes(frontier if push else unseen)
     rows = max(1, _GATHER // hops.size)
     for a in range(0, nodes.size, rows):
         found = nodes[a : a + rows, None] ^ hops
         if not push:
-            hit = front[found] if small else _get(frontier, found)
-            found = nodes[a : a + rows][hit.any(axis=1)]
-        if small:
-            mask[found] = True
-        else:
-            _set(nxt, found.ravel())
-    if small:
-        nxt = np.packbits(mask, bitorder="little").view("<u8")
+            found = nodes[a : a + rows][_get(frontier, found).any(axis=1)]
+        _set(nxt, found.ravel())
     nxt &= unseen
     unseen ^= nxt
     return nxt

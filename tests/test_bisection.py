@@ -305,8 +305,20 @@ def design_sized_sets(draw):
     return GeneratorSet(d, tuple(hops))
 
 
-@given(design_sized_sets())
-@settings(deadline=None, max_examples=25)
+@st.composite
+def small_dense_sets(draw):
+    # Small codes with 4-8 hops per dimension: most build several
+    # information sets, and on most of those the rounds go on until the
+    # first set's remaining levels cost no more than a round over all.
+    d = draw(st.integers(7, 11))
+    m = draw(st.integers(4 * d, min(8 * d, (1 << d) - 1)))
+    hops = random.Random(draw(st.integers(0, 2**32))).sample(range(1, 1 << d), m)
+    assume(gf2.spans(hops, d))
+    return GeneratorSet(d, tuple(hops))
+
+
+@given(st.one_of(design_sized_sets(), small_dense_sets()))
+@settings(deadline=None, max_examples=75)
 def test_several_information_sets_give_the_first_minimum(gens):
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_calls(mp, "cut_counts")

@@ -24,8 +24,8 @@ from longhop import cli, designer, gf2, graph, soldb
 from longhop.cli import main
 from longhop.constructions import lh_hd, low_density_b3
 from longhop.designer import WiringTable
-from longhop.ecc import hops_to_code, save_code
-from longhop.graph import GeneratorSet, save_hops
+from longhop.ecc import format_code, hops_to_code
+from longhop.graph import GeneratorSet, format_hops
 
 FQ3_TEXT = "d=3 q=2\n1\n2\n4\n7\n"
 CODE74_TEXT = "1101000\n0110100\n1110010\n1010001\n"
@@ -147,7 +147,7 @@ def test_spectrum_memory_per_node(tmp_path):
     # formatted and written one block at a time, so nothing else grows
     # with n; holding the whole table as ints or text would.
     path = tmp_path / "b3_18.hops"
-    save_hops(low_density_b3(18), path)
+    path.write_text(format_hops(low_density_b3(18)))
     out_file = tmp_path / "b3_18.tsv"
     tracemalloc.start()
     try:
@@ -177,9 +177,9 @@ TABLE_DIGESTS = {
 def test_table_digests(capsys, seeded_db, db_path, tmp_path, table):
     hops_file = tmp_path / "set.hops"
     if table == "spectrum b3(16)":
-        save_hops(low_density_b3(16), hops_file)
+        hops_file.write_text(format_hops(low_density_b3(16)))
     else:
-        save_hops(seeded_db.query(16, 38).gens, hops_file)
+        hops_file.write_text(format_hops(seeded_db.query(16, 38).gens))
     if table.startswith("spectrum"):
         argv = ["spectrum", str(hops_file)]
     else:
@@ -232,7 +232,7 @@ def test_tables_match_the_percent_referee(tmp_path_factory, case):
     gens, radix, lo, hi = case
     work = tmp_path_factory.mktemp("tables")
     hops_file = work / "set.hops"
-    save_hops(gens, hops_file)
+    hops_file.write_text(format_hops(gens))
     stdout, wiring = io.StringIO(), io.StringIO()
     with mock.patch.object(graph, "_ROWS_PER_WRITE", 3):
         with redirect_stdout(stdout):
@@ -298,7 +298,7 @@ def test_translate_both_ways(capsys, code74_file, tmp_path):
 
 def test_translate_codes_wider_than_63_columns(capsys, tmp_path):
     rung = tmp_path / "hd8.hops"
-    save_hops(lh_hd(8, 128), rung)
+    rung.write_text(format_hops(lh_hd(8, 128)))
     matrix = tmp_path / "hd8.code"
     code, out, err = run(capsys, "translate", "--to-code", str(rung), "-o", str(matrix))
     assert (code, out, err) == (0, "", "")
@@ -461,7 +461,7 @@ def test_db_ingest_refuses_out_of_bounds_codes_before_measuring(
     run(capsys, "db", "ingest", code74_file, "--db", str(db))
     before = db.read_bytes()
     path = tmp_path / "wide.code"
-    save_code(hops_to_code(gens), path)
+    path.write_text(format_code(hops_to_code(gens)))
 
     def unmeasured(*args):
         raise AssertionError("make_record ran for a code the store refuses")
@@ -706,6 +706,26 @@ def test_compare_family_csv(capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize(
+    "family,radix,sizes",
+    [
+        # Each would print a number past Python's 4,300-digit str limit.
+        ("hypercube", "20000", "14300..14300"),
+        ("folded_cube", "20000", "14300..14300"),
+        ("flattened_butterfly", "100000", "5000..5000"),
+        # A hundred million rows.
+        ("hypercube", "16", "1..100000000"),
+        ("lh", "16", "25..25"),
+        ("hypercube", "16", "-1..3"),
+    ],
+)
+def test_compare_refuses_sizes_past_the_dimension_cap(capsys, family, radix, sizes):
+    argv = ["compare", "--family", family, "-R", radix, f"--sizes={sizes}"]
+    code, out, err = run(capsys, *argv)
+    want = f"error: --sizes must lie in 0..24, got {sizes}\n"
+    assert (code, out, err) == (1, "", want)
+
+
 def test_compare_lh_and_yield(capsys, db_path):
     code, out, _ = run(
         capsys, "compare", "--family", "lh", "-R", "12",
@@ -850,7 +870,7 @@ def test_cold_commands_do_not_import_numpy(
         ("b3_24", low_density_b3(24)),
     ]:
         files[name] = tmp_path / f"{name}.hops"
-        save_hops(gens, files[name])
+        files[name].write_text(format_hops(gens))
     proc = child([sys.executable, "-c", COLD_SCRIPT, *(a.format(**files) for a in argv)])
     loaded = sorted(f"longhop.{m}" for m in ["cli", "errors", *modules.split()])
     assert (proc.returncode, proc.stderr) == (0, " ".join(loaded) + "\nFalse\n")

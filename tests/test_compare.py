@@ -77,6 +77,24 @@ def test_flattened_butterfly_row():
         flattened_butterfly_row(0, 16)
 
 
+def _arity_by_search(dims, radix):
+    """The largest even q with (q-1)*dims + q/2 <= radix, tried one by one."""
+    fits = [q for q in range(2, radix + 2, 2) if (q - 1) * dims + q // 2 <= radix]
+    return fits[-1] if fits else None
+
+
+def test_flattened_butterfly_arity_matches_the_search():
+    for dims in range(1, 30):
+        for radix in range(-1, 600):
+            q = _arity_by_search(dims, radix)
+            if q is None:
+                with pytest.raises(DomainError):
+                    flattened_butterfly_row(dims, radix)
+            else:
+                row = flattened_butterfly_row(dims, radix)
+                assert row.topology == f"flattened_butterfly q={q} dims={dims}"
+
+
 def test_fat_tree_rows():
     row2 = fat_tree2_row(24)
     assert (row2.n, row2.ports, row2.cables) == (36, 288, 288)

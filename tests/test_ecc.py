@@ -23,7 +23,6 @@ from longhop.ecc import (
     min_change_expansion,
     min_weight,
     parse_code,
-    save_code,
 )
 from longhop.errors import DomainError, FormatError
 from longhop.graph import GeneratorSet, distance_profile
@@ -87,7 +86,7 @@ def test_parse_code_rejects(text):
 
 def test_save_load_code(tmp_path):
     path = tmp_path / "gen.code"
-    save_code(CODE74, path)
+    path.write_text(format_code(CODE74))
     assert load_code(path) == CODE74
 
 
@@ -183,8 +182,7 @@ def test_equivalence_map_validation():
 
 
 def test_equivalence_map_identity_and_apply():
-    ident = EquivalenceMap.identity(3)
-    assert ident.rows == (1, 2, 4)
+    ident = EquivalenceMap(3, (1, 2, 4))
     assert [ident.apply(x) for x in range(8)] == list(range(8))
     swap = EquivalenceMap(3, (2, 1, 4))
     assert swap.apply(0b001) == 0b010
@@ -192,7 +190,7 @@ def test_equivalence_map_identity_and_apply():
 
 
 def test_equivalence_map_rejects_words_outside_its_domain():
-    ident = EquivalenceMap.identity(3)
+    ident = EquivalenceMap(3, (1, 2, 4))
     with pytest.raises(DomainError, match="out of range for d=3"):
         ident.apply(8)
     with pytest.raises(DomainError):
@@ -225,7 +223,7 @@ def test_apply_equivalence_preserves_invariants():
 
 def test_apply_equivalence_dimension_mismatch():
     with pytest.raises(DomainError):
-        EquivalenceMap.identity(4).apply_to(GeneratorSet(3, (1, 2, 4)))
+        EquivalenceMap(4, (1, 2, 4, 8)).apply_to(GeneratorSet(3, (1, 2, 4)))
 
 
 def test_diagonalize_systematic_form():
@@ -248,7 +246,7 @@ def test_diagonalize_keeps_systematic_sets():
     gens = GeneratorSet(4, HOPS74)
     normal, emap = diagonalize(gens)
     assert normal == gens
-    assert emap.rows == EquivalenceMap.identity(4).rows
+    assert emap.rows == (1, 2, 4, 8)
 
 
 def test_diagonalize_needs_span():

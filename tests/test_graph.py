@@ -23,7 +23,6 @@ from longhop.graph import (
     hex_width,
     load_hops,
     parse_hops,
-    save_hops,
     spectrum_tails,
 )
 
@@ -125,7 +124,7 @@ def test_format_parse_round_trip(gens):
 
 def test_save_load_round_trip(tmp_path):
     path = tmp_path / "set.hops"
-    save_hops(FQ3, path)
+    path.write_text(format_hops(FQ3))
     assert load_hops(path) == FQ3
 
 
@@ -299,9 +298,7 @@ def record_steps(mp, steps):
 def force_steps(mp, steps, step):
     """Record the steps, and make every level take `step`."""
     record_steps(mp, steps)
-    cost = 0 if step == "sparse" else float("inf")
-    mp.setattr(graph, "_MASK_COST", cost)
-    mp.setattr(graph, "_SPARSE_COST", cost)
+    mp.setattr(graph, "_SPARSE_COST", 0 if step == "sparse" else float("inf"))
 
 
 @pytest.fixture()
@@ -334,15 +331,13 @@ def test_pull_step_from_level_one_matches_bfs_oracle(gens, check_hops, listed):
     assert entries == ["dense"] * prof.diameter
 
 
-@given(generator_sets(min_d=2, max_d=10), st.booleans())
-def test_sparse_step_from_level_one_matches_bfs_oracle(gens, masked):
+@given(generator_sets(min_d=2, max_d=10))
+def test_sparse_step_from_level_one_matches_bfs_oracle(gens):
     # The sparse step on every level: it pushes from the frontier while
-    # that is the shorter list and pulls into the unseen nodes after, on
-    # bool masks or on the packed words.
+    # that is the shorter list and pulls into the unseen nodes after.
     entries = []
     with pytest.MonkeyPatch.context() as mp:
         force_steps(mp, entries, "sparse")
-        mp.setattr(graph, "_MASK_WORDS", graph._MASK_WORDS if masked else 0)
         prof = assert_matches_oracle(gens)
     assert entries == ["sparse"] * prof.diameter
 

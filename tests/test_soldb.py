@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from longhop import gf2
 from longhop.constructions import lh_hd
-from longhop.ecc import hops_to_code, save_code
+from longhop.ecc import format_code, hops_to_code
 from longhop.errors import DomainError, FormatError
 from longhop.graph import GeneratorSet
 from longhop.soldb import (
@@ -184,7 +184,7 @@ def test_a_provenance_is_refused_or_round_trips(prov):
 def test_ingest_a_code_wider_than_63_columns(tmp_path):
     gens = GeneratorSet(7, tuple(range(1, 81)))
     path = tmp_path / "wide.code"
-    save_code(hops_to_code(gens), path)
+    path.write_text(format_code(hops_to_code(gens)))
     rec = ingest_code_file(SolutionDB(), path)
     assert (rec.gens, rec.m) == (gens, 80)
     words = [0]

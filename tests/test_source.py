@@ -113,3 +113,31 @@ def test_names_the_bench_uses_resolve():
     assert wrapped
     assert modules >= {"bisection", "cli", "constructions", "ecc", "gf2", "graph", "soldb"}
     assert [f"{sub}.{name}" for sub, name in names if _resolve(sub, name) is None] == []
+
+
+def _references(path):
+    """Every name a file reads: bare, as an attribute, imported, or spelt
+    out as a whole string (the bench names the layers it wraps that way)."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from node.value.split(".")
+
+
+def test_every_library_function_has_a_caller_outside_the_tests():
+    # A function that only tests call belongs with the tests (oracle.py
+    # holds the referees), not in the library.
+    readers = SOURCES + sorted(BENCH.glob("*.py"))
+    used = {name for path in readers for name in _references(path)}
+    unused = [
+        f"{path.name}:{node.name}"
+        for path in SOURCES
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.FunctionDef) and node.name not in used
+    ]
+    assert unused == []
