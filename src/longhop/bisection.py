@@ -33,10 +33,9 @@ it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import gf2
 from .errors import BudgetExceeded, DomainError, LongHopError
@@ -86,8 +85,7 @@ def cut_counts(gens: GeneratorSet) -> np.ndarray:
     return counts.astype(np.int64)
 
 
-@dataclass(frozen=True)
-class BisectionReport:
+class BisectionReport(NamedTuple):
     """Exact bisection: b per node pair and the smallest Walsh index t
     that reaches it."""
 
@@ -235,18 +233,12 @@ def brute_force_bisection(gens: GeneratorSet) -> tuple[int, int]:
     n = gens.n
     if n > BRUTE_FORCE_MAX_NODES:
         raise DomainError(f"brute force caps n at {BRUTE_FORCE_MAX_NODES}, got n={n}")
-    best_cut = None
-    best_side = None
+    best_cut, best_side = None, None
     for extra in combinations(range(1, n), n // 2 - 1):
         side = frozenset((0, *extra))
-        cut = 0
-        for v in side:
-            for h in gens.hops:
-                if v ^ h not in side:
-                    cut += 1
+        cut = sum(v ^ h not in side for v in side for h in gens.hops)
         if best_cut is None or cut < best_cut:
-            best_cut = cut
-            best_side = side
+            best_cut, best_side = cut, side
     return best_cut, sum(1 << v for v in best_side)
 
 

@@ -14,13 +14,14 @@ import stat
 import sys
 import tempfile
 from contextlib import contextmanager
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import LongHopError
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .soldb import SolutionDB
 
 DEFAULT_DB = "lh.db"
@@ -96,6 +97,8 @@ def _emit(args, text: str) -> None:
 
 
 def _fraction(option: str, text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -123,6 +126,8 @@ def cmd_bisect(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from fractions import Fraction
+
     from .bisection import brute_force_bisection
     from .graph import load_hops
 
@@ -286,6 +291,8 @@ def cmd_db(args) -> int:
 def cmd_compare(args) -> int:
     from . import compare
 
+    if args.radix > compare.MAX_RADIX:
+        raise LongHopError("-R above 10^100 gives numbers too long to print")
     sizes = None
     if args.sizes:
         from .walsh import MAX_DIM
@@ -417,6 +424,11 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(f"error: lh {args.command} needs numpy: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         detail = f" ({exc})" if str(exc) else ""

@@ -9,19 +9,24 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError
 
 if TYPE_CHECKING:
     from .soldb import SolutionDB, SolutionRecord
 
+# The largest radix compared.  Up to it every number fits the CSV: the
+# ratios stay far inside the float range, and a 24-dimension butterfly
+# has q^24 switches and at most 2,467 digits, under the 4,300 digits
+# Python turns an int into.
+MAX_RADIX = 10**100
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One topology instance sized for a given switch radix."""
+
+class ComparisonRow(NamedTuple):
+    """One topology instance sized for a given switch radix.  The
+    alternatives to LH all run at phi = 1 and have no LH ratio."""
 
     topology: str
     n: int
@@ -29,9 +34,9 @@ class ComparisonRow:
     degree: Fraction
     ports: int
     cables: int
-    phi: Fraction
-    ratio_vs_lh: Fraction | None
     formula: str
+    phi: Fraction = Fraction(1)
+    ratio_vs_lh: Fraction | None = None
 
     @property
     def ports_per_switch(self) -> Fraction:
@@ -79,8 +84,6 @@ def hypercube_row(d: int, radix: int) -> ComparisonRow:
         degree=Fraction(d),
         ports=n,
         cables=n * d // 2,
-        phi=Fraction(1),
-        ratio_vs_lh=None,
         formula="P=n (E=b=1); C=nd/2",
     )
 
@@ -97,8 +100,6 @@ def folded_cube_row(d: int, radix: int) -> ComparisonRow:
         degree=Fraction(d + 1),
         ports=2 * n,
         cables=n * (d + 1) // 2,
-        phi=Fraction(1),
-        ratio_vs_lh=None,
         formula="P=2n (E=b=2); C=n(d+1)/2",
     )
 
@@ -126,8 +127,6 @@ def flattened_butterfly_row(dims: int, radix: int) -> ComparisonRow:
         degree=Fraction(m),
         ports=n * (q // 2),
         cables=n * m // 2,
-        phi=Fraction(1),
-        ratio_vs_lh=None,
         formula="n=q^D; P=nq/2 (E=b=q/2); C=n(q-1)D/2",
     )
 
@@ -146,8 +145,6 @@ def fat_tree2_row(radix: int) -> ComparisonRow:
         degree=Fraction(2 * cables, n),
         ports=ports,
         cables=cables,
-        phi=Fraction(1),
-        ratio_vs_lh=None,
         formula="n=3R/2; P=R^2/2 (R/3 per switch); C=R^2/2",
     )
 
@@ -166,8 +163,6 @@ def fat_tree3_row(radix: int) -> ComparisonRow:
         degree=Fraction(2 * cables, n),
         ports=ports,
         cables=cables,
-        phi=Fraction(1),
-        ratio_vs_lh=None,
         formula="n=5R^2/4; P=R^3/4 (R/5 per switch); C=R^3/2",
     )
 
@@ -189,8 +184,6 @@ def dragonfly_row(radix: int) -> ComparisonRow:
         degree=Fraction(3 * p - 1),
         ports=ports,
         cables=cables,
-        phi=Fraction(1),
-        ratio_vs_lh=None,
         formula="a=2p h=p; n=2p(2p^2+1); P=np; C=n(3p-1)/2",
     )
 
@@ -217,8 +210,7 @@ def alternative_series(
     raise DomainError(f"unknown topology family {family!r}")
 
 
-@dataclass(frozen=True)
-class YieldRow:
+class YieldRow(NamedTuple):
     """Usable ports per switch at full bisection, LH vs the plain cube."""
 
     d: int
@@ -255,11 +247,7 @@ def versus_hypercube(
                 best = (y, rec.m)
         if best is None:
             continue
-        rows.append(
-            YieldRow(
-                d=d, n=1 << d, m=best[1], lh_yield=best[0], cube_yield=1
-            )
-        )
+        rows.append(YieldRow(d=d, n=1 << d, m=best[1], lh_yield=best[0], cube_yield=1))
     return rows
 
 

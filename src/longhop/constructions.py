@@ -1,7 +1,6 @@
 """Closed-form hop-set constructions and a greedy secondary optimizer."""
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING
 
@@ -12,6 +11,8 @@ from .graph import GeneratorSet, check_dim
 from .walsh import MAX_DIM, fwht
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 
@@ -64,6 +65,8 @@ def hd_metrics(d: int, m: int) -> tuple[int, int, Fraction]:
     distance 1 and the remaining n-1-m nodes at distance 2 give
     (2n - 2 - m) / n, i.e. 2 - (m+2)/n.
     """
+    from fractions import Fraction
+
     if m not in hd_ladder(d):
         raise DomainError(f"m={m} is not on the d={d} ladder")
     n = 1 << d

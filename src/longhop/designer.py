@@ -9,23 +9,25 @@ the winner.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import IO
+from typing import IO, TYPE_CHECKING, NamedTuple
 
 from .bisection import bisection_fwht
 from .errors import DomainError, LongHopError
 from .graph import GeneratorSet, hex_width, write_table
 from .soldb import SolutionDB, SolutionRecord
 
-DEFAULT_WEIGHTS = (Fraction(7, 10), Fraction(3, 10))
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# As text, which find_solution reads with Fraction, so that importing
+# the module (`lh wire` does) loads no fractions.
+DEFAULT_WEIGHTS = ("7/10", "3/10")
 # The wiring header goes out this many `\t#s` port cells per write, so a
 # huge radix holds a block of them at a time, not one string per port.
 _PORTS_PER_WRITE = 4096
 
 
-@dataclass(frozen=True)
-class DesignChoice:
+class DesignChoice(NamedTuple):
     """A scored match between a requirement and a stored record."""
 
     record: SolutionRecord
@@ -39,9 +41,9 @@ def find_solution(
     db: SolutionDB,
     ports: int,
     radix: int,
-    phi: Fraction = Fraction(1),
+    phi: Fraction | int = 1,
     at_least_ports: bool = False,
-    weights: tuple[Fraction, Fraction] = DEFAULT_WEIGHTS,
+    weights: tuple[Fraction | str, Fraction | str] = DEFAULT_WEIGHTS,
 ) -> DesignChoice:
     """Best stored record for (ports, radix, phi), by weighted error.
 
@@ -52,6 +54,8 @@ def find_solution(
     The winner's b is measured again from its hops, so a store edited by
     hand cannot pass off a wrong b; a mismatch raises LongHopError.
     """
+    from fractions import Fraction
+
     if ports < 1:
         raise DomainError("target port count must be at least 1")
     if radix < 2:
@@ -77,13 +81,7 @@ def find_solution(
         err_phi = abs(achieved_phi - phi) / phi
         score = w_ports * err_ports + w_phi * err_phi
         if best is None or score < best.score:
-            best = DesignChoice(
-                record=rec,
-                free_ports=E,
-                ports=achieved_ports,
-                phi=achieved_phi,
-                score=score,
-            )
+            best = DesignChoice(rec, E, achieved_ports, achieved_phi, score)
     if best is None:
         raise DomainError(
             "no stored record is admissible for this requirement"

@@ -14,9 +14,9 @@ the identity can be checked against the Walsh transform.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import gf2
 from .errors import DomainError, FormatError
@@ -24,25 +24,26 @@ from .graph import GeneratorSet, read_lines
 from .walsh import MAX_DIM
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     import numpy as np
 
 
-@dataclass(frozen=True)
-class LinearCode:
+class LinearCode(namedtuple("LinearCode", "width rows")):
     """Generator matrix: `rows` are width-bit ints, leftmost column = MSB."""
 
-    width: int
-    rows: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.width < 1:
-            raise DomainError(f"code width must be at least 1, got {self.width}")
-        object.__setattr__(self, "rows", tuple(int(r) for r in self.rows))
-        if not self.rows:
+    def __new__(cls, width: int, rows: Iterable[int]):
+        if width < 1:
+            raise DomainError(f"code width must be at least 1, got {width}")
+        rows = tuple(int(r) for r in rows)
+        if not rows:
             raise DomainError("a code needs at least one generator row")
-        for r in self.rows:
-            if not 0 <= r < 1 << self.width:
-                raise DomainError(f"row {r:#x} wider than {self.width} bits")
+        for r in rows:
+            if not 0 <= r < 1 << width:
+                raise DomainError(f"row {r:#x} wider than {width} bits")
+        return super().__new__(cls, width, rows)
 
     @property
     def k(self) -> int:
@@ -121,22 +122,21 @@ def min_weight(code: LinearCode) -> int:
     return int(nonzero.min())
 
 
-@dataclass(frozen=True)
-class EquivalenceMap:
+class EquivalenceMap(namedtuple("EquivalenceMap", "d rows")):
     """An invertible linear map on Z_2^d, stored as images of the units."""
 
-    d: int
-    rows: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(int(r) for r in self.rows))
-        if len(self.rows) != self.d:
-            raise DomainError(f"need {self.d} rows, got {len(self.rows)}")
-        for r in self.rows:
-            if not 0 <= r < 1 << self.d:
-                raise DomainError(f"row {r:#x} out of range for d={self.d}")
-        if gf2.rank(self.rows) != self.d:
+    def __new__(cls, d: int, rows: Iterable[int]):
+        rows = tuple(int(r) for r in rows)
+        if len(rows) != d:
+            raise DomainError(f"need {d} rows, got {len(rows)}")
+        for r in rows:
+            if not 0 <= r < 1 << d:
+                raise DomainError(f"row {r:#x} out of range for d={d}")
+        if gf2.rank(rows) != d:
             raise DomainError("equivalence map must be invertible")
+        return super().__new__(cls, d, rows)
 
     def apply(self, x: int) -> int:
         if not 0 <= x < 1 << self.d:
@@ -170,8 +170,7 @@ def diagonalize(gens: GeneratorSet):
     return GeneratorSet(d, tuple(hops)), EquivalenceMap(d, tuple(rows))
 
 
-@dataclass(frozen=True)
-class MinChangeResult:
+class MinChangeResult(NamedTuple):
     emap: EquivalenceMap
     gens: GeneratorSet
     rewired: int

@@ -21,17 +21,18 @@ those are gathered.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
-from typing import IO, TYPE_CHECKING
+from typing import IO, TYPE_CHECKING, NamedTuple
 
 from . import gf2
 from .errors import DisconnectedGraph, DomainError, FormatError, LongHopError
 from .walsh import MAX_DIM
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 
@@ -41,31 +42,32 @@ def check_dim(d: int) -> None:
         raise DomainError(f"dimension must be in [1, {MAX_DIM}], got {d}")
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(namedtuple("GeneratorSet", "d hops")):
     """An ordered set of distinct nonzero hops that span Z_2^d, checked
-    once, here: no engine that takes a GeneratorSet checks it again."""
+    once, here: no engine that takes a GeneratorSet checks it again.
+    Like every record class of the package it is an immutable named
+    tuple, and the checking ones check in __new__."""
 
-    d: int
-    hops: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_dim(self.d)
-        object.__setattr__(self, "hops", tuple(int(h) for h in self.hops))
-        if not self.hops:
+    def __new__(cls, d: int, hops: Iterable[int]):
+        check_dim(d)
+        hops = tuple(int(h) for h in hops)
+        if not hops:
             raise DomainError("a generator set needs at least one hop")
-        n = 1 << self.d
-        for h in self.hops:
+        n = 1 << d
+        for h in hops:
             if not 0 < h < n:
-                raise DomainError(f"hop {h:#x} out of range for d={self.d}")
-        if len(set(self.hops)) != len(self.hops):
+                raise DomainError(f"hop {h:#x} out of range for d={d}")
+        if len(set(hops)) != len(hops):
             raise DomainError("hops must be distinct")
         # A proper subspace holds at most n/2 - 1 nonzero words, so m >= n/2
         # distinct nonzero hops span without a scan (every lh_hd rung).
-        if self.m < n >> 1 and not gf2.spans(self.hops, self.d):
+        if len(hops) < n >> 1 and not gf2.spans(hops, d):
             raise DisconnectedGraph(
-                f"hops span a rank-{gf2.rank(self.hops)} subspace of d={self.d}"
+                f"hops span a rank-{gf2.rank(hops)} subspace of d={d}"
             )
+        return super().__new__(cls, d, hops)
 
     @property
     def n(self) -> int:
@@ -85,8 +87,7 @@ class GeneratorSet:
         return acc
 
 
-@dataclass(frozen=True)
-class DistanceProfile:
+class DistanceProfile(NamedTuple):
     """How many nodes sit at each distance from node 0 (all nodes look alike)."""
 
     counts: tuple[int, ...]
@@ -107,6 +108,8 @@ class DistanceProfile:
     @property
     def avg(self) -> Fraction:
         """Average distance over all n nodes, the origin included."""
+        from fractions import Fraction
+
         return Fraction(self.total, self.n)
 
     @property
@@ -327,7 +330,7 @@ def distance_profile(gens: GeneratorSet) -> DistanceProfile:
         hops = np.array(gens.hops, dtype="<i8")
     else:
         hops = _systematic_hops(gens)
-    his = None
+    sources = None
     unseen = np.full(words, (1 << min(n, 64)) - 1, dtype="<u8")
     unseen[0] ^= 1
     frontier = np.zeros(words, dtype="<u8")
@@ -339,13 +342,13 @@ def distance_profile(gens: GeneratorSet) -> DistanceProfile:
             push = counts[-1] <= n - reached
             frontier = _sparse_level(frontier, unseen, hops, push)
         else:
-            if his is None:
+            if sources is None:
                 extras = hops[hops & (hops - 1) != 0]
                 sources = _subset_xors(extras[:cap])
                 sizes = np.bitwise_count(np.arange(sources.size))
-                his = _by_lo(extras[cap:])
+                rest, his = extras[cap:], {}
             level = sources[sizes == len(counts)]
-            frontier = _dense_level(frontier, unseen, d, his, level)
+            frontier = _dense_level(frontier, unseen, d, rest, his, level)
         size = int(np.bitwise_count(frontier).sum())
         if not size:
             break
@@ -402,8 +405,6 @@ def _by_lo(rest: np.ndarray) -> dict[int, np.ndarray]:
     """The hops h = hi << 6 | lo of rest as {lo: the his of that lo}."""
     import numpy as np
 
-    if not rest.size:
-        return {}
     rest = rest[np.argsort(rest & 63, kind="stable")]
     los = rest & 63
     cuts = [0, *(np.flatnonzero(np.diff(los)) + 1).tolist(), rest.size]
@@ -462,12 +463,14 @@ def _sparse_level(
 
 
 def _dense_level(
-    frontier: np.ndarray, unseen: np.ndarray, d: int, his: dict, sources: np.ndarray
+    frontier: np.ndarray, unseen: np.ndarray, d: int,
+    rest: np.ndarray, his: dict, sources: np.ndarray,
 ) -> np.ndarray:
     """The next level on packed words: unit hops as in-word swaps (bits
-    0-5) and block flips (bits 6 up); every other hop h = hi << 6 | lo as
-    an in-word permutation shared by the hops with that lo, then a word
-    gather; then the level's delayed sources."""
+    0-5) and block flips (bits 6 up); every hop h = hi << 6 | lo of rest
+    as an in-word permutation shared by the hops with that lo, then a
+    word gather; then the level's delayed sources.  The first level that
+    gathers fills his with _by_lo(rest) for the levels after it."""
     import numpy as np
 
     nxt = np.zeros_like(frontier)
@@ -485,6 +488,13 @@ def _dense_level(
         pairs = nxt.reshape(-1, 2, k)
         np.bitwise_or(pairs, frontier.reshape(-1, 2, k)[:, ::-1], out=pairs)
     _set(nxt, sources)
+    if rest.size and not his:
+        # Grouping sorts rest, so it waits for a gather: on the m = n/2
+        # rungs the units and sources reach every node before any.
+        np.bitwise_not(nxt, out=tmp)
+        tmp &= unseen
+        if np.count_nonzero(tmp):
+            his.update(_by_lo(rest))
     # The other hops go in blocks, and after every _CHECK_HOPS or more
     # hops the words that still hold an unseen node not reached are
     # counted: the gathers stop once there are none, and go only into

@@ -10,14 +10,17 @@ commands that only read the store load neither.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from itertools import groupby
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .bisection import bisection_fwht
 from .errors import DomainError, FormatError
 from .graph import GeneratorSet, distance_profile, format_hop_lines, parse_hop_lines
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MIN_D = 3
 MAX_M = 256
@@ -49,31 +52,27 @@ REFERENCE_EXAMPLES = (
 )
 
 
-@dataclass(frozen=True)
-class SolutionRecord:
+class SolutionRecord(namedtuple("SolutionRecord", "gens b diameter total provenance")):
     """One verified solution: a hop set plus its measured metrics, which
     must be possible for it: 1 <= b <= m, 1 <= diameter <= d (the hops
     hold a basis) and n - 1 <= total <= diameter (n - 1).  The provenance
     is one line, as the store writes it on the record's header."""
 
-    gens: GeneratorSet
-    b: int
-    diameter: int
-    total: int
-    provenance: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        m, d, n = self.m, self.d, self.n
-        if not 1 <= self.b <= m:
-            raise DomainError(f"b={self.b} is outside [1, {m}]")
-        if not 1 <= self.diameter <= d:
-            raise DomainError(f"diam={self.diameter} is outside [1, {d}]")
-        top = self.diameter * (n - 1)
-        if not n - 1 <= self.total <= top:
-            raise DomainError(
-                f"avg={self.total}/{n} is outside [{n - 1}/{n}, {top}/{n}]"
-            )
-        _check_provenance(self.provenance)
+    def __new__(
+        cls, gens: GeneratorSet, b: int, diameter: int, total: int, provenance: str
+    ):
+        m, d, n = gens.m, gens.d, gens.n
+        if not 1 <= b <= m:
+            raise DomainError(f"b={b} is outside [1, {m}]")
+        if not 1 <= diameter <= d:
+            raise DomainError(f"diam={diameter} is outside [1, {d}]")
+        top = diameter * (n - 1)
+        if not n - 1 <= total <= top:
+            raise DomainError(f"avg={total}/{n} is outside [{n - 1}/{n}, {top}/{n}]")
+        _check_provenance(provenance)
+        return super().__new__(cls, gens, b, diameter, total, provenance)
 
     @property
     def d(self) -> int:
@@ -90,6 +89,8 @@ class SolutionRecord:
     @property
     def avg(self) -> Fraction:
         """Average hop distance over all n nodes, root included."""
+        from fractions import Fraction
+
         return Fraction(self.total, self.n)
 
 
@@ -97,13 +98,7 @@ def make_record(gens: GeneratorSet, provenance: str) -> SolutionRecord:
     """Measure a hop set and wrap it as a record."""
     report = bisection_fwht(gens)
     prof = distance_profile(gens)
-    return SolutionRecord(
-        gens=gens,
-        b=report.b,
-        diameter=prof.diameter,
-        total=prof.total,
-        provenance=provenance,
-    )
+    return SolutionRecord(gens, report.b, prof.diameter, prof.total, provenance)
 
 
 def _check_bounds(gens: GeneratorSet) -> None:

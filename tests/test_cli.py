@@ -726,6 +726,48 @@ def test_compare_refuses_sizes_past_the_dimension_cap(capsys, family, radix, siz
     assert (code, out, err) == (1, "", want)
 
 
+@pytest.mark.parametrize(
+    "family,radix,sizes",
+    [
+        # A float overflow in the decimal columns.
+        ("fat_tree3", "1" + "0" * 400, None),
+        # 24 dimensions of q = 4 10^198 switches: a 4,767-digit n.
+        ("flattened_butterfly", "1" + "0" * 200, "24..24"),
+        ("lh", "1" + "0" * 100 + "1", None),
+    ],
+)
+def test_compare_refuses_a_radix_too_long_to_print(capsys, family, radix, sizes):
+    argv = ["compare", "--family", family, "-R", radix]
+    code, out, err = run(capsys, *argv, *(["--sizes", sizes] if sizes else []))
+    want = "error: -R above 10^100 gives numbers too long to print\n"
+    assert (code, out, err) == (1, "", want)
+
+
+def test_compare_prints_every_family_at_the_largest_radix(capsys, db_path):
+    radix = str(10**100)
+    runs = [
+        [family, "-R", radix]
+        for family in ("hypercube", "folded_cube", "fat_tree2", "fat_tree3")
+    ] + [
+        ["flattened_butterfly", "-R", radix, "--sizes", "1..24"],
+        # A balanced dragonfly needs a radix of 3 mod 4.
+        ["dragonfly", "-R", str(10**100 - 1)],
+        ["lh", "-R", radix, "--db", str(db_path)],
+        ["lh_vs_hypercube", "-R", radix, "--db", str(db_path)],
+    ]
+    for family, *argv in runs:
+        code, out, err = run(capsys, "compare", "--family", family, *argv)
+        assert (code, err) == (0, "") and out.count("\n") > 1
+
+
+def test_a_numpy_command_without_numpy_is_an_error_line(capsys, monkeypatch, fq3_file):
+    # None in sys.modules makes `import numpy` raise ModuleNotFoundError.
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    code, out, err = run(capsys, "metrics", fq3_file)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: lh metrics needs numpy: ") and err.count("\n") == 1
+
+
 def test_compare_lh_and_yield(capsys, db_path):
     code, out, _ = run(
         capsys, "compare", "--family", "lh", "-R", "12",
@@ -825,15 +867,18 @@ def test_importing_the_cli_loads_no_command_module():
 
 # Runs `main` in a fresh process (pytest itself has numpy and every
 # longhop module loaded) and tells on stderr which longhop modules were
-# loaded by the end, then whether numpy was.
+# loaded by the end, then which of numpy and the costly standard modules.
 COLD_SCRIPT = (
     "import sys\n"
     "from longhop.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "print(*sorted(m for m in sys.modules if m.startswith('longhop.')), file=sys.stderr)\n"
-    "print('numpy' in sys.modules, file=sys.stderr)\n"
+    "heavy = ('dataclasses', 'fractions', 'inspect', 'numpy')\n"
+    "print(*[m for m in heavy if m in sys.modules], file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
+# The cold commands that print a fraction, and so load `fractions`.
+PRINT_FRACTIONS = ("design", "compare", "oracle")
 
 # Commands that never load numpy, each with the longhop modules it loads
 # besides cli and errors: only what it runs.
@@ -873,4 +918,5 @@ def test_cold_commands_do_not_import_numpy(
         files[name].write_text(format_hops(gens))
     proc = child([sys.executable, "-c", COLD_SCRIPT, *(a.format(**files) for a in argv)])
     loaded = sorted(f"longhop.{m}" for m in ["cli", "errors", *modules.split()])
-    assert (proc.returncode, proc.stderr) == (0, " ".join(loaded) + "\nFalse\n")
+    heavy = "fractions" if argv[0] in PRINT_FRACTIONS else ""
+    assert (proc.returncode, proc.stderr) == (0, " ".join(loaded) + f"\n{heavy}\n")

@@ -402,3 +402,23 @@ def test_pull_step_matches_hd_closed_form(steps):
     _, diameter, avg = hd_metrics(14, 8192)
     assert (prof.diameter, prof.avg) == (diameter, avg)
     assert steps == ["sparse", "dense"]
+
+
+def test_gathered_hops_are_grouped_once_and_only_once_gathered(monkeypatch):
+    # Grouping sorts the hops beyond the units and sources.  The m = n/2
+    # rungs fill their one dense level without a gather, so never sort;
+    # a set that gathers on every level groups its hops once.
+    grouped = []
+    by_lo = graph._by_lo
+    monkeypatch.setattr(
+        graph, "_by_lo", lambda rest: grouped.append(rest.size) or by_lo(rest)
+    )
+    steps = []
+    record_steps(monkeypatch, steps)
+    assert distance_profile(lh_hd(14, 8192)).counts == (1, 8192, 8191)
+    assert (steps, grouped) == (["sparse", "dense"], [])
+    steps.clear()
+    monkeypatch.setattr(graph, "_SPARSE_COST", float("inf"))
+    assert_matches_oracle(_every_lo_set())
+    assert steps.count("dense") == len(steps) > 1
+    assert len(grouped) == 1 and grouped[0] > 0

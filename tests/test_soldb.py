@@ -1,6 +1,5 @@
 """Solution store: records, seeding, persistence, and verification."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -52,7 +51,7 @@ def test_add_and_query():
     assert db.query(3, 5) is None
     with pytest.raises(DomainError):
         db.add(rec)
-    newer = replace(rec, provenance="y")
+    newer = SolutionRecord(rec.gens, rec.b, rec.diameter, rec.total, "y")
     db.add(newer, replace=True)
     assert db.query(3, 4).provenance == "y"
 
@@ -78,7 +77,10 @@ def test_verify_flags_corruption():
     good = make_record(GeneratorSet(3, (1, 2, 4, 7)), "ok")
     db.add(good)
     assert db.verify() == []
-    db.add(replace(good, b=good.b + 1), replace=True)
+    wrong = SolutionRecord(
+        good.gens, good.b + 1, good.diameter, good.total, good.provenance
+    )
+    db.add(wrong, replace=True)
     problems = db.verify()
     assert len(problems) == 1
     assert "b: stored 3" in problems[0]

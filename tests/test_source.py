@@ -141,3 +141,24 @@ def test_every_library_function_has_a_caller_outside_the_tests():
         if isinstance(node, ast.FunctionDef) and node.name not in used
     ]
     assert unused == []
+
+
+def test_no_module_imports_dataclasses():
+    # `dataclasses` loads inspect, ast, dis and tokenize, 10-20 ms of every
+    # command's start-up; the record classes are named tuples instead.
+    # _replace and _make build a named tuple without its __new__, so they
+    # would skip the checks that the checking classes make there.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        or isinstance(node, ast.Import) and "dataclasses" in [a.name for a in node.names]
+    ]
+    found += [
+        f"{path.name}:{line} {name}"
+        for path in SOURCES
+        for name in ("_replace", "_make")
+        for line in _calls(path, name)
+    ]
+    assert found == []
