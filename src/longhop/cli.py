@@ -30,6 +30,12 @@ FAMILIES = (
     "lh", "hypercube", "folded_cube", "flattened_butterfly",
     "fat_tree2", "fat_tree3", "dragonfly", "lh_vs_hypercube",
 )
+# The largest radix `lh compare` and `lh design` take, and 1/MAX_RADIX
+# the smallest `lh design --phi`.  Within them every number they print
+# fits: ratios and scores stay far inside the float range, and a
+# 24-dimension butterfly has q^24 switches and at most 2,467 digits,
+# under the 4,300 digits Python turns an int into.
+MAX_RADIX = 10**100
 
 
 def _fmt_fraction(fr: Fraction) -> str:
@@ -103,6 +109,11 @@ def _fraction(option: str, text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise LongHopError(f"{option} takes a fraction like 3/2, got {text!r}") from None
+
+
+def _check_radix(radix: int) -> None:
+    if radix > MAX_RADIX:
+        raise LongHopError("-R above 10^100 gives numbers too long to print")
 
 
 def _parse_range(spec: str, base: int = 10) -> tuple[int, int]:
@@ -212,8 +223,11 @@ def cmd_diag(args) -> int:
 def cmd_design(args) -> int:
     from . import designer
 
-    db = _load_db(args)
+    _check_radix(args.radix)
     phi = _fraction("--phi", args.phi)
+    if 0 < phi * MAX_RADIX < 1:
+        raise LongHopError("--phi below 10^-100 gives numbers too long to print")
+    db = _load_db(args)
     weights = designer.DEFAULT_WEIGHTS
     if args.weights:
         parts = args.weights.split(",")
@@ -291,8 +305,7 @@ def cmd_db(args) -> int:
 def cmd_compare(args) -> int:
     from . import compare
 
-    if args.radix > compare.MAX_RADIX:
-        raise LongHopError("-R above 10^100 gives numbers too long to print")
+    _check_radix(args.radix)
     sizes = None
     if args.sizes:
         from .walsh import MAX_DIM
@@ -416,6 +429,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # numpy's OpenBLAS starts a worker thread as it loads, and that thread
+    # spins for 70-90 ms of CPU, though no command calls BLAS.  One thread
+    # unless the environment names a count; a process that has numpy
+    # loaded already keeps its environment as it is.
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -17,13 +17,6 @@ from .errors import DomainError
 if TYPE_CHECKING:
     from .soldb import SolutionDB, SolutionRecord
 
-# The largest radix compared.  Up to it every number fits the CSV: the
-# ratios stay far inside the float range, and a 24-dimension butterfly
-# has q^24 switches and at most 2,467 digits, under the 4,300 digits
-# Python turns an int into.
-MAX_RADIX = 10**100
-
-
 class ComparisonRow(NamedTuple):
     """One topology instance sized for a given switch radix.  The
     alternatives to LH all run at phi = 1 and have no LH ratio."""

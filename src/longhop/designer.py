@@ -25,6 +25,9 @@ DEFAULT_WEIGHTS = ("7/10", "3/10")
 # The wiring header goes out this many `\t#s` port cells per write, so a
 # huge radix holds a block of them at a time, not one string per port.
 _PORTS_PER_WRITE = 4096
+# The largest radix of a wiring table, whose rows are then about 3 MB of
+# text; at a radix of 10^8 the header alone would be 1 GB.
+MAX_WIRE_RADIX = 1 << 20
 
 
 class DesignChoice(NamedTuple):
@@ -109,6 +112,8 @@ class WiringTable:
             raise DomainError(
                 f"radix {radix} leaves no free ports over m={gens.m} hops"
             )
+        if radix > MAX_WIRE_RADIX:
+            raise DomainError(f"a wiring table takes a radix of at most {MAX_WIRE_RADIX}")
         self.gens = gens
         self.radix = radix
 

@@ -126,7 +126,8 @@ def hex_width(d: int) -> int:
 # A table goes out in blocks of at most _ROWS_PER_WRITE rows and, past
 # one row, at most _BYTES_PER_WRITE bytes, so the text and the arrays
 # behind one block do not grow with n or with the row width (a radix of
-# 100000 makes 300 KB wiring rows).
+# 100000 makes 300 KB wiring rows).  The template of one period of rows
+# fits the same byte budget.
 _ROWS_PER_WRITE = 2048
 _BYTES_PER_WRITE = 1 << 16
 
@@ -142,24 +143,36 @@ def write_table(
 ) -> None:
     """Write one line per v in rows: a hex label for v, then a tab and
     v ^ h in `digits` hex digits for each h in hops, then row keys[v] of
-    the uint8 table `tails` (row 0 when keys is None), NUL bytes dropped.
+    the C-contiguous uint8 table `tails` (row 0 when keys is None), NUL
+    bytes dropped.
     The label is v zero-padded to `digits` digits, or with colon v at its
     own width and a `:`.
 
-    Each block is a uint8 array, one line per row: every hex digit is a
-    16-entry lookup of (x >> 4 i) & 15 and every tail a gathered row of
-    the table.  The label width changes only at powers of 16, so a block
-    is built in groups of rows that share it, then written with one
-    stream.write.
+    The low k hex digits of v and of every v ^ h repeat with period 16^k,
+    so one period is rendered once, as a template of rows: the label's
+    low k digits, the colon, and each cell's tab and low k digits.  k is
+    the largest, at most `digits`, whose template fits _BYTES_PER_WRITE,
+    and at least 1.  Rows that share v >> 4k then take a slice of the
+    template plus constants: the label's high digits, and each cell's
+    high digits from (v ^ h) >> 4k.  Labels narrower than k digits (in
+    the first period, with colon) are the template's label with its
+    leading zeros cut off.  Tails are gathered as whole rows; a block is
+    written with one stream.write.
     """
     import numpy as np
 
     # A bytes search, not tails.all(): the reduction would fault in
     # about 200 KB more of numpy's code (peak RSS).
     ragged = b"\0" in tails.tobytes()
-    hop_words = np.array(hops, dtype=np.uint32).reshape(1, -1)
-    cells_len = len(hops) * (1 + digits)
     tail_len = tails.shape[1]
+    tail_rows = _runs(tails, 0, tail_len)
+    cells_len = len(hops) * (1 + digits)
+    k = 1
+    while k < digits and 16 ** (k + 1) * (k + 1 + colon + cells_len) <= _BYTES_PER_WRITE:
+        k += 1
+    template = _template(k, digits, hops, colon)
+    hop_highs = np.array(hops, dtype=np.int64) >> 4 * k
+    high_cells = np.empty((len(hops), digits - k), np.uint8)
     longest = len(f"{rows[-1]:X}") + 1 if colon else digits
     step = _BYTES_PER_WRITE // (longest + cells_len + tail_len)
     step = max(1, min(_ROWS_PER_WRITE, step))
@@ -167,38 +180,92 @@ def write_table(
         stop = min(start + step, rows.stop)
         parts = []
         while start < stop:
+            base, low = divmod(start, 16**k)
             label = len(f"{start:X}") if colon else digits
-            end = min(stop, 16**label) if colon else stop
-            v = np.arange(start, end, dtype=np.uint32)
-            block = np.empty((v.size, label + colon + cells_len + tail_len), np.uint8)
-            _hex_digits(v, block[:, :label])
-            if colon:
-                block[:, label] = ord(":")
-            if hops:
-                cells = block[:, label + colon : -tail_len]
-                cells = cells.reshape(v.size, len(hops), 1 + digits)
-                cells[:, :, 0] = ord("\t")
-                _hex_digits(v[:, None] ^ hop_words, cells[:, :, 1:])
-            block[:, -tail_len:] = tails[0] if keys is None else tails[keys[start:end]]
-            parts.append((block[block != 0] if ragged else block).tobytes())
+            end = min(stop, (base + 1) * 16**k, 16**label)
+            skip, high = max(k - label, 0), max(label - k, 0)
+            width = template.shape[1] - skip
+            block = np.empty((end - start, high + width + tail_len), np.uint8)
+            if high:
+                _runs(block, 0, high)[...] = np.void(f"{base:0{high}X}".encode())
+            _runs(block, high, width)[...] = _runs(template, skip, width)[low : low + end - start]
+            if high_cells.size:
+                _hex_digits(base ^ hop_highs, high_cells)
+                first = high + k - skip + colon + 1
+                cells = _runs(block, first, digits - k, len(hops), 1 + digits)
+                cells[...] = _runs(high_cells, 0, digits - k)[:, 0]
+            _runs(block, high + width, tail_len)[...] = (
+                tail_rows[0] if keys is None else tail_rows[keys[start:end]]
+            )
+            parts.append(block.tobytes())
             start = end
-        stream.write(b"".join(parts).decode("ascii"))
+        text = b"".join(parts)
+        stream.write((text.translate(None, b"\0") if ragged else text).decode("ascii"))
+
+
+def _template(k: int, digits: int, hops: Sequence[int], colon: bool) -> np.ndarray:
+    """The write_table rows of v = 0..16^k - 1 with only the low k digits
+    of the label and of each cell filled in; the high digits of each cell
+    are left for the writer."""
+    import numpy as np
+
+    period = 16**k
+    v = np.arange(period, dtype=np.int64)
+    template = np.empty((period, k + colon + len(hops) * (1 + digits)), np.uint8)
+    _hex_digits(v, template[:, :k])
+    if colon:
+        template[:, k] = ord(":")
+    if hops:
+        cells = template[:, k + colon :].reshape(period, len(hops), 1 + digits)
+        cells[:, :, 0] = ord("\t")
+        lows = np.array(hops, dtype=np.int64) & period - 1
+        _hex_digits(v[:, None] ^ lows, cells[:, :, 1 + digits - k :])
+    return template
+
+
+def _runs(table: np.ndarray, at: int, width: int, count: int = 1, gap: int = 0) -> np.ndarray:
+    """Bytes at .. at + width - 1 of each row of the C-contiguous uint8
+    table as one void item per row, or `count` such runs per row, `gap`
+    bytes apart: a view, so one copy moves each run as a whole."""
+    import numpy as np
+
+    return np.ndarray(
+        (table.shape[0], count), f"V{width}", table, at, (table.shape[1], gap)
+    )
 
 
 def spectrum_tails(m: int) -> np.ndarray:
-    r"""The write_table tails of a spectrum: row c is `\t{m - 2c}\t{c}\n`
-    for c in 0..m, in ASCII padded with NUL; m - 2c is negative past m/2.
-    Built _ROWS_PER_WRITE rows at a time, so that on the m = n/2 rungs few
-    Python strings are alive at once."""
+    r"""The write_table tails of a spectrum: row c reads `\t{m - 2c}\t{c}\n`
+    for c in 0..m once its NUL bytes are dropped; m - 2c is negative past
+    m/2.  Each number sits right-aligned after NULs in a field as wide as
+    its widest value (-m and m), so a row is 2 len(str(m)) + 4 bytes.
+    Built from digit arrays _ROWS_PER_WRITE rows at a time, so that on
+    the m = n/2 rungs the temporaries stay small."""
     import numpy as np
 
-    width = 2 * len(str(m)) + 4
-    tails = np.zeros((m + 1, width), np.uint8)
+    places = len(str(m))
+    tails = np.zeros((m + 1, 2 * places + 4), np.uint8)
+    tails[:, 0] = tails[:, places + 2] = ord("\t")
+    tails[:, -1] = ord("\n")
     for lo in range(0, m + 1, _ROWS_PER_WRITE):
-        hi = min(lo + _ROWS_PER_WRITE, m + 1)
-        text = [f"\t{m - 2 * c}\t{c}\n".encode("ascii") for c in range(lo, hi)]
-        tails[lo:hi] = np.array(text, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+        c = np.arange(lo, min(lo + _ROWS_PER_WRITE, m + 1))
+        _decimal(m - 2 * c, tails[lo : lo + c.size, 1 : places + 2])
+        _decimal(c, tails[lo : lo + c.size, places + 3 : -1])
     return tails
+
+
+def _decimal(x: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = x[i] in ASCII decimal, right-aligned after NULs, with a
+    `-` before a negative x[i]; out has a column for each digit and sign."""
+    import numpy as np
+
+    q = np.abs(x)
+    sign = x < 0
+    out[:, -1] = q % 10 + ord("0")
+    for col in range(out.shape[1] - 2, -1, -1):
+        q //= 10
+        out[:, col] = np.where(q > 0, q % 10 + ord("0"), np.where(sign, ord("-"), 0))
+        sign &= q > 0
 
 
 def _hex_digits(x: np.ndarray, out: np.ndarray) -> None:

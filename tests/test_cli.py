@@ -206,15 +206,20 @@ def test_wire_rows_across_label_widths(capsys, seeded_db, db_path, tmp_path, row
 
 @st.composite
 def table_cases(draw):
-    """A spanning set with d = 1..12, a radix of m + 1..m + 40 and a row
-    range, one that crosses a label-width boundary when the table has one."""
+    """A spanning set with d = 1..12, a radix of m + 1..m + 40, a row
+    range, and a write budget.  The range crosses a multiple of 16^j
+    when the table has one: a label-width boundary at 16^j, else a
+    boundary of the template's period where the high digits change.  The
+    budget is often small enough that the template holds fewer than n
+    rows, so that spectrum labels have high digits, which at the default
+    they have only past d = 12."""
     d = draw(st.integers(1, 12))
     n = 1 << d
     m = draw(st.integers(d, min(n - 1, d + 24)))
     hops = draw(st.lists(st.integers(1, n - 1), min_size=m, max_size=m, unique=True))
     assume(gf2.spans(hops, d))
     radix = draw(st.integers(m + 1, m + 40))
-    edges = [edge for edge in (0x10, 0x100, 0x1000) if edge < n]
+    edges = [q << 4 * j for j in (1, 2, 3) for q in range(1, 16) if q << 4 * j < n]
     if edges and draw(st.booleans()):
         edge = draw(st.sampled_from(edges))
         lo = draw(st.integers(max(0, edge - 20), edge - 1))
@@ -222,19 +227,21 @@ def table_cases(draw):
     else:
         lo = draw(st.integers(0, n - 1))
         hi = draw(st.integers(lo, n - 1))
-    return GeneratorSet(d, tuple(hops)), radix, lo, hi
+    budget = draw(st.sampled_from([graph._BYTES_PER_WRITE, 1 << 12, 1 << 9, 64, 1]))
+    return GeneratorSet(d, tuple(hops)), radix, lo, hi, budget
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=80)
 @given(table_cases())
 def test_tables_match_the_percent_referee(tmp_path_factory, case):
     # Odd and even m, and cuts past m/2, so lambda = m - 2 cut goes negative.
-    gens, radix, lo, hi = case
+    gens, radix, lo, hi, budget = case
     work = tmp_path_factory.mktemp("tables")
     hops_file = work / "set.hops"
     hops_file.write_text(format_hops(gens))
     stdout, wiring = io.StringIO(), io.StringIO()
-    with mock.patch.object(graph, "_ROWS_PER_WRITE", 3):
+    with mock.patch.object(graph, "_ROWS_PER_WRITE", 3), \
+            mock.patch.object(graph, "_BYTES_PER_WRITE", budget):
         with redirect_stdout(stdout):
             assert main(["spectrum", str(hops_file)]) == 0
         assert main(["spectrum", str(hops_file), "-o", str(work / "s.tsv")]) == 0
@@ -760,6 +767,51 @@ def test_compare_prints_every_family_at_the_largest_radix(capsys, db_path):
         assert (code, err) == (0, "") and out.count("\n") > 1
 
 
+@pytest.mark.parametrize(
+    "option,want",
+    [
+        # Past them the achieved phi or the score overflowed a float.
+        (["-R", "1" + "0" * 400], "-R above 10^100 gives numbers too long to print"),
+        (["-R", "1" + "0" * 100 + "1"], "-R above 10^100 gives numbers too long to print"),
+        (["-R", "12", "--phi", "1/1" + "0" * 400],
+         "--phi below 10^-100 gives numbers too long to print"),
+        (["-R", "12", "--phi", f"1/{10**100 + 1}"],
+         "--phi below 10^-100 gives numbers too long to print"),
+        # Not positive: the designer's own check.
+        (["-R", "12", "--phi", "0"], "target oversubscription must be positive"),
+    ],
+)
+def test_design_refuses_numbers_too_long_to_print(capsys, db_path, option, want):
+    code, out, err = run(capsys, "design", "-P", "96", *option, "--db", str(db_path))
+    assert (code, out, err) == (1, "", f"error: {want}\n")
+
+
+def test_design_prints_at_the_bounds(capsys, db_path):
+    # The largest radix with the smallest phi: a score near 10^197.
+    code, out, err = run(
+        capsys, "design", "-P", "96", "-R", str(10**100), "--phi", f"1/{10**100}",
+        "--db", str(db_path),
+    )
+    assert (code, err) == (0, "")
+    assert re.search(r" score=\d+/\d+ \(\d\.\d+e\+197\)\n$", out)
+
+
+def test_wire_refuses_a_radix_past_its_bound(db_path, tmp_path):
+    # At radix 10^8 the header alone is 10^8 cells, which takes minutes to
+    # write; the bound is checked before the -o file is touched.  A child
+    # process with a timeout, so that a missing check fails, not hangs.
+    out_file = tmp_path / "wires.tsv"
+    out_file.write_text("keep")
+    for radix in (str(designer.MAX_WIRE_RADIX + 1), "100000000", "1" + "0" * 400):
+        proc = child([
+            sys.executable, "-m", "longhop.cli", "wire", "--record", "8,18",
+            "-R", radix, "--rows", "0..0", "--db", str(db_path), "-o", str(out_file),
+        ], timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: a wiring table takes a radix of at most 1048576\n"
+    assert out_file.read_text() == "keep"
+
+
 def test_a_numpy_command_without_numpy_is_an_error_line(capsys, monkeypatch, fq3_file):
     # None in sys.modules makes `import numpy` raise ModuleNotFoundError.
     monkeypatch.setitem(sys.modules, "numpy", None)
@@ -817,10 +869,10 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
-def child(argv):
+def child(argv, timeout=None):
     """Run argv with the package under test importable."""
     env = {**os.environ, "PYTHONPATH": str(Path(longhop.__file__).parents[1])}
-    return subprocess.run(argv, capture_output=True, text=True, env=env)
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def run_child(argv):
@@ -901,6 +953,48 @@ COLD = [
     (["bisect", "{b3_24}"], f"bisection {HOP_MODULES}"),
     (["oracle", "{fq3}"], f"bisection {HOP_MODULES}"),
 ]
+
+
+# Runs `main` in a fresh process and tells on stderr how many threads
+# the process has at the end and what OPENBLAS_NUM_THREADS is.
+THREADS_SCRIPT = (
+    "import os, sys\n"
+    "from longhop.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "threads = open('/proc/self/status').read().split('Threads:')[1].split()[0]\n"
+    "print(threads, os.environ.get('OPENBLAS_NUM_THREADS'), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux /proc")
+@pytest.mark.parametrize("setting", [None, "2"])
+def test_numpy_commands_run_one_blas_thread_unless_told(fq3_file, setting):
+    # OpenBLAS reads its thread count from these when numpy loads; the
+    # child gets none of them from this process, only `setting`.
+    blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {key: value for key, value in os.environ.items() if key not in blas}
+    env["PYTHONPATH"] = str(Path(longhop.__file__).parents[1])
+    if setting:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    proc = subprocess.run(
+        [sys.executable, "-c", THREADS_SCRIPT, "metrics", fq3_file],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "diam=2 avg=10/8 (1.25)\n")
+    # OpenBLAS runs at most one thread per CPU it may use.
+    threads = min(int(setting or 1), len(os.sched_getaffinity(0)))
+    assert proc.stderr == f"{threads} {setting or 1}\n"
+
+
+def test_main_leaves_the_environment_alone_once_numpy_is_loaded(
+    capsys, monkeypatch, fq3_file
+):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert "numpy" in sys.modules
+    assert run(capsys, "metrics", fq3_file)[0] == 0
+    assert dict(os.environ) == before
 
 
 @pytest.mark.parametrize("argv,modules", COLD, ids=[" ".join(argv) for argv, _ in COLD])
