@@ -18,13 +18,14 @@ node).  An enumeration oracle for tiny n keeps both honest.
 
 `bisection_fwht` needs only the minimum, so when m <= 64 d it first runs
 the Brouwer-Zimmermann minimum-distance algorithm (`_low_weight`;
-Zimmermann 1996, Grassl 2006) on Python ints: k disjoint information
+Zimmermann 1996, Grassl 2006) on Python ints, each codeword with its
+Walsh index in the bits above its m: k disjoint information
 sets, each a set of d hops whose d x d submatrix is invertible, and in
 rounds w = 1, 2, ... every codeword whose information vector in a set
 has weight w.  A codeword not yet met then weighs at least k w plus the
 sets already done this round, so the enumeration stops once that bound
 passes the lightest codeword met: about k sum_{j <= b/k} C(d, j)
-codewords, some 70 bytes each, and not much over the 2^d the code holds
+codewords, some 45 bytes each, and not much over the 2^d the code holds
 when k is large.  It falls back to the full `cut_counts` spectrum when
 the next level would pass the budget `_ENUM_BUDGET` sets, and goes
 straight there when m > 64 d.  numpy is imported by the functions that
@@ -107,46 +108,47 @@ class BisectionReport(NamedTuple):
 # n * ceil(m/64) word pass that `cut_counts` would run instead, plus
 # 2^25 elements for the numpy import that pass also pays on a cold
 # start (0.17 s, as long as a 2^25-element pass).  One enumerated
-# codeword (two XORs of Python ints and a bit_count) measured 0.24-0.32
-# us, against 2.6-7.4 ns for one element of that pass at d = 16..24
-# (2 cores, Python 3.11, numpy 2.4), hence 1/64: at least 2^19
-# codewords (0.15 s, about 35 MB) on any set, where record (16,38)
+# codeword (an XOR of tagged Python ints, a mask and a bit_count)
+# measured 0.13-0.15 us on random sets with d = 16..24 and m = 64..160,
+# against 2.6-7.4 ns for one element of that pass at d = 16..24
+# (2 cores, Python 3.11, numpy 2.4), so 1/64 keeps the enumeration
+# within the time of the pass it replaces: at least 2^19
+# codewords (under 0.1 s, about 25 MB) on any set, where record (16,38)
 # needs 9,400, b3(24) 2,324 and no other seeded record more than 664.
 _ENUM_BUDGET = 1 / 64
 
 
 def _information_sets(gens: GeneratorSet):
-    """Yield disjoint information sets, one at a time, each as (rows,
-    combos): rows[i] is the codeword that reads 1 on the set's i'th pivot
-    hop and 0 on its other pivots, and combos[i] is its Walsh index.
+    """Yield disjoint information sets, one at a time, each as d tagged
+    rows: the low m bits of row i are the codeword that reads 1 on the
+    set's i'th pivot hop and 0 on its other pivots, and the bits above
+    them are its Walsh index.
 
-    gf2.row_reduce on the d codeword rows of the Walsh units; each set
-    takes its pivots from hops no earlier set used, and the first set
-    that runs out of such hops ends them.  The hops span, so there is
-    always one set.  Each costs d^2 XORs of m-bit ints."""
-    d = gens.d
-    found = (gf2.transpose(gens.hops, d), [1 << i for i in range(d)], (1 << gens.m) - 1)
+    gf2.row_reduce on the d codeword rows of the Walsh units, unit i
+    tagged 1 << m + i; each set takes its pivots from hops no earlier set
+    used, and the first set that runs out of such hops ends them.  The
+    hops span, so there is always one set.  Each costs d^2 XORs of
+    (m + d)-bit ints."""
+    d, m = gens.d, gens.m
+    rows = [r | 1 << m + i for i, r in enumerate(gf2.transpose(gens.hops, d))]
+    found = (rows, (1 << m) - 1)
     while (found := gf2.row_reduce(*found)) is not None:
-        yield found[:2]
+        yield found[0]
 
 
-def _levels(rows: list[int], combos: list[int]):
-    """(codewords, Walsh indices) of the information vectors of weight
+def _levels(rows: list[int]):
+    """The tagged codewords of the information vectors of weight
     w = 1, 2, ..., d, one level per next().  A level is kept in groups
     by the vector's top bit, so level w is level w - 1 with rows[i] added
-    to each vector whose top bit is below i: one XOR per codeword and one
-    per index."""
-    words, index = [[0]], [[0]]
+    to each vector whose top bit is below i: one XOR per codeword, which
+    moves its Walsh index in the tag with it."""
+    groups = [[0]]
     for _ in rows:
-        words = [[]] + [
-            [x ^ r for x in chain.from_iterable(words[:i + 1])]
+        groups = [[]] + [
+            [x ^ r for x in chain.from_iterable(groups[:i + 1])]
             for i, r in enumerate(rows)
         ]
-        index = [[]] + [
-            [x ^ a for x in chain.from_iterable(index[:i + 1])]
-            for i, a in enumerate(combos)
-        ]
-        yield chain.from_iterable(words), chain.from_iterable(index)
+        yield chain.from_iterable(groups)
 
 
 def _low_weight(gens: GeneratorSet) -> tuple[int, int] | None:
@@ -165,14 +167,15 @@ def _low_weight(gens: GeneratorSet) -> tuple[int, int] | None:
     visited at _ENUM_BUDGET (n ceil(m/64) + 2^25).
     """
     d, m = gens.d, gens.m
+    mask = (1 << m) - 1
     sets = _information_sets(gens)
-    levels = [_levels(*next(sets))]
+    levels = [_levels(next(sets))]
     # At most m // d disjoint sets exist.  When the first set's levels,
     # all 2^d - 1 codewords, cost no more than rounds 1 and 2 over that
     # many sets, the other sets are not built: a small code is visited
     # once, by one set.
     if (1 << d) - 1 > m // d * (d + comb(d, 2)):
-        levels += (_levels(*pair) for pair in sets)
+        levels += map(_levels, sets)
     k = len(levels)
     # The fallback imports numpy too, as long as a 2^25-element word pass.
     budget = _ENUM_BUDGET * (gens.n * -(-m // 64) + (1 << 25))
@@ -184,11 +187,11 @@ def _low_weight(gens: GeneratorSet) -> tuple[int, int] | None:
             spent += comb(d, w)
             if spent > budget:
                 return None
-            words, index = next(level)
-            weights = list(map(int.bit_count, words))
+            words = list(next(level))
+            weights = [(x & mask).bit_count() for x in words]
             low = min(weights)
             if low <= best:
-                first = min(i for x, i in zip(weights, index) if x == low)
+                first = min(x >> m for x, y in zip(words, weights) if y == low)
                 best, t = (low, first) if low < best else (best, min(t, first))
     return best, t
 

@@ -58,15 +58,16 @@ def _load_db(args) -> SolutionDB:
 
 
 @contextmanager
-def _output(args):
-    """The stream a command writes to: stdout, or the `-o` file.  A regular
-    file is written to a temporary file beside it, which replaces it only
-    once the command has written everything; on any error the file keeps
-    its old bytes and the temporary file is removed."""
-    if not getattr(args, "out", None):
+def _output(path):
+    """The stream a command writes to: stdout when path is None, else the
+    file at path (the `-o` file or the store).  A regular file is written
+    to a temporary file beside it, which replaces it only once the command
+    has written everything; on any error the file keeps its old bytes and
+    the temporary file is removed."""
+    if not path:
         yield sys.stdout
         return
-    target = os.path.realpath(args.out)
+    target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         # A device or a FIFO (-o /dev/stdout) cannot be replaced.
         with open(target, "w") as fh:
@@ -76,7 +77,7 @@ def _output(args):
     try:
         fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=head)
     except OSError as exc:  # name the file asked for, not the temporary one
-        raise OSError(exc.errno, exc.strerror, args.out) from None
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with open(fd, "w") as fh:
             yield fh
@@ -97,8 +98,8 @@ def _file_mode(path: str) -> int:
     return 0o666 & ~umask
 
 
-def _emit(args, text: str) -> None:
-    with _output(args) as out:
+def _emit(path, text: str) -> None:
+    with _output(path) as out:
         out.write(text)
 
 
@@ -158,7 +159,7 @@ def cmd_spectrum(args) -> int:
     gens = load_hops(args.file)
     cuts = cut_counts(gens)
     tails = spectrum_tails(gens.m)
-    with _output(args) as out:
+    with _output(args.out) as out:
         out.write("# k\tlambda\tcut\n")
         write_table(out, range(gens.n), hex_width(gens.d), tails, cuts)
     return 0
@@ -179,10 +180,10 @@ def cmd_translate(args) -> int:
 
     if args.to_hops:
         code = ecc.load_code(args.to_hops)
-        _emit(args, format_hops(ecc.code_to_hops(code)))
+        _emit(args.out, format_hops(ecc.code_to_hops(code)))
     else:
         gens = load_hops(args.to_code)
-        _emit(args, ecc.format_code(ecc.hops_to_code(gens)))
+        _emit(args.out, ecc.format_code(ecc.hops_to_code(gens)))
     return 0
 
 
@@ -206,7 +207,7 @@ def cmd_build(args) -> int:
         gens = constructions.mesh(args.dim)
     else:
         gens = constructions.augment_odd_b(load_hops(args.file))
-    _emit(args, format_hops(gens))
+    _emit(args.out, format_hops(gens))
     return 0
 
 
@@ -216,7 +217,7 @@ def cmd_diag(args) -> int:
 
     gens = load_hops(args.file)
     normalized, _ = diagonalize(gens)
-    _emit(args, format_hops(normalized))
+    _emit(args.out, format_hops(normalized))
     return 0
 
 
@@ -262,7 +263,7 @@ def cmd_wire(args) -> int:
     table = WiringTable(rec.gens, args.radix)
     lo, hi = _parse_range(args.rows, base=16) if args.rows else (0, None)
     # write() checks the range; on a bad one _output leaves the -o file alone.
-    with _output(args) as out:
+    with _output(args.out) as out:
         table.write(out, lo, hi)
     return 0
 
@@ -276,7 +277,7 @@ def cmd_db(args) -> int:
             raise LongHopError(f"{path} exists; use --force to reseed")
         db = soldb.SolutionDB()
         count = soldb.seed_defaults(db)
-        soldb.save(db, path)
+        _emit(path, soldb.dumps(db))
         print(f"seeded {count} records into {path}")
         return 0
     if args.action == "list":
@@ -297,7 +298,7 @@ def cmd_db(args) -> int:
     rec = soldb.ingest_code_file(
         db, args.file, provenance=args.prov, replace=args.replace
     )
-    soldb.save(db, path)
+    _emit(path, soldb.dumps(db))
     print(f"ingested d={rec.d} m={rec.m} b={rec.b} into {path}")
     return 0
 
@@ -330,7 +331,7 @@ def cmd_compare(args) -> int:
         text = compare.to_csv(
             compare.alternative_series(args.family, args.radix, sizes)
         )
-    _emit(args, text)
+    _emit(args.out, text)
     return 0
 
 

@@ -59,15 +59,16 @@ def transvect(vectors, src: int, dst: int) -> list[int]:
     return [v ^ ((v >> src & 1) << dst) for v in vectors]
 
 
-def row_reduce(rows, combos, free: int):
+def row_reduce(rows, free: int):
     """Gauss-Jordan on the row ints `rows`: row i takes its pivot at the
     lowest column of `free` it holds once rows 0..i-1 are reduced, and is
-    cleared from every other row.  combos[i] tags rows[i] and follows the
-    same XORs, so it tells which input rows make up each output row.
-    Returns new lists (rows, combos) and `free` less the pivot columns, or
-    None when some row holds no column of `free`: the rows restricted to
-    those columns are then dependent.  len(rows)^2 XORs of row ints."""
-    rows, combos = list(rows), list(combos)
+    cleared from every other row.  Bits above the columns of `free` follow
+    the same XORs, so a tag kept there (row i | 1 << w + i, with free
+    below bit w) tells which input rows make up each output row.
+    Returns a new list of rows and `free` less the pivot columns, or None
+    when some row holds no column of `free`: the rows restricted to those
+    columns are then dependent.  len(rows)^2 XORs of row ints."""
+    rows = list(rows)
     for i in range(len(rows)):
         pivot = rows[i] & free
         if not pivot:
@@ -77,8 +78,7 @@ def row_reduce(rows, combos, free: int):
         for j in range(len(rows)):
             if j != i and rows[j] & pivot:
                 rows[j] ^= rows[i]
-                combos[j] ^= combos[i]
-    return rows, combos, free
+    return rows, free
 
 
 def apply(rows, x: int) -> int:

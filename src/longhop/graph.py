@@ -112,11 +112,6 @@ class DistanceProfile(NamedTuple):
 
         return Fraction(self.total, self.n)
 
-    @property
-    def far_count(self) -> int:
-        """How many nodes sit at exactly the diameter."""
-        return self.counts[-1]
-
 
 def hex_width(d: int) -> int:
     """Digits needed to print a d-bit word in hex."""
@@ -360,10 +355,10 @@ def distance_profile(gens: GeneratorSet) -> DistanceProfile:
     """Level-synchronous BFS from node 0 that keeps only the size of each
     level; O(n) bytes whatever m is.
 
-    The hops are first mapped so that d of them are unit vectors; the
-    other r are the extras.  Unseen nodes and each level are kept as
-    packed 64-node words, and each level takes the step the costs above
-    rate cheaper (when no level can be dense, the hops are not mapped):
+    The hops are first mapped by _systematic_hops so that d of them are
+    unit vectors; the other r are the extras.  Unseen nodes and each
+    level are kept as packed 64-node words, and each level takes the step
+    the costs above rate cheaper:
     - the sparse step lists the frontier, or the unseen nodes once fewer,
       and tests v ^ h for each listed v and hop h;
     - the dense step ORs into the next level every unit hop's image of
@@ -391,12 +386,7 @@ def distance_profile(gens: GeneratorSet) -> DistanceProfile:
     words = -(-n // 64)
     cap = min(m - d, max(d - 6, 0))
     dense_ops = words * _dense_ops(d, m - d - cap) + _LEVEL_OPS
-    if (n >> 1) * m * _SPARSE_COST <= dense_ops:
-        # No list is longer than n/2, so every level is sparse, and the
-        # sparse step needs no basis.
-        hops = np.array(gens.hops, dtype="<i8")
-    else:
-        hops = _systematic_hops(gens)
+    hops = _systematic_hops(gens)
     sources = None
     unseen = np.full(words, (1 << min(n, 64)) - 1, dtype="<u8")
     unseen[0] ^= 1
@@ -429,28 +419,25 @@ def distance_profile(gens: GeneratorSet) -> DistanceProfile:
 def _systematic_hops(gens: GeneratorSet) -> np.ndarray:
     """The hops, as int64, under the linear map that sends d independent
     hops to the unit vectors: a graph isomorphism, so the profile is the
-    same.  Hops that hold all d units are kept as they are.  Otherwise
-    gf2.row_reduce on the d rows of the hops' bit matrix finds the map;
-    numpy builds those rows from byte planes and applies the map one byte
-    of each hop at a time, through 256-entry tables."""
+    same.  gf2.row_reduce on the d rows of the hops' bit matrix, row i
+    tagged 1 << m + i, finds the map: the tag of output row i is row i of
+    its matrix, so gf2.transpose of the tags gives the image of each
+    unit.  numpy builds the rows from byte planes and applies the map one
+    byte of each hop at a time, through 256-entry tables.  Hops that
+    start with the d units map to themselves."""
     import numpy as np
 
     d, m = gens.d, gens.m
     hops = np.array(gens.hops, dtype="<i8")
-    # The hops are distinct, so d powers of two among them are the units.
-    if np.count_nonzero(hops & (hops - 1) == 0) == d:
-        return hops
     planes = np.ascontiguousarray(hops.view("u1").reshape(m, 8)[:, : -(-d // 8)].T)
     rows = [
         int.from_bytes(
             np.packbits(planes[i >> 3] & 1 << (i & 7), bitorder="little").tobytes(),
             "little",
-        )
+        ) | 1 << m + i
         for i in range(d)
     ]
-    combos = gf2.row_reduce(rows, [1 << i for i in range(d)], (1 << m) - 1)[1]
-    # The image of unit j: bit i is bit j of combos[i].
-    images = [sum((c >> j & 1) << i for i, c in enumerate(combos)) for j in range(d)]
+    images = gf2.transpose([r >> m for r in gf2.row_reduce(rows, (1 << m) - 1)[0]], d)
     out = np.zeros_like(hops)
     for j in range(0, d, 8):
         table = _subset_xors(np.array(images[j : j + 8]))

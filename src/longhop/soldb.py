@@ -13,14 +13,10 @@ import re
 from collections import namedtuple
 from itertools import groupby
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .bisection import bisection_fwht
 from .errors import DomainError, FormatError
 from .graph import GeneratorSet, distance_profile, format_hop_lines, parse_hop_lines
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 MIN_D = 3
 MAX_M = 256
@@ -85,13 +81,6 @@ class SolutionRecord(namedtuple("SolutionRecord", "gens b diameter total provena
     @property
     def n(self) -> int:
         return self.gens.n
-
-    @property
-    def avg(self) -> Fraction:
-        """Average hop distance over all n nodes, root included."""
-        from fractions import Fraction
-
-        return Fraction(self.total, self.n)
 
 
 def make_record(gens: GeneratorSet, provenance: str) -> SolutionRecord:
@@ -177,16 +166,6 @@ def ingest_code_file(db: SolutionDB, path, provenance: str | None = None,
     return rec
 
 
-def seed_reference_examples(db: SolutionDB) -> int:
-    """Insert the three reference designs, metrics recomputed."""
-    added = 0
-    for provenance, gens in REFERENCE_EXAMPLES:
-        if db.query(gens.d, gens.m) is None:
-            db.add(make_record(gens, provenance))
-            added += 1
-    return added
-
-
 def seed_defaults(db: SolutionDB) -> int:
     """Reference examples plus construction families for d up to 12.
 
@@ -195,8 +174,7 @@ def seed_defaults(db: SolutionDB) -> int:
     """
     from . import constructions
 
-    added = seed_reference_examples(db)
-    families = []
+    families = list(REFERENCE_EXAMPLES)
     for d in range(3, 13):
         families.append(("hypercube", constructions.hypercube(d)))
         families.append(("folded cube", constructions.folded_cube(d)))
@@ -206,6 +184,7 @@ def seed_defaults(db: SolutionDB) -> int:
                 families.append(("half-distance ladder", constructions.lh_hd(d, m)))
     for d in range(3, 13):
         families.append(("low-density b=3", constructions.low_density_b3(d)))
+    added = 0
     for provenance, gens in families:
         if db.query(gens.d, gens.m) is None:
             db.add(make_record(gens, provenance))
@@ -264,10 +243,6 @@ def loads(text: str) -> SolutionDB:
             raise FormatError(f"record (d={d}, m={m}): {exc}") from None
         db.add(rec)
     return db
-
-
-def save(db: SolutionDB, path) -> None:
-    Path(path).write_text(dumps(db))
 
 
 def load(path) -> SolutionDB:

@@ -15,7 +15,7 @@ def seeded_db():
 def db_path(tmp_path_factory, seeded_db):
     """The seed set persisted to disk, for CLI tests."""
     path = tmp_path_factory.mktemp("store") / "lh.db"
-    soldb.save(seeded_db, path)
+    path.write_text(soldb.dumps(seeded_db))
     return path
 
 

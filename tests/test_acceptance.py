@@ -121,8 +121,8 @@ def test_criterion_3_end_to_end(seeded_db):
     choice = find_solution(seeded_db, 96, 12)
     rec = choice.record
     assert (rec.d, rec.m, rec.b, rec.diameter) == (5, 9, 3, 3)
-    assert rec.avg == Fraction(54, 32)
-    assert repr(float(rec.avg)) == "1.6875"
+    assert Fraction(rec.total, rec.n) == Fraction(54, 32)
+    assert repr(rec.total / rec.n) == "1.6875"
     assert _wiring_rows(rec.gens, 12, 5, 5) == [
         "5:\t04\t07\t01\t0D\t15\t0B\t0A\t11\t1C\t**\t**\t**"
     ]
@@ -130,8 +130,8 @@ def test_criterion_3_end_to_end(seeded_db):
     choice = find_solution(seeded_db, 1536, 24)
     rec = choice.record
     assert (rec.d, rec.m, rec.b, rec.diameter) == (8, 18, 6, 3)
-    assert rec.avg == Fraction(585, 256)
-    assert abs(float(rec.avg) - 2.2851562) <= 5e-7
+    assert Fraction(rec.total, rec.n) == Fraction(585, 256)
+    assert abs(rec.total / rec.n - 2.2851562) <= 5e-7
     rows = _wiring_rows(rec.gens, 24, 0, 15)
     assert rows[0] == (
         "0:\t01\t02\t04\t08\t10\t20\t40\t80\t1A\t2D\t47\t78"
@@ -146,7 +146,7 @@ def test_criterion_3_end_to_end(seeded_db):
     choice = find_solution(seeded_db, 655360, 48)
     rec = choice.record
     assert (rec.d, rec.m, rec.b, rec.diameter) == (16, 38, 10, 5)
-    assert abs(float(rec.avg) - 4.061691) <= 5e-7
+    assert abs(rec.total / rec.n - 4.061691) <= 5e-7
     done = _timed(10.0)
     fresh = make_record(rec.gens, "recheck")
     assert (fresh.b, fresh.diameter, fresh.total) == (10, 5, 266187)

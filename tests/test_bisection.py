@@ -329,6 +329,24 @@ def test_several_information_sets_give_the_first_minimum(gens):
     assert (rep.b, rep.t) == (counts[t], t)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_large_random_sets_give_the_first_minimum(seed):
+    # d = 16..20 with 64-256 hops: the enumeration over several tagged
+    # information sets, or its fallback once it would pass _ENUM_BUDGET
+    # (seeds 4 and 5: over 200 hops at d = 20, so b lies far out),
+    # against the spectrum.
+    rng = random.Random(seed)
+    if seed < 4:
+        gens = _random_spanning(rng, 16 + seed, rng.randint(64, 120))
+    else:
+        gens = _random_spanning(rng, 20, rng.randint(200, 256))
+    assert (bisection._low_weight(gens) is None) == (seed >= 4)
+    rep = bisection_fwht(gens)
+    counts = cut_counts(gens)
+    t = int(counts[1:].argmin()) + 1
+    assert (rep.b, rep.t) == (counts[t], t)
+
+
 def test_information_sets_bound_every_codeword():
     # What the stopping bound rests on: each set maps the information
     # vectors one to one onto the codewords, and since the sets' pivots
@@ -339,12 +357,15 @@ def test_information_sets_bound_every_codeword():
     sets = list(bisection._information_sets(gens))
     assert len(sets) >= 3
     total = [0] * gens.n
-    for rows, combos in sets:
-        index = [gf2.apply(combos, x) for x in range(gens.n)]
+    mask = (1 << gens.m) - 1
+    for rows in sets:
+        # Each row holds its codeword below bit m and its Walsh index above.
+        tagged = [gf2.apply(rows, x) for x in range(gens.n)]
+        index = [y >> gens.m for y in tagged]
         assert sorted(index) == list(range(gens.n))
-        for x, k in enumerate(index):
-            assert gf2.apply(rows, x) == gf2.apply(units, k)
-            total[k] += x.bit_count()
+        for x, y in enumerate(tagged):
+            assert y & mask == gf2.apply(units, y >> gens.m)
+            total[y >> gens.m] += x.bit_count()
     assert all(t <= gf2.apply(units, k).bit_count() for k, t in enumerate(total))
 
 

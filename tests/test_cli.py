@@ -3,6 +3,7 @@
 import hashlib
 import io
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -15,7 +16,7 @@ from unittest import mock
 # Loaded before any test traces memory, so no traced peak counts its import.
 import numpy  # noqa: F401
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import longhop
@@ -231,7 +232,13 @@ def table_cases(draw):
     return GeneratorSet(d, tuple(hops)), radix, lo, hi, budget
 
 
-@settings(deadline=None, max_examples=80)
+# No shrink phase: every example writes whole tables through main, so
+# shrinking a failure would run for many minutes; the first failing
+# example is reported as drawn.
+@settings(
+    deadline=None, max_examples=80,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
 @given(table_cases())
 def test_tables_match_the_percent_referee(tmp_path_factory, case):
     # Odd and even m, and cuts past m/2, so lambda = m - 2 cut goes negative.
@@ -880,6 +887,44 @@ def run_child(argv):
     proc = child(argv)
     assert (proc.returncode, proc.stderr) == (0, "")
     return proc.stdout
+
+
+# A child that may not grow any file past argv[1] bytes, and gets EFBIG
+# instead of SIGXFSZ when it tries, runs `lh` on the rest of argv.
+FSIZE_SCRIPT = """
+import resource, signal, sys
+from longhop.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux file-size limit")
+def test_a_failed_store_write_leaves_the_store_alone(capsys, tmp_path):
+    # The limit applies to the child alone: its ingest of a d = 12,
+    # 256-hop code cannot write the grown store, and the store it read
+    # keeps its bytes.
+    store_dir = tmp_path / "store"
+    store_dir.mkdir()
+    db = store_dir / "lh.db"
+    assert run(capsys, "db", "seed", "--db", str(db))[0] == 0
+    before = db.read_bytes()
+    rng = random.Random(12)
+    gens = GeneratorSet(12, rng.sample(range(1, 1 << 12), 256))
+    wide = tmp_path / "wide.code"
+    wide.write_text(format_code(hops_to_code(gens)))
+    proc = child([
+        sys.executable, "-B", "-c", FSIZE_SCRIPT, str(len(before) + 200),
+        "db", "ingest", str(wide), "--db", str(db),
+    ], timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert re.fullmatch(r"error: .*File too large\n", proc.stderr)
+    assert db.read_bytes() == before
+    assert os.listdir(store_dir) == ["lh.db"]
+    code, out, _ = run(capsys, "db", "list", "--db", str(db))
+    assert code == 0 and len(out.splitlines()) == 64
 
 
 def test_installed_entry_point(fq3_file):

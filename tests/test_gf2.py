@@ -97,19 +97,20 @@ def test_apply_matches_a_bit_loop(rows, data):
 
 @given(st.lists(st.integers(0, 255), min_size=1, max_size=6), st.integers(0, 255))
 def test_row_reduce_is_gauss_jordan(rows, free):
-    found = gf2.row_reduce(rows, [1 << i for i in range(len(rows))], free)
+    # Input row i carries the tag 1 << 8 + i above the 8 columns.
+    found = gf2.row_reduce([r | 1 << 8 + i for i, r in enumerate(rows)], free)
     # Restricted to the columns of free, the rows have full rank exactly
     # when the reduction finds a pivot for each.
     full = gf2.rank([r & free for r in rows]) == len(rows)
     assert (found is not None) == full
     if found is None:
         return
-    out, combos, left = found
+    out, left = found
     pivots = free & ~left
     assert left & pivots == 0 and pivots.bit_count() == len(rows)
-    for r, c in zip(out, combos):
-        # Each output row is the XOR its combo names, and holds exactly
-        # one pivot column, a different one for each row.
-        assert r == _apply(rows, c)
+    for r in out:
+        # Each output row is the XOR of the input rows its tag names, and
+        # holds exactly one pivot column, a different one for each row.
+        assert r & 255 == _apply(rows, r >> 8)
         assert (r & pivots).bit_count() == 1
     assert gf2.rank([r & pivots for r in out]) == len(rows)

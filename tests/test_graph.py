@@ -166,7 +166,7 @@ def test_distance_profile_goldens(gens, diameter, total):
 def test_distance_profile_details():
     prof = distance_profile(FQ3)
     assert prof.counts == (1, 4, 3)
-    assert prof.far_count == 3
+    assert prof.counts[-1] == 3
 
 
 @given(generator_sets())
@@ -176,7 +176,7 @@ def test_distance_profile_matches_bfs_oracle(gens):
     assert prof.counts == tuple(np.bincount(want).tolist())
     assert prof.diameter == max(want)
     assert prof.total == sum(want)
-    assert prof.far_count == want.count(max(want))
+    assert prof.counts[-1] == want.count(max(want))
 
 
 def test_distance_profile_disconnected():
@@ -233,7 +233,7 @@ def test_distance_profile_memory_is_independent_of_m():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (prof.diameter, prof.far_count) == (2, 4095)
+    assert (prof.diameter, prof.counts[-1]) == (2, 4095)
     assert peak < 1 << 20
 
 
@@ -274,7 +274,7 @@ def test_distance_profile_memory_per_node_at_d24():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (prof.diameter, prof.far_count) == (13, 1)
+    assert (prof.diameter, prof.counts[-1]) == (13, 1)
     assert peak < 1.5 * gens.n
 
 
@@ -312,7 +312,7 @@ def assert_matches_oracle(gens):
     prof = distance_profile(gens)
     want = oracle.distances(gens.d, gens.hops)
     assert prof.counts == tuple(np.bincount(want).tolist())
-    assert prof.far_count == want.count(max(want))
+    assert prof.counts[-1] == want.count(max(want))
     return prof
 
 
@@ -369,6 +369,47 @@ def test_distance_profile_is_invariant_under_invertible_maps(gens, seed):
     rows = gf2.random_invertible(gens.d, random.Random(seed))
     mapped = GeneratorSet(gens.d, tuple(gf2.apply(rows, h) for h in gens.hops))
     assert distance_profile(mapped) == distance_profile(gens)
+
+
+@st.composite
+def unit_placements(draw):
+    """Spanning sets at d = 1..10 with the unit hops absent, present but
+    not as the first d hops, or first, and which of the three."""
+    d = draw(st.integers(1, 10))
+    n = 1 << d
+    units = [1 << i for i in range(d)]
+    others = [x for x in range(1, n) if x & (x - 1)]
+    placement = draw(st.sampled_from(["absent", "inside", "first"]))
+    top = min(len(others) if placement == "absent" else n - 1, 3 * d)
+    assume(top >= d)
+    m = draw(st.integers(d, top))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if placement == "absent":
+        hops = rng.sample(others, m)
+    else:
+        hops = units + rng.sample(others, m - d)
+    if placement == "inside":
+        rng.shuffle(hops)
+        assume(hops[:d] != units)
+    assume(gf2.spans(hops, d))
+    return GeneratorSet(d, tuple(hops)), placement
+
+
+@given(unit_placements())
+@settings(deadline=None)
+def test_systematic_hops_are_the_hops_under_one_invertible_map(case):
+    gens, placement = case
+    d = gens.d
+    out = graph._systematic_hops(gens).tolist()
+    assert set(out) >= {1 << i for i in range(d)}
+    # The pairs (h, out) span a rank-d space exactly when out is a linear
+    # map of the spanning hops, and the map is invertible when out spans.
+    assert gf2.rank(h | o << d for h, o in zip(gens.hops, out)) == d
+    assert gf2.spans(out, d)
+    if placement == "first":
+        assert out == list(gens.hops)
+    want = oracle.distances(d, out)
+    assert distance_profile(gens).counts == tuple(np.bincount(want).tolist())
 
 
 def _every_lo_set():

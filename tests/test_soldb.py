@@ -20,9 +20,7 @@ from longhop.soldb import (
     load,
     loads,
     make_record,
-    save,
     seed_defaults,
-    seed_reference_examples,
 )
 
 CODE74_TEXT = "1101000\n0110100\n1110010\n1010001\n"
@@ -32,7 +30,7 @@ def test_make_record_measures():
     rec = make_record(GeneratorSet(3, (1, 2, 4, 7)), "folded cube")
     assert (rec.d, rec.m, rec.n) == (3, 4, 8)
     assert (rec.b, rec.diameter, rec.total) == (2, 2, 10)
-    assert rec.avg == Fraction(10, 8)
+    assert Fraction(rec.total, rec.n) == Fraction(10, 8)
     assert rec.provenance == "folded cube"
 
 
@@ -100,7 +98,7 @@ def test_dump_load_round_trip(seeded_db, tmp_path):
     again = loads(text)
     assert dumps(again) == text
     path = tmp_path / "round.db"
-    save(seeded_db, path)
+    path.write_text(text)
     loaded = load(path)
     assert len(loaded) == len(seeded_db)
     assert loaded.verify() == []
@@ -195,12 +193,14 @@ def test_ingest_a_code_wider_than_63_columns(tmp_path):
     assert rec.b == min(w.bit_count() for w in words[1:])
 
 
-def test_seed_reference_examples():
-    db = SolutionDB()
-    assert seed_reference_examples(db) == 3
-    assert {(r.d, r.m) for r in db.records()} == {(5, 9), (8, 18), (16, 38)}
-    # Reseeding never duplicates.
-    assert seed_reference_examples(db) == 0
+def test_reference_examples_win_key_ties_and_reseeding_adds_nothing(seeded_db):
+    # seed_defaults adds the reference designs before the construction
+    # families, so a family rung with the same (d, m) never displaces one.
+    for provenance, gens in REFERENCE_EXAMPLES:
+        assert seeded_db.query(gens.d, gens.m).provenance == provenance
+    db = loads(dumps(seeded_db))
+    assert seed_defaults(db) == 0
+    assert dumps(db) == dumps(seeded_db)
 
 
 def test_seed_defaults_population(seeded_db):

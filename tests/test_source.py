@@ -129,16 +129,28 @@ def _references(path):
             yield from node.value.split(".")
 
 
+def _defined(path):
+    """(owner, name) of each module function and each non-dunder method
+    or property of a module class in path; owner is "" for a function."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.FunctionDef):
+            yield "", node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.", item.name
+
+
 def test_every_library_function_has_a_caller_outside_the_tests():
-    # A function that only tests call belongs with the tests (oracle.py
-    # holds the referees), not in the library.
+    # A function, method or property that only tests read belongs with
+    # the tests (oracle.py holds the referees), not in the library.
     readers = SOURCES + sorted(BENCH.glob("*.py"))
     used = {name for path in readers for name in _references(path)}
     unused = [
-        f"{path.name}:{node.name}"
+        f"{path.name}:{owner}{name}"
         for path in SOURCES
-        for node in ast.parse(path.read_text(), filename=str(path)).body
-        if isinstance(node, ast.FunctionDef) and node.name not in used
+        for owner, name in _defined(path)
+        if name not in used
     ]
     assert unused == []
 
