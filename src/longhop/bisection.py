@@ -11,16 +11,16 @@ C_k is also the Hamming weight of codeword k of the hop set's code
 (bit s of codeword k is the parity of k & hop s), which is why b is the
 code's minimum distance.  `cut_counts` uses that view whenever the
 hops fit in at most d 64-bit words (m <= 64 d): it builds all n
-codewords by doubling and counts their bits, peaking near 11 bytes per
-node.  Wider sets, such as the half-distance rungs with m in the
-thousands, take one FWHT of the hop indicator instead (24 bytes per
-node).  An enumeration oracle for tiny n keeps both honest.
+codewords with `gf2.subset_xors` and counts their bits, peaking near
+11 bytes per node.  Wider sets, such as the half-distance rungs with m
+in the thousands, take one FWHT of the hop indicator instead (24 bytes
+per node).  An enumeration oracle for tiny n keeps both honest.
 
 `bisection_fwht` needs only the minimum, so when m <= 64 d it first runs
 the Brouwer-Zimmermann minimum-distance algorithm (`_low_weight`;
 Zimmermann 1996, Grassl 2006) on Python ints, each codeword with its
-Walsh index in the bits above its m: k disjoint information
-sets, each a set of d hops whose d x d submatrix is invertible, and in
+Walsh index in the bits above its m: k disjoint `gf2.information_sets`,
+each a set of d hops whose d x d submatrix is invertible, and in
 rounds w = 1, 2, ... every codeword whose information vector in a set
 has weight w.  A codeword not yet met then weighs at least k w plus the
 sets already done this round, so the enumeration stops once that bound
@@ -60,10 +60,10 @@ def cut_counts(gens: GeneratorSet) -> np.ndarray:
     """C_k for every k: hops with odd overlap against k.
 
     C_k * n/2 is the link count across the Walsh-k bisection.  It is the
-    weight of codeword k, built for 64 hops at a time by doubling:
-    codeword k + 2^i is codeword k XOR row i, so n word operations per
-    64 hops.  The FWHT costs n operations per dimension instead, so it
-    takes over once the hops fill more than d words.
+    weight of codeword k, built for 64 hops at a time by gf2.subset_xors
+    of their d rows as uint64 words, so n word operations per 64 hops.
+    The FWHT costs n operations per dimension instead, so it takes over
+    once the hops fill more than d words.
     """
     import numpy as np
 
@@ -75,14 +75,9 @@ def cut_counts(gens: GeneratorSet) -> np.ndarray:
         return diff >> 1
     # m <= 64 d <= 1536, so the per-k total fits in uint16.
     counts = np.zeros(n, dtype=np.uint16)
-    words = np.empty(n, dtype=np.uint64)
-    words[0] = 0
     for lo in range(0, m, 64):
-        for i, row in enumerate(gf2.transpose(gens.hops[lo:lo + 64], d)):
-            h = 1 << i
-            np.bitwise_xor(words[:h], np.uint64(row), out=words[h:2 * h])
-        counts += np.bitwise_count(words)
-    del words  # before the int64 copy, so the peak stays near 11 bytes per node
+        rows = np.array(gf2.transpose(gens.hops[lo:lo + 64], d), dtype=np.uint64)
+        counts += np.bitwise_count(gf2.subset_xors(rows))
     return counts.astype(np.int64)
 
 
@@ -118,24 +113,6 @@ class BisectionReport(NamedTuple):
 _ENUM_BUDGET = 1 / 64
 
 
-def _information_sets(gens: GeneratorSet):
-    """Yield disjoint information sets, one at a time, each as d tagged
-    rows: the low m bits of row i are the codeword that reads 1 on the
-    set's i'th pivot hop and 0 on its other pivots, and the bits above
-    them are its Walsh index.
-
-    gf2.row_reduce on the d codeword rows of the Walsh units, unit i
-    tagged 1 << m + i; each set takes its pivots from hops no earlier set
-    used, and the first set that runs out of such hops ends them.  The
-    hops span, so there is always one set.  Each costs d^2 XORs of
-    (m + d)-bit ints."""
-    d, m = gens.d, gens.m
-    rows = [r | 1 << m + i for i, r in enumerate(gf2.transpose(gens.hops, d))]
-    found = (rows, (1 << m) - 1)
-    while (found := gf2.row_reduce(*found)) is not None:
-        yield found[0]
-
-
 def _levels(rows: list[int]):
     """The tagged codewords of the information vectors of weight
     w = 1, 2, ..., d, one level per next().  A level is kept in groups
@@ -165,10 +142,12 @@ def _low_weight(gens: GeneratorSet) -> tuple[int, int] | None:
     where that costs no more than the first two rounds over every set,
     the other sets are never built.  The budget caps the codewords
     visited at _ENUM_BUDGET (n ceil(m/64) + 2^25).
+    The sets reduce the codeword rows of the Walsh units,
+    gf2.transpose(gens.hops, d), so a reduced row's tag is its index.
     """
     d, m = gens.d, gens.m
     mask = (1 << m) - 1
-    sets = _information_sets(gens)
+    sets = gf2.information_sets(gf2.transpose(gens.hops, d), m)
     levels = [_levels(next(sets))]
     # At most m // d disjoint sets exist.  When the first set's levels,
     # all 2^d - 1 codewords, cost no more than rounds 1 and 2 over that
@@ -282,8 +261,8 @@ def optimize_direct(d: int, m: int, budget: int = 100_000):
         raise BudgetExceeded(
             f"{total} candidate sets exceed the budget of {budget}"
         )
-    rows = gf2.transpose(range(1, n), d)
-    odd = np.array([gf2.apply(rows, k) for k in range(1, n)], dtype=np.uint64)
+    rows = np.array(gf2.transpose(range(1, n), d), dtype=np.uint64)
+    odd = gf2.subset_xors(rows)[1:]
     subsets = combinations(range(n - 1), m)
     best_b, survivors = 0, []
     while block := list(islice(subsets, _DIRECT_BLOCK)):

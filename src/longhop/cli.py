@@ -70,7 +70,7 @@ def _output(path):
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         # A device or a FIFO (-o /dev/stdout) cannot be replaced.
-        with open(target, "w") as fh:
+        with open(target, "w", encoding="utf-8") as fh:
             yield fh
         return
     head, name = os.path.split(target)
@@ -79,7 +79,7 @@ def _output(path):
     except OSError as exc:  # name the file asked for, not the temporary one
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
-        with open(fd, "w") as fh:
+        with open(fd, "w", encoding="utf-8") as fh:
             yield fh
         os.chmod(tmp, _file_mode(target))
         os.replace(tmp, target)
@@ -439,10 +439,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LongHopError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (LongHopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ModuleNotFoundError as exc:

@@ -140,6 +140,5 @@ class WiringTable:
         free = "\t**" * (self.radix - len(hops)) + "\n"
         tails = np.frombuffer(free.encode("ascii"), dtype=np.uint8).reshape(1, -1)
         write_table(
-            stream, range(lo, hi + 1), hex_width(self.gens.d), tails,
-            hops=hops, colon=True,
+            stream, range(lo, hi + 1), hex_width(self.gens.d), tails, hops=hops
         )

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import gf2
 from .errors import DomainError, FormatError
-from .graph import GeneratorSet, read_lines
+from .graph import GeneratorSet, read_lines, read_text
 from .walsh import MAX_DIM
 
 if TYPE_CHECKING:
@@ -72,7 +71,7 @@ def parse_code(text: str) -> LinearCode:
 
 
 def load_code(path) -> LinearCode:
-    return parse_code(Path(path).read_text())
+    return parse_code(read_text(path))
 
 
 def code_to_hops(code: LinearCode) -> GeneratorSet:

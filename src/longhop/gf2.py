@@ -4,7 +4,9 @@ Vectors are Python ints (bit i = coordinate i) and a matrix is a list of
 row ints.  Everything here is exact and allocation-light; dimensions in
 this package never exceed 24 so dense elimination is always cheap.
 `transpose` holds the generator-matrix bit layout for every module that
-reads hops as a matrix: bit s of row i is bit i of hop s.
+reads hops as a matrix: bit s of row i is bit i of hop s.  From those
+rows, `information_sets` and `subset_xors` (which imports numpy as it
+runs) build the codewords of every engine that enumerates them.
 """
 from __future__ import annotations
 
@@ -44,13 +46,16 @@ def spans(vectors, d: int) -> bool:
 
 def transpose(vectors, width: int) -> list[int]:
     """The bit matrix read the other way: `width` row ints, bit s of row i
-    being bit i of vectors[s].  Every vector must fit in `width` bits."""
-    rows = [0] * width
-    for s, v in enumerate(vectors):
-        for i in range(v.bit_length()):
-            if v >> i & 1:
-                rows[i] |= 1 << s
-    return rows
+    being bit i of vectors[s]; DomainError unless each fits in `width`
+    bits.  Linear in the bits: reversed, the string of every vector's
+    bits holds row i in every width'th character from i."""
+    spec = f"0{width}b"
+    # At width 0 only a zero vector fits, as the empty string.
+    words = [format(v, spec) if width or v else "" for v in vectors]
+    bits = "".join(words)[::-1]
+    if len(bits) != width * len(words) or "-" in bits:
+        raise DomainError(f"a vector does not fit in {width} bits")
+    return [int(bits[i::width] or "0", 2) for i in range(width)]
 
 
 def transvect(vectors, src: int, dst: int) -> list[int]:
@@ -81,6 +86,19 @@ def row_reduce(rows, free: int):
     return rows, free
 
 
+def information_sets(rows, m: int):
+    """Yield disjoint information sets of the code whose generator matrix
+    has the d independent m-bit rows `rows`, each as the d rows that
+    row_reduce gives with input row i tagged 1 << m + i: row i of a set
+    reads 1 on its i'th pivot column and 0 on the others, and its tag
+    names the input rows it is the XOR of.  Each set takes its pivots
+    from columns no earlier set took, and the first that cannot ends
+    them.  d^2 XORs of (m + d)-bit ints per set."""
+    found = ([r | 1 << m + i for i, r in enumerate(rows)], (1 << m) - 1)
+    while (found := row_reduce(*found)) is not None:
+        yield found[0]
+
+
 def apply(rows, x: int) -> int:
     """Image of x under the linear map sending unit i to rows[i]: the XOR
     of rows[i] over the set bits i of x."""
@@ -91,6 +109,18 @@ def apply(rows, x: int) -> int:
             out ^= rows[i]
         x >>= 1
         i += 1
+    return out
+
+
+def subset_xors(vectors):
+    """The numpy array of vectors' dtype whose entry S is the XOR of
+    vectors[i] over the set bits i of S, for every S < 2^len(vectors)."""
+    import numpy as np
+
+    out = np.empty(1 << vectors.size, dtype=vectors.dtype)
+    out[0] = 0
+    for i, a in enumerate(vectors):
+        np.bitwise_xor(out[: 1 << i], a, out=out[1 << i : 2 << i])
     return out
 
 

@@ -134,14 +134,13 @@ def write_table(
     tails: np.ndarray,
     keys: np.ndarray | None = None,
     hops: Sequence[int] = (),
-    colon: bool = False,
 ) -> None:
     """Write one line per v in rows: a hex label for v, then a tab and
     v ^ h in `digits` hex digits for each h in hops, then row keys[v] of
     the C-contiguous uint8 table `tails` (row 0 when keys is None), NUL
     bytes dropped.
-    The label is v zero-padded to `digits` digits, or with colon v at its
-    own width and a `:`.
+    The label is v zero-padded to `digits` digits when there are no hops
+    (a spectrum), else v at its own width and a `:` (a wiring table).
 
     The low k hex digits of v and of every v ^ h repeat with period 16^k,
     so one period is rendered once, as a template of rows: the label's
@@ -156,6 +155,7 @@ def write_table(
     """
     import numpy as np
 
+    colon = bool(hops)
     # A bytes search, not tails.all(): the reduction would fault in
     # about 200 KB more of numpy's code (peak RSS).
     ragged = b"\0" in tails.tobytes()
@@ -274,6 +274,16 @@ def _hex_digits(x: np.ndarray, out: np.ndarray) -> None:
         out[..., i] = lookup[(x >> 4 * (places - 1 - i)) & 15]
 
 
+def read_text(path) -> str:
+    """A hop, code or store file as UTF-8 text; a byte that is not UTF-8
+    is a FormatError naming the file and the byte's offset."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: byte {exc.start} is not UTF-8") from None
+
+
 def read_lines(text: str) -> list[str]:
     """The lines of a text file with `#` comments, surrounding blanks and
     empty lines dropped; splitlines() also takes CRLF."""
@@ -319,7 +329,7 @@ def parse_hops(text: str) -> GeneratorSet:
 
 
 def load_hops(path) -> GeneratorSet:
-    return parse_hops(Path(path).read_text())
+    return parse_hops(read_text(path))
 
 
 # Costs of a level, in word operations of the dense step (0.6-0.9 ns
@@ -401,7 +411,7 @@ def distance_profile(gens: GeneratorSet) -> DistanceProfile:
         else:
             if sources is None:
                 extras = hops[hops & (hops - 1) != 0]
-                sources = _subset_xors(extras[:cap])
+                sources = gf2.subset_xors(extras[:cap])
                 sizes = np.bitwise_count(np.arange(sources.size))
                 rest, his = extras[cap:], {}
             level = sources[sizes == len(counts)]
@@ -419,12 +429,12 @@ def distance_profile(gens: GeneratorSet) -> DistanceProfile:
 def _systematic_hops(gens: GeneratorSet) -> np.ndarray:
     """The hops, as int64, under the linear map that sends d independent
     hops to the unit vectors: a graph isomorphism, so the profile is the
-    same.  gf2.row_reduce on the d rows of the hops' bit matrix, row i
-    tagged 1 << m + i, finds the map: the tag of output row i is row i of
-    its matrix, so gf2.transpose of the tags gives the image of each
-    unit.  numpy builds the rows from byte planes and applies the map one
-    byte of each hop at a time, through 256-entry tables.  Hops that
-    start with the d units map to themselves."""
+    same.  The tags of the first of gf2.information_sets on the d rows
+    of the hops' bit matrix are the rows of the map's matrix, so
+    gf2.transpose of them gives the image of each unit.  numpy builds the
+    rows from byte planes and applies the map one byte of each hop at a
+    time, through gf2.subset_xors tables.  Hops that start with the d
+    units map to themselves."""
     import numpy as np
 
     d, m = gens.d, gens.m
@@ -434,24 +444,14 @@ def _systematic_hops(gens: GeneratorSet) -> np.ndarray:
         int.from_bytes(
             np.packbits(planes[i >> 3] & 1 << (i & 7), bitorder="little").tobytes(),
             "little",
-        ) | 1 << m + i
+        )
         for i in range(d)
     ]
-    images = gf2.transpose([r >> m for r in gf2.row_reduce(rows, (1 << m) - 1)[0]], d)
+    images = gf2.transpose([r >> m for r in next(gf2.information_sets(rows, m))], d)
     out = np.zeros_like(hops)
     for j in range(0, d, 8):
-        table = _subset_xors(np.array(images[j : j + 8]))
+        table = gf2.subset_xors(np.array(images[j : j + 8]))
         out ^= table[hops >> j & 255]
-    return out
-
-
-def _subset_xors(extras: np.ndarray) -> np.ndarray:
-    """XOR of extras[i] over the set bits i of S, for every S < 2^len."""
-    import numpy as np
-
-    out = np.zeros(1 << extras.size, dtype=np.int64)
-    for i, a in enumerate(extras.tolist()):
-        np.bitwise_xor(out[: 1 << i], a, out=out[1 << i : 2 << i])
     return out
 
 

@@ -16,7 +16,9 @@ from pathlib import Path
 
 from .bisection import bisection_fwht
 from .errors import DomainError, FormatError
-from .graph import GeneratorSet, distance_profile, format_hop_lines, parse_hop_lines
+from .graph import (
+    GeneratorSet, distance_profile, format_hop_lines, parse_hop_lines, read_text,
+)
 
 MIN_D = 3
 MAX_M = 256
@@ -246,4 +248,4 @@ def loads(text: str) -> SolutionDB:
 
 
 def load(path) -> SolutionDB:
-    return loads(Path(path).read_text())
+    return loads(read_text(path))

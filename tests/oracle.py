@@ -117,6 +117,17 @@ def distances(d, hops):
     return dist
 
 
+def transpose(vectors, width):
+    """The bit matrix read sideways, one bit at a time: bit s of row i
+    is bit i of vectors[s]."""
+    rows = [0] * width
+    for s, v in enumerate(vectors):
+        for i in range(width):
+            if v >> i & 1:
+                rows[i] |= 1 << s
+    return rows
+
+
 def codewords(rows):
     """All 2^k codewords of the span of `rows` (ints), including zero."""
     words = [0]

@@ -354,7 +354,7 @@ def test_information_sets_bound_every_codeword():
     # information vectors.
     gens = _random_spanning(random.Random(3), 10, 40)
     units = gf2.transpose(gens.hops, gens.d)
-    sets = list(bisection._information_sets(gens))
+    sets = list(gf2.information_sets(units, gens.m))
     assert len(sets) >= 3
     total = [0] * gens.n
     mask = (1 << gens.m) - 1

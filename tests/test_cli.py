@@ -708,6 +708,75 @@ def test_impossible_stored_records_are_load_errors(capsys, db_path, tmp_path, ar
         assert (code, out, err) == (1, "", f"error: {problem}\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bisect"], ["metrics"], ["spectrum"], ["oracle"], ["diag"],
+        ["translate", "--to-code"], ["build", "augment"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_a_hop_file_that_is_not_utf8_is_an_error_line(capsys, tmp_path, argv):
+    path = tmp_path / "bom.hops"
+    path.write_bytes(b"\xff\xfe" + FQ3_TEXT.encode())
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out, err) == (1, "", f"error: {path}: byte 0 is not UTF-8\n")
+
+
+@pytest.mark.parametrize("argv", [["translate", "--to-hops"], ["db", "ingest"]])
+def test_a_code_file_that_is_not_utf8_is_an_error_line(capsys, tmp_path, argv):
+    path = tmp_path / "bom.code"
+    path.write_bytes(b"\xff\xfe" + CODE74_TEXT.encode())
+    db = tmp_path / "lh.db"
+    extra = ["--db", str(db)] if argv[0] == "db" else []
+    code, out, err = run(capsys, *argv, str(path), *extra)
+    assert (code, out, err) == (1, "", f"error: {path}: byte 0 is not UTF-8\n")
+    assert not db.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["db", "list"],
+        ["db", "verify"],
+        ["db", "ingest", "CODE"],
+        ["design", "-P", "96", "-R", "12"],
+        ["wire", "--record", "5,9", "-R", "12"],
+        ["compare", "--family", "lh", "-R", "16"],
+        ["compare", "--family", "lh_vs_hypercube", "-R", "16"],
+    ],
+    ids=lambda argv: " ".join(argv[:3]),
+)
+def test_a_store_that_is_not_utf8_is_an_error_line(
+    capsys, db_path, code74_file, tmp_path, argv
+):
+    # One Latin-1 byte typed into a hand-edited store.
+    edited = tmp_path / "edited.db"
+    edited.write_bytes(db_path.read_bytes() + b"\xff")
+    argv = [code74_file if a == "CODE" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--db", str(edited))
+    offset = len(db_path.read_bytes())
+    assert (code, out, err) == (1, "", f"error: {edited}: byte {offset} is not UTF-8\n")
+
+
+def test_the_store_is_read_and_written_as_utf8_whatever_the_locale(
+    db_path, tmp_path, code74_file
+):
+    # Under the C locale, with UTF-8 mode and locale coercion off, open()
+    # reads and writes ASCII; a store whose provenance holds an accented
+    # letter is read and written back as UTF-8 all the same.
+    edited = tmp_path / "edited.db"
+    text = db_path.read_text()
+    edited.write_bytes(text.replace("prov=hypercube\n", "prov=caf\u00e9\n", 1).encode())
+    env = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    proc = child([
+        sys.executable, "-m", "longhop.cli", "db", "ingest", code74_file,
+        "--prov", "Hamming", "--replace", "--db", str(edited),
+    ], env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert edited.read_bytes().count("prov=caf\u00e9\n".encode()) == 1
+
+
 def test_compare_family_csv(capsys):
     code, out, _ = run(
         capsys, "compare", "--family", "hypercube", "-R", "256",
@@ -876,9 +945,11 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
-def child(argv, timeout=None):
-    """Run argv with the package under test importable."""
-    env = {**os.environ, "PYTHONPATH": str(Path(longhop.__file__).parents[1])}
+def child(argv, env=None, timeout=None):
+    """Run argv with the package under test importable, and with `env`
+    over the environment."""
+    env = {**os.environ, **(env or {})}
+    env["PYTHONPATH"] = str(Path(longhop.__file__).parents[1])
     return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=timeout)
 
 

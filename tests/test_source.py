@@ -74,6 +74,20 @@ def test_spanning_is_checked_only_where_a_generator_set_is_built():
     assert len(_calls(graph, "DisconnectedGraph")) == len(_calls(graph, "spans")) == 1
 
 
+def test_row_reduce_is_called_only_in_gf2():
+    # gf2.information_sets is the one driver of the tagged reduction, so
+    # no engine builds its own information sets around row_reduce.
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "gf2.py"
+        for line in _calls(path, "row_reduce")
+    ]
+    assert found == []
+    gf2 = next(path for path in SOURCES if path.name == "gf2.py")
+    assert len(_calls(gf2, "row_reduce")) == 1
+
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
