@@ -9,12 +9,17 @@ yields the exact bisection.
 
 C_k is also the Hamming weight of codeword k of the hop set's code
 (bit s of codeword k is the parity of k & hop s), which is why b is the
-code's minimum distance.  `cut_counts` uses that view whenever the
-hops fit in at most d 64-bit words (m <= 64 d): it builds all n
-codewords with `gf2.subset_xors` and counts their bits, peaking near
-11 bytes per node.  Wider sets, such as the half-distance rungs with m
-in the thousands, take one FWHT of the hop indicator instead (24 bytes
-per node).  An enumeration oracle for tiny n keeps both honest.
+code's minimum distance.  `cut_blocks`, the one engine of the cut
+counts, uses that view whenever the hops fit in at most d 64-bit words
+(m <= 64 d): it yields the counts in k order, 2^16 at a time, each
+codeword the XOR of an entry of a table built from the low code rows
+and one built from the high rows, so a block stays in cache and the
+scan holds about 1.2 MB per 64 hops whatever n is.  Wider sets, such
+as the half-distance rungs with m in the thousands, take one FWHT of
+the hop indicator instead, as one block (24 bytes per node).
+`cut_counts` joins the blocks into one int64 array for the callers
+that need every count at once; `lh spectrum` writes each block as it
+comes.  An enumeration oracle for tiny n keeps both honest.
 
 `bisection_fwht` needs only the minimum, so when m <= 64 d it first runs
 the Brouwer-Zimmermann minimum-distance algorithm (`_low_weight`;
@@ -26,14 +31,15 @@ has weight w.  A codeword not yet met then weighs at least k w plus the
 sets already done this round, so the enumeration stops once that bound
 passes the lightest codeword met: about k sum_{j <= b/k} C(d, j)
 codewords, some 45 bytes each, and not much over the 2^d the code holds
-when k is large.  It falls back to the full `cut_counts` spectrum when
-the next level would pass the budget `_ENUM_BUDGET` sets, and goes
-straight there when m > 64 d.  numpy is imported by the functions that
-build arrays of n entries, so an enumeration that finishes never loads
-it.
+when k is large.  It falls back to the first minimum over the blocks
+of `cut_blocks` when the next level would pass the budget
+`_ENUM_BUDGET` sets, and goes straight there when m > 64 d.  numpy is
+imported by the functions that build arrays of n entries, so an
+enumeration that finishes never loads it.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import chain, combinations, islice
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple
@@ -56,14 +62,27 @@ def eigenvalues(gens: GeneratorSet) -> np.ndarray:
     return fwht(indicator)
 
 
-def cut_counts(gens: GeneratorSet) -> np.ndarray:
-    """C_k for every k: hops with odd overlap against k.
+# Walsh indices k = hi 2^L + lo go out in blocks of 2^L, L =
+# min(d, _CUT_BITS): a 64-hop chunk's table of 2^L codeword words, the
+# scratch words and the counts (512 KB, 512 KB and 128 KB at L = 16)
+# stay in L2, and the scan needs O(2^L) bytes a chunk whatever n is.
+# L = 16 scanned b3(24) in 15 ms and a random 256-hop d = 24 set in
+# 70 ms; L = 18, whose tables spill out of a 2 MB L2, took 28 and 95 ms
+# (2 cores, numpy 2.4).
+_CUT_BITS = 16
 
-    C_k * n/2 is the link count across the Walsh-k bisection.  It is the
-    weight of codeword k, built for 64 hops at a time by gf2.subset_xors
-    of their d rows as uint64 words, so n word operations per 64 hops.
-    The FWHT costs n operations per dimension instead, so it takes over
-    once the hops fill more than d words.
+
+def cut_blocks(gens: GeneratorSet) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, counts) in k order: counts[i] = C_{start + i}, the
+    hops with odd overlap against start + i, as an integer array.
+
+    C_k is the weight of codeword k.  For each chunk of 64 hops, with the
+    chunk's d rows as uint64 words, codeword k = hi 2^L + lo is W[lo]
+    XOR c[hi], where W = gf2.subset_xors of the low L rows (built once)
+    and c[hi] the XOR of the high rows that hi selects; so a block costs
+    one XOR, one bitwise_count and one add per chunk and entry.  The FWHT
+    costs n operations per dimension instead, so it takes over once the
+    hops fill more than d words, as one block of n.
     """
     import numpy as np
 
@@ -72,13 +91,36 @@ def cut_counts(gens: GeneratorSet) -> np.ndarray:
         diff = m - eigenvalues(gens)
         if (diff & 1).any():
             raise LongHopError("spectrum parity broke; fwht is miscounting")
-        return diff >> 1
-    # m <= 64 d <= 1536, so the per-k total fits in uint16.
-    counts = np.zeros(n, dtype=np.uint16)
-    for lo in range(0, m, 64):
-        rows = np.array(gf2.transpose(gens.hops[lo:lo + 64], d), dtype=np.uint64)
-        counts += np.bitwise_count(gf2.subset_xors(rows))
-    return counts.astype(np.int64)
+        yield 0, diff >> 1
+        return
+    low = min(d, _CUT_BITS)
+    chunks = [
+        np.array(gf2.transpose(gens.hops[a : a + 64], d), dtype=np.uint64)
+        for a in range(0, m, 64)
+    ]
+    lows = [gf2.subset_xors(rows[:low]) for rows in chunks]
+    highs = [gf2.subset_xors(rows[low:]) for rows in chunks]
+    word = np.empty(1 << low, dtype=np.uint64)
+    weight = np.empty(1 << low, dtype=np.uint8)
+    for hi in range(n >> low):
+        # m <= 64 d <= 1536, so a count fits in uint16.
+        counts = np.zeros(1 << low, dtype=np.uint16)
+        for table, high in zip(lows, highs):
+            np.bitwise_xor(table, high[hi], out=word)
+            counts += np.bitwise_count(word, out=weight)
+        yield hi << low, counts
+
+
+def cut_counts(gens: GeneratorSet) -> np.ndarray:
+    """C_k for every k, as int64: the blocks of cut_blocks, joined.
+
+    C_k * n/2 is the link count across the Walsh-k bisection."""
+    import numpy as np
+
+    out = np.empty(gens.n, dtype=np.int64)
+    for start, counts in cut_blocks(gens):
+        out[start : start + counts.size] = counts
+    return out
 
 
 class BisectionReport(NamedTuple):
@@ -100,17 +142,20 @@ class BisectionReport(NamedTuple):
 
 
 # Codewords the low-weight enumeration may visit per element of the
-# n * ceil(m/64) word pass that `cut_counts` would run instead, plus
-# 2^25 elements for the numpy import that pass also pays on a cold
-# start (0.17 s, as long as a 2^25-element pass).  One enumerated
-# codeword (an XOR of tagged Python ints, a mask and a bit_count)
-# measured 0.13-0.15 us on random sets with d = 16..24 and m = 64..160,
-# against 2.6-7.4 ns for one element of that pass at d = 16..24
-# (2 cores, Python 3.11, numpy 2.4), so 1/64 keeps the enumeration
-# within the time of the pass it replaces: at least 2^19
-# codewords (under 0.1 s, about 25 MB) on any set, where record (16,38)
-# needs 9,400, b3(24) 2,324 and no other seeded record more than 664.
-_ENUM_BUDGET = 1 / 64
+# n * ceil(m/64) blocked pass that `cut_blocks` would run instead, plus
+# 2^26 elements for the numpy import that pass also pays on a cold
+# start (0.09-0.1 s, about as long as a 2^26-element pass).  One
+# enumerated codeword (an XOR of tagged Python ints, a mask and a
+# bit_count) measured 0.15-0.27 us on random sets with d = 16..24 and
+# m = 64..128, against 0.9-1.1 ns for one element of the blocked pass
+# at d = 20..24 (2 cores, Python 3.11, numpy 2.4), so 1/256 keeps the
+# enumeration within about the time of the pass it replaces: at least
+# 2^18 codewords (about 0.05 s and 12 MB) on any set, where record
+# (16,38) needs 9,400, b3(24) 2,324 and no other seeded record more
+# than 664.  The levels an enumeration keeps grow with its budget: a
+# random 256-hop d = 24 set gives up after 2^19 codewords at 44 MB RSS
+# end to end.
+_ENUM_BUDGET = 1 / 256
 
 
 def _levels(rows: list[int]):
@@ -141,7 +186,7 @@ def _low_weight(gens: GeneratorSet) -> tuple[int, int] | None:
     of the full spectrum.  The levels of one set visit every codeword, so
     where that costs no more than the first two rounds over every set,
     the other sets are never built.  The budget caps the codewords
-    visited at _ENUM_BUDGET (n ceil(m/64) + 2^25).
+    visited at _ENUM_BUDGET (n ceil(m/64) + 2^26).
     The sets reduce the codeword rows of the Walsh units,
     gf2.transpose(gens.hops, d), so a reduced row's tag is its index.
     """
@@ -156,8 +201,8 @@ def _low_weight(gens: GeneratorSet) -> tuple[int, int] | None:
     if (1 << d) - 1 > m // d * (d + comb(d, 2)):
         levels += map(_levels, sets)
     k = len(levels)
-    # The fallback imports numpy too, as long as a 2^25-element word pass.
-    budget = _ENUM_BUDGET * (gens.n * -(-m // 64) + (1 << 25))
+    # The fallback imports numpy too, as long as a 2^26-element word pass.
+    budget = _ENUM_BUDGET * (gens.n * -(-m // 64) + (1 << 26))
     spent, best, t = 0, m + 1, 0
     for w in range(1, d + 1):
         for j, level in enumerate(levels):
@@ -182,17 +227,21 @@ def bisection_fwht(gens: GeneratorSet) -> BisectionReport:
     enumerated over k disjoint information sets (`_low_weight`), about
     k sum_{j <= b/k} C(d, j) of them, whatever n is, without numpy.
     Sets with m > 64 d, and enumerations whose next level would pass
-    their budget, scan the full spectrum from `cut_counts` instead and
-    take its first minimum over k >= 1.
+    their budget, scan the blocks of `cut_blocks` instead and take
+    their first minimum over k >= 1.
     """
     if -(-gens.m // 64) <= gens.d:
         found = _low_weight(gens)
         if found is not None:
             b, t = found
             return BisectionReport(d=gens.d, b=b, t=t)
-    counts = cut_counts(gens)
-    t = int(counts[1:].argmin()) + 1
-    b = int(counts[t])
+    b, t = gens.m + 1, 0
+    for start, counts in cut_blocks(gens):
+        # k = 0 cuts nothing; a strict < keeps the first minimum.
+        skip = 1 if start == 0 else 0
+        i = int(counts[skip:].argmin()) + skip
+        if counts[i] < b:
+            b, t = int(counts[i]), start + i
     if b == 0:
         raise LongHopError(
             "spanning hops gave a zero cut count; the spectrum is miscounting"

@@ -153,15 +153,14 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from .bisection import cut_counts
+    from .bisection import cut_blocks
     from .graph import hex_width, load_hops, spectrum_tails, write_table
 
     gens = load_hops(args.file)
-    cuts = cut_counts(gens)
     tails = spectrum_tails(gens.m)
     with _output(args.out) as out:
         out.write("# k\tlambda\tcut\n")
-        write_table(out, range(gens.n), hex_width(gens.d), tails, cuts)
+        write_table(out, range(gens.n), hex_width(gens.d), tails, cut_blocks(gens))
     return 0
 
 

@@ -12,11 +12,11 @@ sends d independent hops to the unit vectors is a graph isomorphism, so
 it first maps the hops there.  Each level then takes the cheaper of two
 steps.  The sparse step works from node lists: it pushes frontier ^ h
 while the frontier is the shorter list, and pulls into the unseen nodes
-once they are.  The dense step works on packed 64-node words: a unit hop
-is a swap of bits within each word or a flip of word blocks, and the
-first min(m - d, d - 6) other hops enter as delayed sources (every XOR
-of j of them joins level j if still unseen), so only the hops beyond
-those are gathered.
+once they are.  The dense step works on packed 64-node words, a block
+that stays in cache at a time: a unit hop is a swap of bits within each
+word or a flip of word blocks, and the first min(m - d, d - 6) other
+hops enter as delayed sources (every XOR of j of them joins level j if
+still unseen), so only the hops beyond those are gathered.
 """
 from __future__ import annotations
 
@@ -132,13 +132,15 @@ def write_table(
     rows: range,
     digits: int,
     tails: np.ndarray,
-    keys: np.ndarray | None = None,
+    keys: Iterable[tuple[int, np.ndarray]] | None = None,
     hops: Sequence[int] = (),
 ) -> None:
     """Write one line per v in rows: a hex label for v, then a tab and
-    v ^ h in `digits` hex digits for each h in hops, then row keys[v] of
+    v ^ h in `digits` hex digits for each h in hops, then row key(v) of
     the C-contiguous uint8 table `tails` (row 0 when keys is None), NUL
-    bytes dropped.
+    bytes dropped.  keys yields (start, array) blocks in row order, with
+    key(start + i) = array[i], so that the keys of n rows need not be
+    held at once; blocks that miss rows are skipped.
     The label is v zero-padded to `digits` digits when there are no hops
     (a spectrum), else v at its own width and a `:` (a wiring table).
 
@@ -171,31 +173,38 @@ def write_table(
     longest = len(f"{rows[-1]:X}") + 1 if colon else digits
     step = _BYTES_PER_WRITE // (longest + cells_len + tail_len)
     step = max(1, min(_ROWS_PER_WRITE, step))
-    for start in range(rows.start, rows.stop, step):
-        stop = min(start + step, rows.stop)
-        parts = []
-        while start < stop:
-            base, low = divmod(start, 16**k)
-            label = len(f"{start:X}") if colon else digits
-            end = min(stop, (base + 1) * 16**k, 16**label)
-            skip, high = max(k - label, 0), max(label - k, 0)
-            width = template.shape[1] - skip
-            block = np.empty((end - start, high + width + tail_len), np.uint8)
-            if high:
-                _runs(block, 0, high)[...] = np.void(f"{base:0{high}X}".encode())
-            _runs(block, high, width)[...] = _runs(template, skip, width)[low : low + end - start]
-            if high_cells.size:
-                _hex_digits(base ^ hop_highs, high_cells)
-                first = high + k - skip + colon + 1
-                cells = _runs(block, first, digits - k, len(hops), 1 + digits)
-                cells[...] = _runs(high_cells, 0, digits - k)[:, 0]
-            _runs(block, high + width, tail_len)[...] = (
-                tail_rows[0] if keys is None else tail_rows[keys[start:end]]
-            )
-            parts.append(block.tobytes())
-            start = end
-        text = b"".join(parts)
-        stream.write((text.translate(None, b"\0") if ragged else text).decode("ascii"))
+    blocks = [(rows.start, None)] if keys is None else keys
+    for origin, row_keys in blocks:
+        lo = max(origin, rows.start)
+        hi = rows.stop if row_keys is None else min(origin + row_keys.size, rows.stop)
+        for start in range(lo, hi, step):
+            stop = min(start + step, hi)
+            parts = []
+            while start < stop:
+                base, low = divmod(start, 16**k)
+                label = len(f"{start:X}") if colon else digits
+                end = min(stop, (base + 1) * 16**k, 16**label)
+                skip, high = max(k - label, 0), max(label - k, 0)
+                width = template.shape[1] - skip
+                block = np.empty((end - start, high + width + tail_len), np.uint8)
+                if high:
+                    _runs(block, 0, high)[...] = np.void(f"{base:0{high}X}".encode())
+                _runs(block, high, width)[...] = (
+                    _runs(template, skip, width)[low : low + end - start]
+                )
+                if high_cells.size:
+                    _hex_digits(base ^ hop_highs, high_cells)
+                    first = high + k - skip + colon + 1
+                    cells = _runs(block, first, digits - k, len(hops), 1 + digits)
+                    cells[...] = _runs(high_cells, 0, digits - k)[:, 0]
+                _runs(block, high + width, tail_len)[...] = (
+                    tail_rows[0] if row_keys is None
+                    else tail_rows[row_keys[start - origin : end - origin]]
+                )
+                parts.append(block.tobytes())
+                start = end
+            text = b"".join(parts)
+            stream.write((text.translate(None, b"\0") if ragged else text).decode("ascii"))
 
 
 def _template(k: int, digits: int, hops: Sequence[int], colon: bool) -> np.ndarray:
@@ -333,15 +342,19 @@ def load_hops(path) -> GeneratorSet:
 
 
 # Costs of a level, in word operations of the dense step (0.6-0.9 ns
-# each at d >= 20; 2 cores, Python 3.11, numpy 2.4).  A dense level
-# costs _dense_ops per word, plus _LEVEL_OPS (about 60 us) for the numpy
-# calls it makes beyond a sparse level's.  A sparse level costs
-# _SPARSE_COST per candidate v ^ h (20-30 ns to push, 8-20 ns to pull).
-# A level takes the sparse step when that costs no more.  The constants
-# were fitted to both steps' times on every level of the 64 seeded
-# records and of b3, half-distance and random sets at d = 12..24; on the
-# records and on such sets up to d = 22, the steps the rule picks take
-# within 2 % of the faster step's time summed over the levels.
+# each at d >= 20 when they were fitted; 0.35-0.4 ns since the unit
+# hops run in blocks that stay in L2; 2 cores, Python 3.11, numpy 2.4).
+# A dense level costs _dense_ops per word, plus _LEVEL_OPS (about 60 us)
+# for the numpy calls it makes beyond a sparse level's.  A sparse level
+# costs _SPARSE_COST per candidate v ^ h (20-30 ns to push, 8-20 ns to
+# pull).  A level takes the sparse step when that costs no more.  The
+# constants were fitted to both steps' times on every level of the 64
+# seeded records and of b3, half-distance and random sets at d = 12..24;
+# on the records and on such sets up to d = 22, the steps the rule picks
+# take within 2 % of the faster step's time summed over the levels.
+# With the blocked dense step and sparse steps that touch only their own
+# words, they take 1.6 % more (records 0.3 %, b3 2.2 %, half-distance 0,
+# random 1.7 %), so the constants stand.
 _SPARSE_COST = 33
 _LEVEL_OPS = 80_000
 # A gathered hop costs _GATHER_COST word operations per word.
@@ -354,6 +367,13 @@ _SPARSE_WORDS = 8
 # Candidates per block of the sparse step, and words per gather in the
 # dense step (128 KB of indices and of results).
 _GATHER = 1 << 14
+# Words per block of the dense step's unit hops: 256 KB of each of the
+# frontier, the level, the scratch and the unseen words, so that a
+# block's passes run in L2 (2 MB a core here).  Blocks of 2^14, 2^15 and
+# 2^16 words gave `lh metrics` on b3(24) medians of 219, 212 and 208 ms
+# over 24 rounds, against 258 ms for passes over whole arrays; smaller
+# blocks pay more per numpy call, larger ones spill a smaller L2.
+_BLOCK = 1 << 15
 # _SWAP_MASKS[j] marks the bits of a 64-bit word whose position has bit j
 # clear; the swap built from it exchanges bits p and p ^ 2^j.
 _SWAP_MASKS = tuple(
@@ -382,13 +402,19 @@ def distance_profile(gens: GeneratorSet) -> DistanceProfile:
     other hops: a_S seeds the search at level |S|, whichever step made
     the levels before.
 
-    Three word arrays, a scratch array, the 2^min(r, d - 6) <= n/64
-    sources and node lists that the cost rule keeps short hold the traced
-    peak near 0.7 bytes per node on b3(20) and 0.5 on b3(24); gathered
-    extras add up to 7 word arrays of in-word variants, 1.4-1.8 bytes per
-    node on random 64-hop sets.  The m = n/2 rungs need one dense level,
-    level 2, which the units and sources fill before any hop is
-    gathered: 0.08 s in-process at d = 20 (2 cores).
+    Two level buffers take turns as the frontier and the next level, and
+    neither is ever cleared.  Besides its level, a buffer may hold nodes
+    of earlier levels in words the level was not written to.  Those are
+    seen, so every step's mask with the unseen words drops them, no
+    unseen node neighbours them, and a push lists only the words its
+    frontier's level was written to.
+    Three word arrays, the 2^min(r, d - 6) <= n/64 sources and node
+    lists that the cost rule keeps short hold the traced peak near 0.7
+    bytes per node on b3(20) and 0.5 on b3(24); gathered extras add up to
+    7 word arrays of in-word variants, 1.5-1.8 bytes per node on random
+    64-hop sets.  The m = n/2 rungs need one dense level, level 2, which the
+    units and sources fill before any hop is gathered: 0.08 s in-process
+    at d = 20 (2 cores).
     """
     import numpy as np
 
@@ -400,14 +426,16 @@ def distance_profile(gens: GeneratorSet) -> DistanceProfile:
     sources = None
     unseen = np.full(words, (1 << min(n, 64)) - 1, dtype="<u8")
     unseen[0] ^= 1
-    frontier = np.zeros(words, dtype="<u8")
+    frontier, spare = np.zeros(words, dtype="<u8"), np.zeros(words, dtype="<u8")
     frontier[0] = 1
+    # The words the frontier's level was written to; None for every word.
+    at = np.zeros(1, dtype=np.int64)
     counts = [1]
     reached = 1
     while reached < n:
         if min(counts[-1], n - reached) * m * _SPARSE_COST <= dense_ops:
             push = counts[-1] <= n - reached
-            frontier = _sparse_level(frontier, unseen, hops, push)
+            size, found = _sparse_level(frontier, at, spare, unseen, hops, push)
         else:
             if sources is None:
                 extras = hops[hops & (hops - 1) != 0]
@@ -415,10 +443,10 @@ def distance_profile(gens: GeneratorSet) -> DistanceProfile:
                 sizes = np.bitwise_count(np.arange(sources.size))
                 rest, his = extras[cap:], {}
             level = sources[sizes == len(counts)]
-            frontier = _dense_level(frontier, unseen, d, rest, his, level)
-        size = int(np.bitwise_count(frontier).sum())
+            size, found = _dense_level(frontier, spare, unseen, d, rest, his, level), None
         if not size:
             break
+        frontier, spare, at = spare, frontier, found
         reached += size
         counts.append(size)
     if reached != n:
@@ -484,65 +512,92 @@ def _set(words: np.ndarray, nodes: np.ndarray) -> None:
     np.bitwise_or.at(words.view("u1"), nodes >> 3, (1 << (nodes & 7)).astype("u1"))
 
 
-def _nodes(words: np.ndarray) -> np.ndarray:
-    """The set bits of packed words as node indices, in order."""
+def _nodes(words: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
+    """The set bits of packed words as node indices, in order: of every
+    word, or of the words at lists in order."""
     import numpy as np
 
-    at = np.flatnonzero(words)
+    if at is None:
+        at = np.flatnonzero(words)
     bits = np.unpackbits(words[at].view("u1"), bitorder="little").reshape(-1, 64)
     row, col = np.nonzero(bits)
     return at[row] << 6 | col
 
 
 def _sparse_level(
-    frontier: np.ndarray, unseen: np.ndarray, hops: np.ndarray, push: bool
-) -> np.ndarray:
-    """The next level from node lists: with push, every v ^ h for v in
-    the frontier; else each unseen node v with some v ^ h in the
-    frontier.  The listed nodes go in blocks of about _GATHER candidates
-    (one node's m, when m is more)."""
+    frontier: np.ndarray, at: np.ndarray | None, nxt: np.ndarray,
+    unseen: np.ndarray, hops: np.ndarray, push: bool,
+) -> tuple[int, np.ndarray | None]:
+    """The next level into nxt from node lists: with push, every v ^ h
+    for v in the frontier, whose level was written to the words at lists
+    (None: every word); else each unseen node v with some v ^ h in the
+    frontier.
+    A level with fewer candidates v ^ h than words sorts the nodes it
+    found, ORs each word's bits together and masks and counts only those
+    words, so it costs its candidates and no pass over the words.  A
+    larger one sets the nodes in blocks of about _GATHER candidates (one
+    node's m, when m is more) and masks every word.  Returns the level's
+    size and its words in order, or None when it masked them all."""
     import numpy as np
 
-    nxt = np.zeros_like(frontier)
-    nodes = _nodes(frontier if push else unseen)
-    rows = max(1, _GATHER // hops.size)
-    for a in range(0, nodes.size, rows):
-        found = nodes[a : a + rows, None] ^ hops
-        if not push:
-            found = nodes[a : a + rows][_get(frontier, found).any(axis=1)]
-        _set(nxt, found.ravel())
-    nxt &= unseen
-    unseen ^= nxt
-    return nxt
+    nodes = _nodes(frontier, at) if push else _nodes(unseen)
+    if nodes.size * hops.size >= nxt.size:
+        rows = max(1, _GATHER // hops.size)
+        for a in range(0, nodes.size, rows):
+            found = nodes[a : a + rows, None] ^ hops
+            if not push:
+                found = nodes[a : a + rows][_get(frontier, found).any(axis=1)]
+            _set(nxt, found.ravel())
+        nxt &= unseen
+        unseen ^= nxt
+        return int(np.bitwise_count(nxt).sum()), None
+    found = nodes[:, None] ^ hops
+    if push:
+        found = found.ravel()
+        found.sort()
+    else:
+        found = nodes[_get(frontier, found).any(axis=1)]
+    bits = (found & 63).astype(np.uint64)
+    np.left_shift(np.uint64(1), bits, out=bits)
+    found >>= 6  # the word of each node, in order
+    first = np.flatnonzero(np.concatenate(([True], found[1:] != found[:-1])))
+    at = found[first]
+    level = np.bitwise_or.reduceat(bits, first)
+    if push:
+        level &= unseen[at]
+    nxt[at] = level
+    unseen[at] ^= level
+    return int(np.bitwise_count(level).sum()), at
 
 
 def _dense_level(
-    frontier: np.ndarray, unseen: np.ndarray, d: int,
+    frontier: np.ndarray, nxt: np.ndarray, unseen: np.ndarray, d: int,
     rest: np.ndarray, his: dict, sources: np.ndarray,
-) -> np.ndarray:
-    """The next level on packed words: unit hops as in-word swaps (bits
-    0-5) and block flips (bits 6 up); every hop h = hi << 6 | lo of rest
-    as an in-word permutation shared by the hops with that lo, then a
-    word gather; then the level's delayed sources.  The first level that
-    gathers fills his with _by_lo(rest) for the levels after it."""
+) -> int:
+    """The next level into nxt on packed words: the level's delayed
+    sources, the unit hops (_units, a block of _BLOCK words at a time),
+    then every hop h = hi << 6 | lo of rest as an in-word permutation
+    shared by the hops with that lo and a word gather.  Without such
+    hops each block is masked and counted as soon as its units are in,
+    while it is still in cache.  The first level that gathers fills his
+    with _by_lo(rest) for the levels after it.  Returns the level's size."""
     import numpy as np
 
-    nxt = np.zeros_like(frontier)
-    tmp = np.empty_like(frontier)
-    for j in range(min(d, 6)):
-        s, mask = 1 << j, frontier.dtype.type(_SWAP_MASKS[j])
-        np.bitwise_and(frontier, mask, out=tmp)
-        np.left_shift(tmp, s, out=tmp)
-        nxt |= tmp
-        np.right_shift(frontier, s, out=tmp)
-        tmp &= mask
-        nxt |= tmp
-    for j in range(6, d):
-        k = 1 << (j - 6)
-        pairs = nxt.reshape(-1, 2, k)
-        np.bitwise_or(pairs, frontier.reshape(-1, 2, k)[:, ::-1], out=pairs)
     _set(nxt, sources)
-    if rest.size and not his:
+    size = min(frontier.size, _BLOCK)
+    tmp = np.empty(size, dtype=frontier.dtype)
+    count = 0
+    for a in range(0, frontier.size, size):
+        out = nxt[a : a + size]
+        _units(frontier, a, out, d, tmp)
+        if not rest.size:
+            out &= unseen[a : a + size]
+            unseen[a : a + size] ^= out
+            count += int(np.bitwise_count(out).sum())
+    if not rest.size:
+        return count
+    tmp = np.empty_like(frontier)
+    if not his:
         # Grouping sorts rest, so it waits for a gather: on the m = n/2
         # rungs the units and sources reach every node before any.
         np.bitwise_not(nxt, out=tmp)
@@ -574,7 +629,49 @@ def _dense_level(
         break
     nxt &= unseen
     unseen ^= nxt
-    return nxt
+    return int(np.bitwise_count(nxt).sum())
+
+
+def _units(frontier: np.ndarray, a: int, out: np.ndarray, d: int, tmp: np.ndarray) -> None:
+    """out |= the image under each unit hop of the frontier's words that
+    out stands for, a .. a + out.size - 1, where out.size is a power of
+    two that a is a multiple of.  Bits 0-2 swap by mask and shift, bits
+    3-5 by rotating 16-, 32- and 64-bit lanes; a word bit j below
+    log2(out.size) flips runs of 2^j words inside the block, and a higher
+    one ORs in the block at a ^ 2^j whole.  Runs of one or two words go
+    column by column, since numpy walks a reversed run of so few words
+    slowly."""
+    import numpy as np
+
+    f = frontier[a : a + out.size]
+    for j in range(min(d, 6)):
+        s = 1 << j
+        if j < 3:
+            mask = f.dtype.type(_SWAP_MASKS[j])
+            np.bitwise_and(f, mask, out=tmp)
+            np.left_shift(tmp, s, out=tmp)
+            out |= tmp
+            np.right_shift(f, s, out=tmp)
+            tmp &= mask
+            out |= tmp
+        else:
+            lane = f"<u{s >> 2}"
+            src, dst, t = f.view(lane), out.view(lane), tmp.view(lane)
+            np.left_shift(src, s, out=t)
+            dst |= t
+            np.right_shift(src, s, out=t)
+            dst |= t
+    for j in range(d - 6):
+        k = 1 << j
+        if k >= out.size:
+            out |= frontier[a ^ k : (a ^ k) + out.size]
+        elif k <= 2:
+            cols, src = out.reshape(-1, 2 * k), f.reshape(-1, 2 * k)
+            for i in range(2 * k):
+                cols[:, i] |= src[:, i ^ k]
+        else:
+            pairs = out.reshape(-1, 2, k)
+            np.bitwise_or(pairs, f.reshape(-1, 2, k)[:, ::-1], out=pairs)
 
 
 def _in_word_variants(

@@ -102,9 +102,15 @@ def _check_bounds(gens: GeneratorSet) -> None:
 
 
 def _check_provenance(provenance: str) -> None:
-    """Raise DomainError unless the provenance fits on one line."""
+    """Raise DomainError unless the provenance fits on one line and
+    encodes as UTF-8, the store's encoding: an argument that is not valid
+    in the locale's encoding reaches Python as lone surrogates."""
     if "".join(provenance.splitlines()) != provenance:
         raise DomainError(f"provenance {provenance!r} holds a line break")
+    try:
+        provenance.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DomainError(f"provenance {provenance!r} is not UTF-8 text") from None
 
 
 class SolutionDB:

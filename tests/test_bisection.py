@@ -123,7 +123,8 @@ def test_cut_counts_memory_per_node():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Codewords (8 bytes), uint16 totals and one uint8 popcount per node.
+    # The int64 counts (8 bytes a node) and one block's table, scratch
+    # and counts.
     assert peak < 16 * gens.n
 
 
@@ -225,7 +226,9 @@ def codeword_sets(draw):
     return GeneratorSet(d, tuple(hops))
 
 
-@pytest.mark.parametrize("budget", [0, bisection._ENUM_BUDGET, float("inf")])
+@pytest.mark.parametrize(
+    "budget", [0, bisection._ENUM_BUDGET, float("inf")], ids=["0", "default", "inf"]
+)
 @given(codeword_sets())
 @settings(deadline=None)
 def test_bisection_is_the_first_minimum_of_the_cut_counts(budget, gens):
@@ -238,6 +241,55 @@ def test_bisection_is_the_first_minimum_of_the_cut_counts(budget, gens):
     assert counts == want
     b = min(want[1:])
     assert (rep.b, rep.t) == (b, want.index(b, 1))
+
+
+@given(codeword_sets(), st.integers(1, 4))
+@settings(deadline=None)
+def test_cut_blocks_of_a_few_entries_give_the_oracle_counts(gens, bits):
+    # Blocks of 2^L entries with L = 1..4, so that d > L already at small
+    # n; the fallback then meets its minimum in several blocks and keeps
+    # the first.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bisection, "_CUT_BITS", bits)
+        mp.setattr(bisection, "_ENUM_BUDGET", 0)
+        blocks = [(start, counts.tolist()) for start, counts in bisection.cut_blocks(gens)]
+        counts = cut_counts(gens)
+        rep = bisection_fwht(gens)
+    want = oracle.cut_counts(gens.d, gens.hops)
+    assert [start for start, _ in blocks] == list(
+        range(0, gens.n, 1 << min(gens.d, bits))
+    )
+    assert [c for _, block in blocks for c in block] == counts.tolist() == want
+    assert counts.dtype == np.int64
+    b = min(want[1:])
+    assert (rep.b, rep.t) == (b, want.index(b, 1))
+
+
+def test_fallback_takes_the_first_minimum_across_blocks(monkeypatch):
+    # The plain cube has C_k = popcount(k): b = 1 at k = 1, 2, 4 and 8,
+    # each in its own block of two.
+    monkeypatch.setattr(bisection, "_CUT_BITS", 1)
+    monkeypatch.setattr(bisection, "_ENUM_BUDGET", 0)
+    rep = bisection_fwht(GeneratorSet(4, (8, 4, 2, 1)))
+    assert (rep.b, rep.t) == (1, 1)
+
+
+def _traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fallback_memory_does_not_grow_with_n(monkeypatch):
+    # The fallback scans the cut counts a block at a time: one 2^16-entry
+    # table, scratch and counts, at d = 18 as at d = 20 (the full spectrum
+    # traced 2.8 and 11 MB).
+    monkeypatch.setattr(bisection, "_ENUM_BUDGET", 0)
+    for d in (18, 20):
+        assert _traced_peak(bisection_fwht, low_density_b3(d)) < 2 << 20
 
 
 def _count_calls(monkeypatch, name):
@@ -255,7 +307,7 @@ def _count_calls(monkeypatch, name):
 def test_bisection_falls_back_past_the_budget(monkeypatch):
     gens = low_density_b3(12)
     want = bisection_fwht(gens)
-    calls = _count_calls(monkeypatch, "cut_counts")
+    calls = _count_calls(monkeypatch, "cut_blocks")
     monkeypatch.setattr(bisection, "_ENUM_BUDGET", 0)
     rep = bisection_fwht(gens)
     assert calls == [gens.m]
@@ -263,7 +315,7 @@ def test_bisection_falls_back_past_the_budget(monkeypatch):
 
 
 def test_bisection_enumerates_b3_d20(monkeypatch):
-    calls = _count_calls(monkeypatch, "cut_counts")
+    calls = _count_calls(monkeypatch, "cut_blocks")
     rep = bisection_fwht(low_density_b3(20))
     assert calls == []
     assert (rep.b, rep.t) == (3, 2)
@@ -273,7 +325,7 @@ def test_bisection_of_wide_sets_skips_the_enumeration(monkeypatch):
     # m = 641 > 64 d at d = 10: straight to the spectrum.
     gens = _random_spanning(random.Random(641), 10, 641)
     enumerations = _count_calls(monkeypatch, "_low_weight")
-    spectra = _count_calls(monkeypatch, "cut_counts")
+    spectra = _count_calls(monkeypatch, "cut_blocks")
     rep = bisection_fwht(gens)
     assert enumerations == []
     assert spectra == [641]
@@ -284,7 +336,7 @@ def test_bisection_of_wide_sets_skips_the_enumeration(monkeypatch):
 def test_every_seeded_record_enumerates_to_the_first_minimum(monkeypatch, seeded_db):
     # The records `lh db verify` and `lh design` measure, up to d = 16,
     # at the default budget: `lh design` never needs numpy.
-    calls = _count_calls(monkeypatch, "cut_counts")
+    calls = _count_calls(monkeypatch, "cut_blocks")
     found = [bisection_fwht(rec.gens) for rec in seeded_db.records()]
     assert calls == []
     for rec, rep in zip(seeded_db.records(), found):
@@ -321,7 +373,7 @@ def small_dense_sets(draw):
 @settings(deadline=None, max_examples=75)
 def test_several_information_sets_give_the_first_minimum(gens):
     with pytest.MonkeyPatch.context() as mp:
-        calls = _count_calls(mp, "cut_counts")
+        calls = _count_calls(mp, "cut_blocks")
         rep = bisection_fwht(gens)
     assert calls == []
     counts = cut_counts(gens)

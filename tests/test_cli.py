@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import longhop
 import oracle
-from longhop import cli, designer, gf2, graph, soldb
+from longhop import bisection, cli, designer, gf2, graph, soldb
 from longhop.cli import main
 from longhop.constructions import lh_hd, low_density_b3
 from longhop.designer import WiringTable
@@ -281,6 +281,34 @@ def test_wire_memory_does_not_grow_with_n(db_path, tmp_path):
     assert code == 0
     assert out_file.stat().st_size > 14 << 20
     assert peak < 1 << 20
+
+
+def test_spectrum_memory_does_not_grow_with_n(tmp_path):
+    # lh spectrum writes each block of cut counts as it is counted, so
+    # its peak is a block's arrays and a write's rows at d = 18 as at
+    # d = 20 (the full spectrum traced 2.9 and 11 MB).
+    for d in (18, 20):
+        hops_file = tmp_path / f"b3_{d}.hops"
+        hops_file.write_text(format_hops(low_density_b3(d)))
+        code, peak = traced_peak(["spectrum", str(hops_file), "-o", str(tmp_path / "s.tsv")])
+        assert code == 0
+        assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("bits", [1, 2, 4])
+def test_spectrum_streams_cut_blocks_of_any_size(monkeypatch, tmp_path, bits):
+    # Blocks of 2, 4 or 16 cut counts against writes of 3 rows: the
+    # writes start over at each block.
+    monkeypatch.setattr(bisection, "_CUT_BITS", bits)
+    monkeypatch.setattr(graph, "_ROWS_PER_WRITE", 3)
+    gens = low_density_b3(7)
+    hops_file = tmp_path / "b3_7.hops"
+    hops_file.write_text(format_hops(gens))
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        assert main(["spectrum", str(hops_file)]) == 0
+    cuts = oracle.cut_counts(gens.d, gens.hops)
+    assert stdout.getvalue() == oracle.spectrum_table(gens.d, gens.m, cuts)
 
 
 def test_wire_blocks_are_bounded_in_bytes(db_path, tmp_path):
@@ -775,6 +803,23 @@ def test_the_store_is_read_and_written_as_utf8_whatever_the_locale(
     ], env=env)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert edited.read_bytes().count("prov=caf\u00e9\n".encode()) == 1
+
+
+def test_a_provenance_that_is_not_utf8_is_an_error_line(db_path, code74_file):
+    # Under the C locale, with UTF-8 mode off, Python turns the bytes of
+    # an accented argument into lone surrogates, which no UTF-8 store can
+    # hold: one error line, and the store keeps its bytes.
+    before = db_path.read_bytes()
+    env = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    proc = child([
+        sys.executable, "-m", "longhop.cli", "db", "ingest", code74_file,
+        "--prov", "caf\u00e9", "--replace", "--db", str(db_path),
+    ], env=env)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: provenance ")
+    assert proc.stderr.endswith(" is not UTF-8 text\n")
+    assert proc.stderr.count("\n") == 1
+    assert db_path.read_bytes() == before
 
 
 def test_compare_family_csv(capsys):

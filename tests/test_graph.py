@@ -371,6 +371,65 @@ def test_distance_profile_is_invariant_under_invertible_maps(gens, seed):
     assert distance_profile(mapped) == distance_profile(gens)
 
 
+class _Drawn:
+    """Stands for graph._SPARSE_COST: the i-th level's sparse step costs
+    nothing when steps[i] is true and more than any dense step when it
+    is false (true once the list runs out), so levels take the steps in
+    the order drawn."""
+
+    def __init__(self, steps):
+        self.steps = iter(steps)
+
+    def __rmul__(self, candidates):
+        return 0 if next(self.steps, True) else float("inf")
+
+
+@given(
+    st.one_of(generator_sets(min_d=2, max_d=12), capped_sets()),
+    st.sampled_from([0, 1, 2, 3]),
+)
+@settings(deadline=None, max_examples=60)
+def test_dense_step_in_blocks_of_a_few_words_matches_bfs_oracle(gens, log_block):
+    # Blocks of 1 to 8 words, so that at d <= 14 most word bits flip
+    # whole blocks and the rest flip runs of 1, 2 or 4 words inside a
+    # block; a capped set one above the cap gathers a hop after the
+    # blocked unit step.
+    entries = []
+    with pytest.MonkeyPatch.context() as mp:
+        force_steps(mp, entries, "dense")
+        mp.setattr(graph, "_BLOCK", 1 << log_block)
+        prof = assert_matches_oracle(gens)
+    assert entries == ["dense"] * prof.diameter
+
+
+@st.composite
+def thin_sets(draw):
+    """Spanning sets with d = 14 and m = 14 or 15: m^2 candidates are
+    fewer than the 256 words, so the sparse step lists the words of its
+    nodes up to level 2, and again at the last levels."""
+    m = draw(st.integers(14, 15))
+    hops = draw(st.lists(st.integers(1, (1 << 14) - 1), min_size=m, max_size=m, unique=True))
+    assume(gf2.spans(hops, 14))
+    return GeneratorSet(14, tuple(hops))
+
+
+@given(
+    st.one_of(generator_sets(min_d=6, max_d=12), capped_sets(), thin_sets()),
+    st.lists(st.booleans(), max_size=14),
+    st.sampled_from([0, 1, 2, 3]),
+)
+@settings(deadline=None, max_examples=80)
+def test_interleaved_steps_match_bfs_oracle(gens, sparse, log_block):
+    # Sparse and dense levels in any order.  The level buffers are never
+    # cleared, so a buffer may hold nodes of earlier levels beside its
+    # own, which every step must mask off; a push lists only the words
+    # its frontier's level was written to.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_SPARSE_COST", _Drawn(sparse))
+        mp.setattr(graph, "_BLOCK", 1 << log_block)
+        assert_matches_oracle(gens)
+
+
 @st.composite
 def unit_placements(draw):
     """Spanning sets at d = 1..10 with the unit hops absent, present but
