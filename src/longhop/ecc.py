@@ -7,7 +7,7 @@ d)[::-1]`.  So hop s is the (m - s)'th matrix column read top-to-bottom
 as a d-bit word (top row = most significant bit).  Under that
 correspondence the minimum codeword weight equals the per-node
 bisection b of the hop graph, so code tables double as network designs.
-`bisection.cut_counts` computes the codeword weights for most hop sets;
+`bisection.cut_blocks` computes the codeword weights for most hop sets;
 `codewords` and `min_weight` here stay a separate, plain enumeration so
 the identity can be checked against the Walsh transform.
 """

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, NamedTuple
 
@@ -359,20 +359,15 @@ _SPARSE_COST = 33
 _LEVEL_OPS = 80_000
 # A gathered hop costs _GATHER_COST word operations per word.
 _GATHER_COST = 6
-# The dense step checks which words still need a gather every
-# _CHECK_HOPS gathered hops, and gathers only into those once they are
-# at most 1/_SPARSE_WORDS of the words.
-_CHECK_HOPS = 4
-_SPARSE_WORDS = 8
-# Candidates per block of the sparse step, and words per gather in the
-# dense step (128 KB of indices and of results).
+# Candidates per block of the sparse step (128 KB of indices and of
+# results).
 _GATHER = 1 << 14
-# Words per block of the dense step's unit hops: 256 KB of each of the
-# frontier, the level, the scratch and the unseen words, so that a
-# block's passes run in L2 (2 MB a core here).  Blocks of 2^14, 2^15 and
-# 2^16 words gave `lh metrics` on b3(24) medians of 219, 212 and 208 ms
-# over 24 rounds, against 258 ms for passes over whole arrays; smaller
-# blocks pay more per numpy call, larger ones spill a smaller L2.
+# Words per block of the dense step: 256 KB of each of the frontier,
+# the level, the unseen words and the scratch, so that a block's passes
+# run in L2 (2 MB a core here).  Blocks of 2^14, 2^15 and 2^16 words
+# gave `lh metrics` on b3(24) medians of 219, 212 and 208 ms over 24
+# rounds, against 258 ms for passes over whole arrays; smaller blocks
+# pay more per numpy call, larger ones spill a smaller L2.
 _BLOCK = 1 << 15
 # _SWAP_MASKS[j] marks the bits of a 64-bit word whose position has bit j
 # clear; the swap built from it exchanges bits p and p ^ 2^j.
@@ -391,11 +386,11 @@ def distance_profile(gens: GeneratorSet) -> DistanceProfile:
     the costs above rate cheaper:
     - the sparse step lists the frontier, or the unseen nodes once fewer,
       and tests v ^ h for each listed v and hop h;
-    - the dense step ORs into the next level every unit hop's image of
-      the frontier (in-word swaps for bits 0-5, block flips above), then
-      the gathers of the extras beyond the first min(r, d - 6), in blocks
-      that stop once every unseen node is reached, then the level's
-      delayed sources.
+    - the dense step ORs into the next level the level's delayed sources
+      and, a block of words at a time, every unit hop's image of the
+      frontier (in-word swaps for bits 0-5, word flips above) and the
+      gathers of the extras beyond the first min(r, d - 6), which stop
+      once every unseen node of the block is reached.
     The sources are exact because a shortest path uses each hop at most
     once, so dist(x) = min over subsets S of those extras of
     |S| + dist'(x ^ a_S), where a_S is the XOR of S and dist' uses the
@@ -410,11 +405,12 @@ def distance_profile(gens: GeneratorSet) -> DistanceProfile:
     frontier's level was written to.
     Three word arrays, the 2^min(r, d - 6) <= n/64 sources and node
     lists that the cost rule keeps short hold the traced peak near 0.7
-    bytes per node on b3(20) and 0.5 on b3(24); gathered extras add up to
-    7 word arrays of in-word variants, 1.5-1.8 bytes per node on random
-    64-hop sets.  The m = n/2 rungs need one dense level, level 2, which the
-    units and sources fill before any hop is gathered: 0.08 s in-process
-    at d = 20 (2 cores).
+    bytes per node on b3(20) and 0.5 on b3(24).  Gathered extras add
+    block-sized scratch: random 64-hop sets trace 0.66 bytes per node at
+    d = 24 and 1.16 at d = 20, where one block is the whole array.  The
+    m = n/2 rungs need one dense level, level 2, which the units and
+    sources fill before any hop is gathered: 0.08 s in-process at d = 20
+    (2 cores).
     """
     import numpy as np
 
@@ -484,10 +480,15 @@ def _systematic_hops(gens: GeneratorSet) -> np.ndarray:
 
 
 def _by_lo(rest: np.ndarray) -> dict[int, np.ndarray]:
-    """The hops h = hi << 6 | lo of rest as {lo: the his of that lo}."""
+    """The hops h = hi << 6 | lo of rest as {lo: the his of that lo}, the
+    los in Gray-code order, so that neighbours differ in few bits."""
     import numpy as np
 
-    rest = rest[np.argsort(rest & 63, kind="stable")]
+    los = rest & 63
+    rank = los ^ los >> 1
+    rank ^= rank >> 2
+    rank ^= rank >> 4
+    rest = rest[np.argsort(rank, kind="stable")]
     los = rest & 63
     cuts = [0, *(np.flatnonzero(np.diff(los)) + 1).tolist(), rest.size]
     his = rest >> 6
@@ -575,68 +576,87 @@ def _dense_level(
     rest: np.ndarray, his: dict, sources: np.ndarray,
 ) -> int:
     """The next level into nxt on packed words: the level's delayed
-    sources, the unit hops (_units, a block of _BLOCK words at a time),
-    then every hop h = hi << 6 | lo of rest as an in-word permutation
-    shared by the hops with that lo and a word gather.  Without such
-    hops each block is masked and counted as soon as its units are in,
-    while it is still in cache.  The first level that gathers fills his
-    with _by_lo(rest) for the levels after it.  Returns the level's size."""
+    sources, then a block of _BLOCK words at a time the unit hops
+    (_units) and the hops h = hi << 6 | lo of rest, one group of hops
+    with the same lo at a time.  A hop's image of word w is word w ^ hi
+    of the frontier permuted in-word by lo.  Rather than permute each
+    gathered word, the block's `done` words (its nodes reached or seen)
+    are kept permuted by the lo at hand, so that moving to the next group
+    in _by_lo's order costs a swap or two; the groups stop once every
+    node of the block is done.  Each block is masked and counted while
+    it is still in cache.  The first block that gathers fills his with
+    _by_lo(rest) for the blocks and levels after it.  Returns the
+    level's size."""
     import numpy as np
 
     _set(nxt, sources)
     size = min(frontier.size, _BLOCK)
-    tmp = np.empty(size, dtype=frontier.dtype)
+    tmp, done = np.empty((2, size), dtype=frontier.dtype)
+    full = np.iinfo(frontier.dtype).max
     count = 0
     for a in range(0, frontier.size, size):
-        out = nxt[a : a + size]
-        _units(frontier, a, out, d, tmp)
-        if not rest.size:
-            out &= unseen[a : a + size]
-            unseen[a : a + size] ^= out
-            count += int(np.bitwise_count(out).sum())
-    if not rest.size:
-        return count
-    tmp = np.empty_like(frontier)
-    if not his:
-        # Grouping sorts rest, so it waits for a gather: on the m = n/2
-        # rungs the units and sources reach every node before any.
-        np.bitwise_not(nxt, out=tmp)
-        tmp &= unseen
-        if np.count_nonzero(tmp):
-            his.update(_by_lo(rest))
-    # The other hops go in blocks, and after every _CHECK_HOPS or more
-    # hops the words that still hold an unseen node not reached are
-    # counted: the gathers stop once there are none, and go only into
-    # those words once they are few.
-    chunk = max(_CHECK_HOPS, _GATHER // frontier.size)
-    idx, since = None, _CHECK_HOPS
-    for lo, variant in _in_word_variants(frontier, list(his)):
-        for i in range(0, his[lo].size, chunk):
-            if since >= _CHECK_HOPS:
-                np.bitwise_not(nxt, out=tmp)
-                tmp &= unseen
-                pending = np.count_nonzero(tmp)
-                if not pending:
+        out, left = nxt[a : a + size], unseen[a : a + size]
+        _units(frontier, a, out, d, tmp, done)
+        if rest.size:
+            # The block's nodes that are reached or already seen.
+            np.bitwise_not(left, out=done)
+            done |= out
+            if not his and done.min() != full:
+                # Grouping sorts rest, so it waits for a gather: on the
+                # m = n/2 rungs the units and sources reach every node
+                # before any.
+                his.update(_by_lo(rest))
+            frame, offsets = 0, np.arange(size)
+            for lo, group in his.items():
+                if done.min() == full:
                     break
-                if pending * _SPARSE_WORDS <= tmp.size:
-                    idx = np.flatnonzero(tmp)
-                since = 0
-            block = his[lo][i : i + chunk]
-            _or_gathered(variant, block, nxt, idx)
-            since += block.size
-        else:
-            continue
-        break
-    nxt &= unseen
-    unseen ^= nxt
-    return int(np.bitwise_count(nxt).sum())
+                _permute(done, frame ^ lo, done, tmp)
+                frame = lo
+                # (a + i) ^ hi = i ^ (a ^ hi), a being a multiple of size.
+                for hi in (group ^ a).tolist():
+                    done |= frontier[offsets ^ hi]
+            _permute(done, frame, done, tmp)
+            out |= done
+        out &= left
+        left ^= out
+        count += int(np.bitwise_count(out).sum())
+    return count
 
 
-def _units(frontier: np.ndarray, a: int, out: np.ndarray, d: int, tmp: np.ndarray) -> None:
+def _permute(words: np.ndarray, lo: int, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = words with bit p of each word moved to bit p ^ lo, where lo
+    is not 0 or out is words: one swap of bit pairs per set bit of lo,
+    by mask and shift for bits 0-2 and by rotating 16-, 32- and 64-bit
+    lanes for bits 3-5."""
+    import numpy as np
+
+    for j in range(6):
+        if lo >> j & 1:
+            s = 1 << j
+            if j < 3:
+                mask = words.dtype.type(_SWAP_MASKS[j])
+                np.right_shift(words, s, out=tmp)
+                tmp &= mask
+                np.bitwise_and(words, mask, out=out)
+                out <<= s
+                out |= tmp
+            else:
+                lane = f"<u{s >> 2}"
+                src, dst, t = words.view(lane), out.view(lane), tmp.view(lane)
+                np.right_shift(src, s, out=t)
+                np.left_shift(src, s, out=dst)
+                dst |= t
+            words = out
+
+
+def _units(
+    frontier: np.ndarray, a: int, out: np.ndarray, d: int,
+    tmp: np.ndarray, spare: np.ndarray,
+) -> None:
     """out |= the image under each unit hop of the frontier's words that
     out stands for, a .. a + out.size - 1, where out.size is a power of
-    two that a is a multiple of.  Bits 0-2 swap by mask and shift, bits
-    3-5 by rotating 16-, 32- and 64-bit lanes; a word bit j below
+    two that a is a multiple of; tmp and spare are out-sized scratch.
+    Bits 0-5 are a _permute within each word; a word bit j below
     log2(out.size) flips runs of 2^j words inside the block, and a higher
     one ORs in the block at a ^ 2^j whole.  Runs of one or two words go
     column by column, since numpy walks a reversed run of so few words
@@ -645,22 +665,8 @@ def _units(frontier: np.ndarray, a: int, out: np.ndarray, d: int, tmp: np.ndarra
 
     f = frontier[a : a + out.size]
     for j in range(min(d, 6)):
-        s = 1 << j
-        if j < 3:
-            mask = f.dtype.type(_SWAP_MASKS[j])
-            np.bitwise_and(f, mask, out=tmp)
-            np.left_shift(tmp, s, out=tmp)
-            out |= tmp
-            np.right_shift(f, s, out=tmp)
-            tmp &= mask
-            out |= tmp
-        else:
-            lane = f"<u{s >> 2}"
-            src, dst, t = f.view(lane), out.view(lane), tmp.view(lane)
-            np.left_shift(src, s, out=t)
-            dst |= t
-            np.right_shift(src, s, out=t)
-            dst |= t
+        _permute(f, 1 << j, tmp, spare)
+        out |= tmp
     for j in range(d - 6):
         k = 1 << j
         if k >= out.size:
@@ -672,44 +678,3 @@ def _units(frontier: np.ndarray, a: int, out: np.ndarray, d: int, tmp: np.ndarra
         else:
             pairs = out.reshape(-1, 2, k)
             np.bitwise_or(pairs, f.reshape(-1, 2, k)[:, ::-1], out=pairs)
-
-
-def _in_word_variants(
-    words: np.ndarray, los: list[int], bit: int = 0
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (lo, words with bit p of each word taken from bit p ^ lo) for
-    each lo in los, all of which agree below `bit` and whose shared low
-    bits `words` is already permuted by.  Depth-first over the bits, one
-    mask-and-shift swap per set bit, so at most 7 arrays are alive."""
-    if bit == 6:
-        yield los[0], words
-        return
-    clear = [lo for lo in los if not lo >> bit & 1]
-    flipped = [lo for lo in los if lo >> bit & 1]
-    if clear:
-        yield from _in_word_variants(words, clear, bit + 1)
-    if flipped:
-        s, mask = 1 << bit, words.dtype.type(_SWAP_MASKS[bit])
-        swapped = ((words & mask) << s) | ((words >> s) & mask)
-        yield from _in_word_variants(swapped, flipped, bit + 1)
-
-
-def _or_gathered(variant, his, out, idx=None) -> None:
-    """out[w] |= variant[w ^ hi] for every hi in his and every word w, or
-    every w in idx, in gathers of at most _GATHER words: several hops per
-    gather when the words are few, word chunks of one hop when they are
-    many."""
-    import numpy as np
-
-    size = out.size if idx is None else idx.size
-    step = min(size, _GATHER)
-    rows = _GATHER // step
-    for a in range(0, size, step):
-        words = np.arange(a, min(a + step, size)) if idx is None else idx[a : a + step]
-        acc = np.bitwise_or.reduce(variant[words ^ his[:rows, None]], axis=0)
-        for i in range(rows, his.size, rows):
-            acc |= np.bitwise_or.reduce(variant[words ^ his[i : i + rows, None]], axis=0)
-        if idx is None:
-            out[a : a + step] |= acc
-        else:
-            out[words] |= acc

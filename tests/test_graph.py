@@ -278,6 +278,24 @@ def test_distance_profile_memory_per_node_at_d24():
     assert peak < 1.5 * gens.n
 
 
+def test_distance_profile_memory_per_node_with_gathered_hops():
+    # A random 64-hop set at d = 20 has 44 extras: 14 become delayed
+    # sources and 30 are gathered on its dense levels, where one block
+    # is the whole word array.  The bound leaves room for block-sized
+    # scratch, not for in-word permuted copies of the whole frontier
+    # (n/8 bytes each).
+    rng = random.Random(1)
+    gens = GeneratorSet(20, tuple(rng.sample(range(1, 1 << 20), 64)))
+    tracemalloc.start()
+    try:
+        prof = distance_profile(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prof.n == gens.n
+    assert peak < 1.3 * gens.n
+
+
 def record_steps(mp, steps):
     """Patch graph._sparse_level and graph._dense_level so that each also
     notes in steps that it computed a level."""
@@ -316,17 +334,13 @@ def assert_matches_oracle(gens):
     return prof
 
 
-@given(generator_sets(min_d=2, max_d=10), st.sampled_from([1, 4]), st.booleans())
-def test_pull_step_from_level_one_matches_bfs_oracle(gens, check_hops, listed):
+@given(generator_sets(min_d=2, max_d=10))
+def test_pull_step_from_level_one_matches_bfs_oracle(gens):
     # The dense (pull) step on every level.  d < 6 leaves one partial word
-    # and every hop with hi = 0; d > 6 has delayed sources.  The coverage
-    # check runs after every hop or every 4, and gathers go into a list
-    # of words whenever one is left or into all of them.
+    # and every hop with hi = 0; d > 6 has delayed sources.
     entries = []
     with pytest.MonkeyPatch.context() as mp:
         force_steps(mp, entries, "dense")
-        mp.setattr(graph, "_CHECK_HOPS", check_hops)
-        mp.setattr(graph, "_SPARSE_WORDS", 0 if listed else float("inf"))
         prof = assert_matches_oracle(gens)
     assert entries == ["dense"] * prof.diameter
 
@@ -343,12 +357,12 @@ def test_sparse_step_from_level_one_matches_bfs_oracle(gens):
 
 
 @st.composite
-def capped_sets(draw):
-    """Spanning sets with d = 2..14 and r = m - d extra hops one below, at
-    or one above the cap max(d - 6, 0) on the hops that become delayed
-    sources."""
+def capped_sets(draw, above=1):
+    """Spanning sets with d = 2..14 and r = m - d extra hops from one
+    below the cap max(d - 6, 0) on the hops that become delayed sources
+    to `above` hops above it, which are gathered."""
     d = draw(st.integers(2, 14))
-    r = max(0, max(d - 6, 0) + draw(st.sampled_from([-1, 0, 1])))
+    r = max(0, max(d - 6, 0) + draw(st.integers(-1, above)))
     m = min(d + r, (1 << d) - 1)
     hops = draw(
         st.lists(st.integers(1, (1 << d) - 1), min_size=m, max_size=m, unique=True)
@@ -384,16 +398,26 @@ class _Drawn:
         return 0 if next(self.steps, True) else float("inf")
 
 
+def _every_lo_set():
+    rng = random.Random(5)
+    return GeneratorSet(
+        14, tuple(rng.randrange(1, 256) << 6 | lo for lo in range(64))
+    )
+
+
 @given(
-    st.one_of(generator_sets(min_d=2, max_d=12), capped_sets()),
+    st.one_of(
+        generator_sets(min_d=2, max_d=12), capped_sets(above=8), st.just(_every_lo_set())
+    ),
     st.sampled_from([0, 1, 2, 3]),
 )
 @settings(deadline=None, max_examples=60)
 def test_dense_step_in_blocks_of_a_few_words_matches_bfs_oracle(gens, log_block):
     # Blocks of 1 to 8 words, so that at d <= 14 most word bits flip
     # whole blocks and the rest flip runs of 1, 2 or 4 words inside a
-    # block; a capped set one above the cap gathers a hop after the
-    # blocked unit step.
+    # block.  A capped set gathers up to 8 hops, and the every-lo set 42
+    # hops in 27 lo groups, from partner blocks after the blocked unit
+    # step.
     entries = []
     with pytest.MonkeyPatch.context() as mp:
         force_steps(mp, entries, "dense")
@@ -469,13 +493,6 @@ def test_systematic_hops_are_the_hops_under_one_invertible_map(case):
         assert out == list(gens.hops)
     want = oracle.distances(d, out)
     assert distance_profile(gens).counts == tuple(np.bincount(want).tolist())
-
-
-def _every_lo_set():
-    rng = random.Random(5)
-    return GeneratorSet(
-        14, tuple(rng.randrange(1, 256) << 6 | lo for lo in range(64))
-    )
 
 
 @pytest.mark.parametrize(

@@ -133,7 +133,7 @@ def _references(path):
     """Every name a file reads: bare, as an attribute, imported, or spelt
     out as a whole string (the bench names the layers it wraps that way)."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -144,11 +144,17 @@ def _references(path):
 
 
 def _defined(path):
-    """(owner, name) of each module function and each non-dunder method
-    or property of a module class in path; owner is "" for a function."""
+    """(owner, name) of each module function and non-dunder constant and
+    each non-dunder method or property of a module class in path; owner
+    is "" for a function or a constant."""
     for node in ast.parse(path.read_text(), filename=str(path)).body:
         if isinstance(node, ast.FunctionDef):
             yield "", node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield "", target.id
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
@@ -156,8 +162,9 @@ def _defined(path):
 
 
 def test_every_library_function_has_a_caller_outside_the_tests():
-    # A function, method or property that only tests read belongs with
-    # the tests (oracle.py holds the referees), not in the library.
+    # A function, method, property or module constant that only tests
+    # read belongs with the tests (oracle.py holds the referees), not in
+    # the library.  A constant's own assignment does not count as a read.
     readers = SOURCES + sorted(BENCH.glob("*.py"))
     used = {name for path in readers for name in _references(path)}
     unused = [
