@@ -23,19 +23,15 @@ comes.  An enumeration oracle for tiny n keeps both honest.
 
 `bisection_fwht` needs only the minimum, so when m <= 64 d it first runs
 the Brouwer-Zimmermann minimum-distance algorithm (`_low_weight`;
-Zimmermann 1996, Grassl 2006) on Python ints, each codeword with its
-Walsh index in the bits above its m: k disjoint `gf2.information_sets`,
-each a set of d hops whose d x d submatrix is invertible, and in
-rounds w = 1, 2, ... every codeword whose information vector in a set
-has weight w.  A codeword not yet met then weighs at least k w plus the
-sets already done this round, so the enumeration stops once that bound
-passes the lightest codeword met: about k sum_{j <= b/k} C(d, j)
-codewords, some 45 bytes each, and not much over the 2^d the code holds
-when k is large.  It falls back to the first minimum over the blocks
-of `cut_blocks` when the next level would pass the budget
-`_ENUM_BUDGET` sets, and goes straight there when m > 64 d.  numpy is
-imported by the functions that build arrays of n entries, so an
-enumeration that finishes never loads it.
+Zimmermann 1996, Grassl 2006) on Python ints: over k disjoint
+`gf2.information_sets` it visits about k sum_{j <= b/k} C(d, j)
+codewords, some 45 bytes each, whatever n is.  When m > 64 d, or the
+next level would pass the budget `_ENUM_BUDGET` sets, it takes the
+first minimum of the whole spectrum instead: up to d n = 2^22 (d <= 17)
+from `walsh.fwht_lanes`, 32-bit lanes of one Python int, and above that
+from the blocks of `cut_blocks`.  numpy is imported only by the
+functions that build arrays of n entries, so `bisection_fwht` loads it
+only above d = 17.
 """
 from __future__ import annotations
 
@@ -47,7 +43,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import gf2
 from .errors import BudgetExceeded, DomainError, LongHopError
 from .graph import GeneratorSet, check_dim, distance_profile
-from .walsh import fwht
+from .walsh import fwht, fwht_lanes
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,7 +54,7 @@ def eigenvalues(gens: GeneratorSet) -> np.ndarray:
     import numpy as np
 
     indicator = np.zeros(gens.n, dtype=np.int64)
-    indicator[list(gens.hops)] = 1
+    indicator[np.fromiter(gens.hops, np.int64, count=gens.m)] = 1
     return fwht(indicator)
 
 
@@ -143,19 +139,24 @@ class BisectionReport(NamedTuple):
 
 # Codewords the low-weight enumeration may visit per element of the
 # n * ceil(m/64) blocked pass that `cut_blocks` would run instead, plus
-# 2^26 elements for the numpy import that pass also pays on a cold
-# start (0.09-0.1 s, about as long as a 2^26-element pass).  One
-# enumerated codeword (an XOR of tagged Python ints, a mask and a
-# bit_count) measured 0.15-0.27 us on random sets with d = 16..24 and
-# m = 64..128, against 0.9-1.1 ns for one element of the blocked pass
-# at d = 20..24 (2 cores, Python 3.11, numpy 2.4), so 1/256 keeps the
-# enumeration within about the time of the pass it replaces: at least
-# 2^18 codewords (about 0.05 s and 12 MB) on any set, where record
-# (16,38) needs 9,400, b3(24) 2,324 and no other seeded record more
-# than 664.  The levels an enumeration keeps grow with its budget: a
-# random 256-hop d = 24 set gives up after 2^19 codewords at 44 MB RSS
-# end to end.
+# 2^26 elements for the numpy import that pass pays on a cold start
+# (0.09-0.1 s, about as long as a 2^26-element pass; up to d = 17 the
+# fallback is `fwht_lanes`, which imports nothing).  One enumerated
+# codeword (an XOR of tagged Python ints, a mask and a bit_count)
+# measured 0.15-0.27 us on random sets with d = 16..24 and m = 64..128,
+# against 0.9-1.1 ns for one element of the blocked pass at d = 20..24
+# (2 cores, Python 3.11, numpy 2.4), so 1/256 keeps the enumeration
+# within about the time of the pass it replaces: at least 2^18 codewords
+# (about 0.05 s and 12 MB) on any set, where record (16,38) needs 9,400,
+# b3(24) 2,324 and no other seeded record more than 664.  The levels an
+# enumeration keeps grow with its budget: a random 256-hop d = 24 set
+# gives up after 2^19 codewords at 44 MB RSS end to end.
 _ENUM_BUDGET = 1 / 256
+
+# The largest d * n that goes to `fwht_lanes` (d stages over 4n bytes),
+# not `cut_blocks`: on hd(d, n/2), d = 16, 17, 18, the lanes took 16, 36,
+# 77 ms, importing numpy and its FWHT 58, 61, 77 ms (2 cores, numpy 2.4).
+_LANES_WORK = 1 << 22
 
 
 def _levels(rows: list[int]):
@@ -201,7 +202,6 @@ def _low_weight(gens: GeneratorSet) -> tuple[int, int] | None:
     if (1 << d) - 1 > m // d * (d + comb(d, 2)):
         levels += map(_levels, sets)
     k = len(levels)
-    # The fallback imports numpy too, as long as a 2^26-element word pass.
     budget = _ENUM_BUDGET * (gens.n * -(-m // 64) + (1 << 26))
     spent, best, t = 0, m + 1, 0
     for w in range(1, d + 1):
@@ -223,25 +223,30 @@ def _low_weight(gens: GeneratorSet) -> tuple[int, int] | None:
 def bisection_fwht(gens: GeneratorSet) -> BisectionReport:
     """Exact bisection b and its smallest Walsh index t.
 
-    Two engines give the same (b, t).  When m <= 64 d, codewords are
+    Three engines give the same (b, t).  When m <= 64 d, codewords are
     enumerated over k disjoint information sets (`_low_weight`), about
     k sum_{j <= b/k} C(d, j) of them, whatever n is, without numpy.
-    Sets with m > 64 d, and enumerations whose next level would pass
-    their budget, scan the blocks of `cut_blocks` instead and take
-    their first minimum over k >= 1.
+    Sets with m > 64 d, and enumerations that would pass their budget,
+    take the first minimum over k >= 1 of `fwht_lanes` (no numpy) while
+    d n <= _LANES_WORK, and else of the blocks of `cut_blocks`.
     """
-    if -(-gens.m // 64) <= gens.d:
-        found = _low_weight(gens)
-        if found is not None:
-            b, t = found
-            return BisectionReport(d=gens.d, b=b, t=t)
-    b, t = gens.m + 1, 0
-    for start, counts in cut_blocks(gens):
-        # k = 0 cuts nothing; a strict < keeps the first minimum.
-        skip = 1 if start == 0 else 0
-        i = int(counts[skip:].argmin()) + skip
-        if counts[i] < b:
-            b, t = int(counts[i]), start + i
+    d, m, n = gens.d, gens.m, gens.n
+    found = _low_weight(gens) if -(-m // 64) <= d else None
+    if found is not None:
+        b, t = found
+    elif d * n <= _LANES_WORK:
+        # The first largest lambda_k over k >= 1 is the first minimum.
+        lanes = fwht_lanes(gens.hops, d)
+        top = max(islice(lanes, 1, None))
+        b, t = (m + n - top) // 2, lanes.index(top, 1)
+    else:
+        b, t = m + 1, 0
+        for start, counts in cut_blocks(gens):
+            # k = 0 cuts nothing; a strict < keeps the first minimum.
+            skip = 1 if start == 0 else 0
+            i = int(counts[skip:].argmin()) + skip
+            if counts[i] < b:
+                b, t = int(counts[i]), start + i
     if b == 0:
         raise LongHopError(
             "spanning hops gave a zero cut count; the spectrum is miscounting"

@@ -462,7 +462,7 @@ def _systematic_hops(gens: GeneratorSet) -> np.ndarray:
     import numpy as np
 
     d, m = gens.d, gens.m
-    hops = np.array(gens.hops, dtype="<i8")
+    hops = np.fromiter(gens.hops, "<i8", count=m)
     planes = np.ascontiguousarray(hops.view("u1").reshape(m, 8)[:, : -(-d // 8)].T)
     rows = [
         int.from_bytes(

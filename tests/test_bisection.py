@@ -17,7 +17,7 @@ from longhop.bisection import (
     eigenvalues,
     optimize_direct,
 )
-from longhop.constructions import low_density_b3
+from longhop.constructions import hd_ladder, hd_metrics, lh_hd, low_density_b3
 from longhop.errors import BudgetExceeded, DomainError
 from longhop.graph import GeneratorSet
 from longhop.walsh import fwht
@@ -252,6 +252,7 @@ def test_cut_blocks_of_a_few_entries_give_the_oracle_counts(gens, bits):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bisection, "_CUT_BITS", bits)
         mp.setattr(bisection, "_ENUM_BUDGET", 0)
+        mp.setattr(bisection, "_LANES_WORK", 0)
         blocks = [(start, counts.tolist()) for start, counts in bisection.cut_blocks(gens)]
         counts = cut_counts(gens)
         rep = bisection_fwht(gens)
@@ -270,6 +271,7 @@ def test_fallback_takes_the_first_minimum_across_blocks(monkeypatch):
     # each in its own block of two.
     monkeypatch.setattr(bisection, "_CUT_BITS", 1)
     monkeypatch.setattr(bisection, "_ENUM_BUDGET", 0)
+    monkeypatch.setattr(bisection, "_LANES_WORK", 0)
     rep = bisection_fwht(GeneratorSet(4, (8, 4, 2, 1)))
     assert (rep.b, rep.t) == (1, 1)
 
@@ -293,25 +295,39 @@ def test_fallback_memory_does_not_grow_with_n(monkeypatch):
 
 
 def _count_calls(monkeypatch, name):
+    # Records the hop count of each call: of gens, or of fwht_lanes(hops, d).
     calls = []
     inner = getattr(bisection, name)
 
-    def counted(gens):
-        calls.append(gens.m)
-        return inner(gens)
+    def counted(first, *rest):
+        calls.append(len(getattr(first, "hops", first)))
+        return inner(first, *rest)
 
     monkeypatch.setattr(bisection, name, counted)
     return calls
 
 
 def test_bisection_falls_back_past_the_budget(monkeypatch):
+    # Up to d = 17 the fallback is the packed transform, above it the
+    # blocks of cut_blocks.
     gens = low_density_b3(12)
     want = bisection_fwht(gens)
-    calls = _count_calls(monkeypatch, "cut_blocks")
+    calls = _count_calls(monkeypatch, "fwht_lanes")
     monkeypatch.setattr(bisection, "_ENUM_BUDGET", 0)
     rep = bisection_fwht(gens)
     assert calls == [gens.m]
     assert (rep.b, rep.t) == (want.b, want.t) == (3, 1)
+
+
+def test_bisection_above_the_lane_bound_falls_back_to_cut_blocks(monkeypatch):
+    gens = low_density_b3(18)
+    want = bisection_fwht(gens)
+    lanes = _count_calls(monkeypatch, "fwht_lanes")
+    calls = _count_calls(monkeypatch, "cut_blocks")
+    monkeypatch.setattr(bisection, "_ENUM_BUDGET", 0)
+    rep = bisection_fwht(gens)
+    assert (lanes, calls) == ([], [gens.m])
+    assert (rep.b, rep.t) == (want.b, want.t)
 
 
 def test_bisection_enumerates_b3_d20(monkeypatch):
@@ -322,15 +338,48 @@ def test_bisection_enumerates_b3_d20(monkeypatch):
 
 
 def test_bisection_of_wide_sets_skips_the_enumeration(monkeypatch):
-    # m = 641 > 64 d at d = 10: straight to the spectrum.
+    # m = 641 > 64 d at d = 10: straight to the packed transform.
     gens = _random_spanning(random.Random(641), 10, 641)
     enumerations = _count_calls(monkeypatch, "_low_weight")
-    spectra = _count_calls(monkeypatch, "cut_blocks")
+    spectra = _count_calls(monkeypatch, "fwht_lanes")
     rep = bisection_fwht(gens)
     assert enumerations == []
     assert spectra == [641]
     want = oracle.cut_counts(gens.d, gens.hops)
     assert (rep.b, rep.t) == (min(want[1:]), want.index(min(want[1:]), 1))
+
+
+@pytest.mark.parametrize("work", [0, float("inf")], ids=["cut_blocks", "lanes"])
+@given(codeword_sets())
+@settings(deadline=None)
+def test_both_fallbacks_give_the_first_minimum(work, gens):
+    # With no enumeration, _LANES_WORK 0 always scans cut_blocks and inf
+    # always the packed transform.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bisection, "_ENUM_BUDGET", 0)
+        mp.setattr(bisection, "_LANES_WORK", work)
+        rep = bisection_fwht(gens)
+    want = oracle.cut_counts(gens.d, gens.hops)
+    b = min(want[1:])
+    assert (rep.b, rep.t) == (b, want.index(b, 1))
+
+
+@pytest.mark.parametrize("d", range(10, 18))
+def test_every_hd_rung_up_to_the_lane_bound_gives_its_closed_form(d):
+    for m in hd_ladder(d):
+        gens = lh_hd(d, m)
+        rep = bisection_fwht(gens)
+        counts = cut_counts(gens)
+        t = int(counts[1:].argmin()) + 1
+        assert (rep.b, rep.t) == (hd_metrics(d, m)[0], t)
+
+
+def test_packed_transform_memory_per_node():
+    # One int of 4n bytes and a few temporaries of its size: the bound
+    # is 40 bytes per node at d = 17 (about 26 traced).
+    gens = lh_hd(17, 1 << 16)
+    assert gens.d * gens.n <= bisection._LANES_WORK
+    assert _traced_peak(bisection_fwht, gens) < 40 * gens.n
 
 
 def test_every_seeded_record_enumerates_to_the_first_minimum(monkeypatch, seeded_db):

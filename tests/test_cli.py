@@ -1112,6 +1112,7 @@ COLD = [
     (["diag", "{record}"], f"ecc {HOP_MODULES}"),
     (["bisect", "{record}"], f"bisection {HOP_MODULES}"),
     (["bisect", "{b3_24}"], f"bisection {HOP_MODULES}"),
+    (["bisect", "{hd15}"], f"bisection {HOP_MODULES}"),
     (["oracle", "{fq3}"], f"bisection {HOP_MODULES}"),
 ]
 
@@ -1162,12 +1163,14 @@ def test_main_leaves_the_environment_alone_once_numpy_is_loaded(
 def test_cold_commands_do_not_import_numpy(
     tmp_path, seeded_db, db_path, code74_file, fq3_file, argv, modules
 ):
-    # Record (16,38) and b3(24) need the codeword enumeration to finish.
+    # Record (16,38) and b3(24) need the codeword enumeration to finish;
+    # hd(15, 16384), with m > 64 d, the packed transform.
     files = {"db": db_path, "code": code74_file, "fq3": fq3_file}
     for name, gens in [
         ("record", seeded_db.query(16, 38).gens),
         ("b3_12", low_density_b3(12)),
         ("b3_24", low_density_b3(24)),
+        ("hd15", lh_hd(15, 16384)),
     ]:
         files[name] = tmp_path / f"{name}.hops"
         files[name].write_text(format_hops(gens))

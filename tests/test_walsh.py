@@ -1,13 +1,15 @@
 """Walsh layer: the transform, and the Hadamard rows it gives."""
 
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from longhop.errors import DomainError
-from longhop.walsh import MAX_DIM, fwht
+from longhop.errors import DomainError, LongHopError
+from longhop.walsh import MAX_DIM, fwht, fwht_lanes
 
 
 def hadamard(n):
@@ -84,3 +86,31 @@ def test_fwht_validation():
     with pytest.raises(DomainError):
         fwht(np.zeros((4, 4), dtype=np.int64))
     assert MAX_DIM == 24
+
+
+@st.composite
+def hop_sets(draw):
+    # m from d to n - 1: at m = n - 1, lane 0 reaches its largest value,
+    # 2n - 1.
+    d = draw(st.integers(1, 10))
+    n = 1 << d
+    m = draw(st.one_of(st.sampled_from([d, n - 1]), st.integers(d, n - 1)))
+    return d, random.Random(draw(st.integers(0, 2**32))).sample(range(1, n), m)
+
+
+@given(hop_sets())
+@example((10, list(range(1, 1 << 10))))
+@example((10, [1 << i for i in range(10)]))
+@settings(deadline=None, max_examples=60)
+def test_lanes_match_oracle_eigenvalues(case):
+    d, hops = case
+    lanes = fwht_lanes(hops, d)
+    assert lanes.itemsize == 4
+    assert lanes.tolist() == [lam + (1 << d) for lam in oracle.eigenvalues(d, hops)]
+
+
+def test_lanes_check_their_parity():
+    # A repeated hop counts twice in m but sets its lane once, so every
+    # lane has the wrong parity.
+    with pytest.raises(LongHopError, match="parity"):
+        fwht_lanes((3, 3), 2)
