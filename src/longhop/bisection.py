@@ -10,28 +10,21 @@ yields the exact bisection.
 C_k is also the Hamming weight of codeword k of the hop set's code
 (bit s of codeword k is the parity of k & hop s), which is why b is the
 code's minimum distance.  `cut_blocks`, the one engine of the cut
-counts, uses that view whenever the hops fit in at most d 64-bit words
-(m <= 64 d): it yields the counts in k order, 2^16 at a time, each
-codeword the XOR of an entry of a table built from the low code rows
-and one built from the high rows, so a block stays in cache and the
-scan holds about 1.2 MB per 64 hops whatever n is.  Wider sets, such
-as the half-distance rungs with m in the thousands, take one FWHT of
-the hop indicator instead, as one block (24 bytes per node).
-`cut_counts` joins the blocks into one int64 array for the callers
-that need every count at once; `lh spectrum` writes each block as it
-comes.  An enumeration oracle for tiny n keeps both honest.
+counts, yields them in k order: as codeword weights, 2^16 at a time in
+cache (about 1.2 MB per 64 hops whatever n is), while the hops fit in
+d 64-bit words (m <= 64 d), and else, as on the half-distance rungs,
+from one in-place int32 FWHT of the hop indicator.  `cut_counts` joins
+the blocks for the callers that need every count at once; `lh spectrum`
+writes each block as it comes.  An enumeration oracle for tiny n keeps
+both honest.
 
 `bisection_fwht` needs only the minimum, so when m <= 64 d it first runs
 the Brouwer-Zimmermann minimum-distance algorithm (`_low_weight`;
-Zimmermann 1996, Grassl 2006) on Python ints: over k disjoint
-`gf2.information_sets` it visits about k sum_{j <= b/k} C(d, j)
-codewords, some 45 bytes each, whatever n is.  When m > 64 d, or the
-next level would pass the budget `_ENUM_BUDGET` sets, it takes the
-first minimum of the whole spectrum instead: up to d n = 2^22 (d <= 17)
-from `walsh.fwht_lanes`, 32-bit lanes of one Python int, and above that
-from the blocks of `cut_blocks`.  numpy is imported only by the
-functions that build arrays of n entries, so `bisection_fwht` loads it
-only above d = 17.
+Zimmermann 1996, Grassl 2006) on Python ints, some 45 bytes a codeword
+whatever n is.  When m > 64 d, or past the budget, it takes the first
+minimum of the whole spectrum: up to d n = 2^22 (d <= 17) from the
+numpy-free `walsh.fwht_lanes`, and above that from `cut_blocks`.  numpy
+is imported only by the functions that build arrays of n entries.
 """
 from __future__ import annotations
 
@@ -53,7 +46,7 @@ def eigenvalues(gens: GeneratorSet) -> np.ndarray:
     """All n adjacency eigenvalues, indexed by Walsh index k."""
     import numpy as np
 
-    indicator = np.zeros(gens.n, dtype=np.int64)
+    indicator = np.zeros(gens.n, dtype=np.int32)
     indicator[np.fromiter(gens.hops, np.int64, count=gens.m)] = 1
     return fwht(indicator)
 
@@ -78,16 +71,18 @@ def cut_blocks(gens: GeneratorSet) -> Iterator[tuple[int, np.ndarray]]:
     and c[hi] the XOR of the high rows that hi selects; so a block costs
     one XOR, one bitwise_count and one add per chunk and entry.  The FWHT
     costs n operations per dimension instead, so it takes over once the
-    hops fill more than d words, as one block of n.
+    hops fill more than d words: the eigenvalues, turned in place into
+    (m - lambda) / 2, are one block of n.
     """
     import numpy as np
 
     d, m, n = gens.d, gens.m, gens.n
     if -(-m // 64) > d:
-        diff = m - eigenvalues(gens)
-        if (diff & 1).any():
+        counts = eigenvalues(gens)
+        np.subtract(m, counts, out=counts)
+        if np.bitwise_or.reduce(counts) & 1:
             raise LongHopError("spectrum parity broke; fwht is miscounting")
-        yield 0, diff >> 1
+        yield 0, np.right_shift(counts, 1, out=counts)
         return
     low = min(d, _CUT_BITS)
     chunks = [
@@ -108,15 +103,12 @@ def cut_blocks(gens: GeneratorSet) -> Iterator[tuple[int, np.ndarray]]:
 
 
 def cut_counts(gens: GeneratorSet) -> np.ndarray:
-    """C_k for every k, as int64: the blocks of cut_blocks, joined.
+    """C_k for every k, as int32: the blocks of cut_blocks, joined.
 
     C_k * n/2 is the link count across the Walsh-k bisection."""
     import numpy as np
 
-    out = np.empty(gens.n, dtype=np.int64)
-    for start, counts in cut_blocks(gens):
-        out[start : start + counts.size] = counts
-    return out
+    return np.concatenate([counts for _, counts in cut_blocks(gens)], dtype=np.int32)
 
 
 class BisectionReport(NamedTuple):
@@ -140,22 +132,22 @@ class BisectionReport(NamedTuple):
 # Codewords the low-weight enumeration may visit per element of the
 # n * ceil(m/64) blocked pass that `cut_blocks` would run instead, plus
 # 2^26 elements for the numpy import that pass pays on a cold start
-# (0.09-0.1 s, about as long as a 2^26-element pass; up to d = 17 the
-# fallback is `fwht_lanes`, which imports nothing).  One enumerated
-# codeword (an XOR of tagged Python ints, a mask and a bit_count)
-# measured 0.15-0.27 us on random sets with d = 16..24 and m = 64..128,
-# against 0.9-1.1 ns for one element of the blocked pass at d = 20..24
-# (2 cores, Python 3.11, numpy 2.4), so 1/256 keeps the enumeration
-# within about the time of the pass it replaces: at least 2^18 codewords
-# (about 0.05 s and 12 MB) on any set, where record (16,38) needs 9,400,
-# b3(24) 2,324 and no other seeded record more than 664.  The levels an
-# enumeration keeps grow with its budget: a random 256-hop d = 24 set
+# (0.09-0.1 s, about as long as a 2^26-element pass); below the lane
+# bound, where `fwht_lanes` imports nothing, the 2^26 is scaled by
+# d n / _LANES_WORK.  One enumerated codeword (an XOR of tagged Python
+# ints, a mask and a bit_count) measured 0.15-0.27 us on random sets with
+# d = 16..24 and m = 64..128, against 0.9-1.1 ns for one element of the
+# blocked pass at d = 20..24 (2 cores, Python 3.11, numpy 2.4), so 1/256
+# keeps the enumeration within about the time of its fallback: 2^18
+# codewords (0.05 s, 12 MB) or more above d = 17, about 65,000 at
+# d = 16, where record (16,38) needs 9,400.  A random 256-hop d = 24 set
 # gives up after 2^19 codewords at 44 MB RSS end to end.
 _ENUM_BUDGET = 1 / 256
 
 # The largest d * n that goes to `fwht_lanes` (d stages over 4n bytes),
-# not `cut_blocks`: on hd(d, n/2), d = 16, 17, 18, the lanes took 16, 36,
-# 77 ms, importing numpy and its FWHT 58, 61, 77 ms (2 cores, numpy 2.4).
+# not `cut_blocks`: on hd(d, n/2), d = 16..19, the lanes added 15, 33,
+# 75, 156 ms to a cold process that loads the hops, importing numpy and
+# `eigenvalues` 68, 70, 72, 80 ms (os.wait4 medians, 2 cores, numpy 2.4).
 _LANES_WORK = 1 << 22
 
 
@@ -174,9 +166,9 @@ def _levels(rows: list[int]):
         yield chain.from_iterable(groups)
 
 
-def _low_weight(gens: GeneratorSet) -> tuple[int, int] | None:
+def _low_weight(gens: GeneratorSet, budget: float) -> tuple[int, int] | None:
     """(b, t) by the Brouwer-Zimmermann enumeration, or None once the
-    next level would take it past its budget.
+    next level would take it past `budget` codewords.
 
     With k disjoint information sets, round w visits level w of each set
     in turn.  Each set's pivots carry its information vector, so before
@@ -186,10 +178,9 @@ def _low_weight(gens: GeneratorSet) -> tuple[int, int] | None:
     met, so t, the smallest of their Walsh indices, is the first minimum
     of the full spectrum.  The levels of one set visit every codeword, so
     where that costs no more than the first two rounds over every set,
-    the other sets are never built.  The budget caps the codewords
-    visited at _ENUM_BUDGET (n ceil(m/64) + 2^26).
-    The sets reduce the codeword rows of the Walsh units,
-    gf2.transpose(gens.hops, d), so a reduced row's tag is its index.
+    the other sets are never built.  The sets reduce the codeword rows
+    of the Walsh units, gf2.transpose(gens.hops, d), so a reduced row's
+    tag is its index.
     """
     d, m = gens.d, gens.m
     mask = (1 << m) - 1
@@ -202,7 +193,6 @@ def _low_weight(gens: GeneratorSet) -> tuple[int, int] | None:
     if (1 << d) - 1 > m // d * (d + comb(d, 2)):
         levels += map(_levels, sets)
     k = len(levels)
-    budget = _ENUM_BUDGET * (gens.n * -(-m // 64) + (1 << 26))
     spent, best, t = 0, m + 1, 0
     for w in range(1, d + 1):
         for j, level in enumerate(levels):
@@ -231,10 +221,13 @@ def bisection_fwht(gens: GeneratorSet) -> BisectionReport:
     d n <= _LANES_WORK, and else of the blocks of `cut_blocks`.
     """
     d, m, n = gens.d, gens.m, gens.n
-    found = _low_weight(gens) if -(-m // 64) <= d else None
+    words, packed = -(-m // 64), d * n <= _LANES_WORK
+    load = d * n / _LANES_WORK if packed else 1
+    budget = _ENUM_BUDGET * (n * words + load * (1 << 26))
+    found = _low_weight(gens, budget) if words <= d else None
     if found is not None:
         b, t = found
-    elif d * n <= _LANES_WORK:
+    elif packed:
         # The first largest lambda_k over k >= 1 is the first minimum.
         lanes = fwht_lanes(gens.hops, d)
         top = max(islice(lanes, 1, None))

@@ -205,7 +205,7 @@ def _lifted(base: np.ndarray) -> tuple[int, np.ndarray]:
     b0 = int(base[1:].min())
     low = base == b0
     low[0] = False
-    return b0, fwht(low.view("i1")) == -int(low.sum())
+    return b0, fwht(low.astype("i4")) == -int(low.sum())
 
 
 def _first_best(
@@ -277,7 +277,7 @@ def optimize_secondary(
     current_key = int(_scores(_distances(hops, nodes)[None], objective)[0])
     while budget > 0:
         step = None
-        counts = cut_counts(GeneratorSet(gens.d, hops)).astype(np.int32)
+        counts = cut_counts(GeneratorSet(gens.d, hops))
         unused = np.ones(gens.n, dtype=bool)
         unused[[0, *hops]] = False
         free = nodes[unused]

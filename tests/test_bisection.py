@@ -18,7 +18,7 @@ from longhop.bisection import (
     optimize_direct,
 )
 from longhop.constructions import hd_ladder, hd_metrics, lh_hd, low_density_b3
-from longhop.errors import BudgetExceeded, DomainError
+from longhop.errors import BudgetExceeded, DomainError, LongHopError
 from longhop.graph import GeneratorSet
 from longhop.walsh import fwht
 
@@ -79,7 +79,7 @@ def _transform_counts(gens):
 def test_codeword_counts_across_word_boundaries(m):
     gens = _random_spanning(random.Random(m), 8, m)
     counts = cut_counts(gens)
-    assert counts.dtype == np.int64
+    assert counts.dtype == np.int32
     assert np.array_equal(counts, _transform_counts(gens))
     assert counts.tolist() == oracle.cut_counts(gens.d, gens.hops)
 
@@ -123,9 +123,35 @@ def test_cut_counts_memory_per_node():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The int64 counts (8 bytes a node) and one block's table, scratch
+    # The int32 counts (4 bytes a node) and one block's table, scratch
     # and counts.
     assert peak < 16 * gens.n
+
+
+def test_transformed_counts_check_their_parity(monkeypatch):
+    # Every lambda_k has the parity of m; one that does not is a miscount.
+    gens = _random_spanning(random.Random(641), 10, 641)
+    lam = eigenvalues(gens)
+    lam[5] += 1
+    monkeypatch.setattr(bisection, "eigenvalues", lambda gens: lam)
+    with pytest.raises(LongHopError, match="parity"):
+        list(bisection.cut_blocks(gens))
+
+
+@pytest.mark.parametrize("d", [16, 22])
+def test_transformed_counts_memory_per_node(d):
+    # m > 64 d: one int32 indicator, transformed and turned into the
+    # counts in place, and while it is filled the index of the n/2 hops;
+    # an int64 transform with per-stage copies traced 25 bytes a node.
+    gens = lh_hd(d, 1 << (d - 1))
+    tracemalloc.start()
+    try:
+        blocks = list(bisection.cut_blocks(gens))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(start, counts.size) for start, counts in blocks] == [(0, gens.n)]
+    assert peak < 10 * gens.n
 
 
 def test_zero_xor_forces_even_cuts():
@@ -261,7 +287,7 @@ def test_cut_blocks_of_a_few_entries_give_the_oracle_counts(gens, bits):
         range(0, gens.n, 1 << min(gens.d, bits))
     )
     assert [c for _, block in blocks for c in block] == counts.tolist() == want
-    assert counts.dtype == np.int64
+    assert counts.dtype == np.int32
     b = min(want[1:])
     assert (rep.b, rep.t) == (b, want.index(b, 1))
 
@@ -328,6 +354,26 @@ def test_bisection_above_the_lane_bound_falls_back_to_cut_blocks(monkeypatch):
     rep = bisection_fwht(gens)
     assert (lanes, calls) == ([], [gens.m])
     assert (rep.b, rep.t) == (want.b, want.t)
+
+
+def test_enumeration_budget_is_priced_by_the_fallback(monkeypatch):
+    # Below the lane bound the numpy import that the fallback no longer
+    # pays is scaled by d n / _LANES_WORK: 2^24 elements at d = 16, the
+    # full 2^26 at d = 18.  Both b3 sets still enumerate.
+    budgets = []
+    inner = bisection._low_weight
+
+    def priced(gens, budget):
+        budgets.append(budget)
+        return inner(gens, budget)
+
+    monkeypatch.setattr(bisection, "_low_weight", priced)
+    lanes = _count_calls(monkeypatch, "fwht_lanes")
+    blocks = _count_calls(monkeypatch, "cut_blocks")
+    for d in (16, 18):
+        bisection_fwht(low_density_b3(d))
+    assert budgets == [((1 << 16) + (1 << 24)) / 256, ((1 << 18) + (1 << 26)) / 256]
+    assert lanes == blocks == []
 
 
 def test_bisection_enumerates_b3_d20(monkeypatch):
@@ -431,7 +477,7 @@ def test_several_information_sets_give_the_first_minimum(gens):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_large_random_sets_give_the_first_minimum(seed):
+def test_large_random_sets_give_the_first_minimum(monkeypatch, seed):
     # d = 16..20 with 64-256 hops: the enumeration over several tagged
     # information sets, or its fallback once it would pass _ENUM_BUDGET
     # (seeds 4 and 5: over 200 hops at d = 20, so b lies far out),
@@ -441,8 +487,10 @@ def test_large_random_sets_give_the_first_minimum(seed):
         gens = _random_spanning(rng, 16 + seed, rng.randint(64, 120))
     else:
         gens = _random_spanning(rng, 20, rng.randint(200, 256))
-    assert (bisection._low_weight(gens) is None) == (seed >= 4)
+    lanes = _count_calls(monkeypatch, "fwht_lanes")
+    blocks = _count_calls(monkeypatch, "cut_blocks")
     rep = bisection_fwht(gens)
+    assert len(lanes + blocks) == (seed >= 4)
     counts = cut_counts(gens)
     t = int(counts[1:].argmin()) + 1
     assert (rep.b, rep.t) == (counts[t], t)

@@ -144,9 +144,9 @@ def test_spectrum_blocks_match_rows_one_at_a_time(monkeypatch, tmp_path):
 
 
 def test_spectrum_memory_per_node(tmp_path):
-    # The int64 counts take 8 bytes a node.  Rows are turned into ints,
-    # formatted and written one block at a time, so nothing else grows
-    # with n; holding the whole table as ints or text would.
+    # The counts come from cut_blocks 2^16 at a time, and rows are turned
+    # into ints, formatted and written one block at a time, so nothing
+    # grows with n; holding the whole table as ints or text would.
     path = tmp_path / "b3_18.hops"
     path.write_text(format_hops(low_density_b3(18)))
     out_file = tmp_path / "b3_18.tsv"

@@ -53,7 +53,8 @@ def test_nonzero_rows_are_balanced():
 def test_fwht_matches_naive_transform(n):
     rng = np.random.default_rng(n)
     f = rng.integers(-50, 50, size=n)
-    assert fwht(f).tolist() == oracle.transform(f.tolist())
+    want = oracle.transform(f.tolist())
+    assert fwht(f).tolist() == want
 
 
 def test_fwht_indicator_golden():
@@ -67,13 +68,16 @@ def test_fwht_is_an_involution_up_to_n():
     n = 4096
     rng = np.random.default_rng(42)
     f = rng.integers(-1000, 1000, size=n)
-    assert np.array_equal(fwht(fwht(f)), n * f)
+    assert np.array_equal(fwht(fwht(f.copy())), n * f)
 
 
-def test_fwht_does_not_mutate_input():
-    f = np.array([1, 2, 3, 4], dtype=np.int64)
-    fwht(f)
-    assert f.tolist() == [1, 2, 3, 4]
+def test_fwht_transforms_in_place():
+    for dtype in (np.int8, np.int32, np.int64):
+        f = np.array([1, 2, 3, 4, 0, -1, 5, 2], dtype=dtype)
+        want = oracle.transform(f.tolist())
+        assert fwht(f) is f
+        assert f.dtype == dtype
+        assert f.tolist() == want
 
 
 def test_fwht_validation():
@@ -85,7 +89,29 @@ def test_fwht_validation():
         fwht(np.zeros(8, dtype=np.float64))
     with pytest.raises(DomainError):
         fwht(np.zeros((4, 4), dtype=np.int64))
+    # Inputs that could only be transformed as a copy.
+    with pytest.raises(DomainError):
+        fwht([0, 1, 1, 0])
+    with pytest.raises(DomainError):
+        fwht(np.zeros(8, dtype=np.uint32))
+    with pytest.raises(DomainError):
+        fwht(np.zeros(16, dtype=np.int32)[::2])
+    frozen = np.zeros(8, dtype=np.int32)
+    frozen.flags.writeable = False
+    with pytest.raises(DomainError):
+        fwht(frozen)
     assert MAX_DIM == 24
+
+
+def test_fwht_refuses_a_dtype_its_sums_would_overflow():
+    # Every entry stays within n max|value|: 16 * 7 fits int8, 16 * 8 does
+    # not, nor 2 * 128.  A refused input is left as it was.
+    assert fwht(np.full(16, 7, dtype=np.int8)).tolist() == [112] + [0] * 15
+    for values in (np.full(16, 8, dtype=np.int8), np.array([-128, 0], dtype=np.int8)):
+        before = values.tolist()
+        with pytest.raises(DomainError, match="overflow"):
+            fwht(values)
+        assert values.tolist() == before
 
 
 @st.composite
