@@ -117,12 +117,12 @@ def _check_radix(radix: int) -> None:
         raise LongHopError("-R above 10^100 gives numbers too long to print")
 
 
-def _parse_range(spec: str, base: int = 10) -> tuple[int, int]:
+def _parse_range(spec: str, parse=int) -> tuple[int, int]:
     lo, sep, hi = spec.partition("..")
     if not sep:
         raise LongHopError(f"expected a range like 3..8, got {spec!r}")
     try:
-        return int(lo, base), int(hi, base)
+        return parse(lo), parse(hi)
     except ValueError:
         raise LongHopError(f"bad range {spec!r}") from None
 
@@ -141,14 +141,13 @@ def cmd_oracle(args) -> int:
     from fractions import Fraction
 
     from .bisection import brute_force_bisection
-    from .graph import load_hops
+    from .graph import hex_width, load_hops
 
     gens = load_hops(args.file)
     B, side = brute_force_bisection(gens)
     b = Fraction(B, gens.n // 2)
     b_text = str(b.numerator) if b.denominator == 1 else _fmt_fraction(b)
-    width = max(1, (gens.n + 3) // 4)
-    print(f"B={B} b={b_text} side={side:0{width}X}")
+    print(f"B={B} b={b_text} side={side:0{hex_width(gens.n)}X}")
     return 0
 
 
@@ -188,7 +187,7 @@ def cmd_translate(args) -> int:
 
 def cmd_build(args) -> int:
     from . import constructions
-    from .graph import format_hops, load_hops
+    from .graph import format_hops, load_hops, parse_hex
 
     if args.kind == "hd":
         gens = constructions.lh_hd(args.dim, args.hops)
@@ -196,7 +195,7 @@ def cmd_build(args) -> int:
         columns = None
         if args.columns:
             try:
-                columns = tuple(int(c, 16) for c in args.columns.split(","))
+                columns = tuple(parse_hex(c) for c in args.columns.split(","))
             except ValueError:
                 raise LongHopError(
                     f"--columns takes comma-separated hex patterns, got {args.columns!r}"
@@ -215,8 +214,7 @@ def cmd_diag(args) -> int:
     from .graph import format_hops, load_hops
 
     gens = load_hops(args.file)
-    normalized, _ = diagonalize(gens)
-    _emit(args.out, format_hops(normalized))
+    _emit(args.out, format_hops(diagonalize(gens)))
     return 0
 
 
@@ -249,6 +247,7 @@ def cmd_design(args) -> int:
 
 def cmd_wire(args) -> int:
     from .designer import WiringTable
+    from .graph import parse_hex
 
     db = _load_db(args)
     try:
@@ -260,7 +259,7 @@ def cmd_wire(args) -> int:
     if rec is None:
         raise LongHopError(f"no record (d={d}, m={m}) in the database")
     table = WiringTable(rec.gens, args.radix)
-    lo, hi = _parse_range(args.rows, base=16) if args.rows else (0, None)
+    lo, hi = _parse_range(args.rows, parse_hex) if args.rows else (0, None)
     # write() checks the range; on a bad one _output leaves the -o file alone.
     with _output(args.out) as out:
         table.write(out, lo, hi)

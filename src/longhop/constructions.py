@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 from . import gf2
 from .bisection import bisection_fwht, cut_counts
 from .errors import DomainError, LongHopError
-from .graph import GeneratorSet, check_dim
+from .graph import GeneratorSet, check_dim, integers
 from .walsh import MAX_DIM, fwht
 
 if TYPE_CHECKING:
@@ -111,12 +111,13 @@ def low_density_b3(d: int, columns: tuple[int, ...] | None = None) -> GeneratorS
     be distinct with weight >= 2, and so must the resulting hops, which
     makes every nonzero combination of hops at least 3 wide.
     """
+    (d,) = integers([d], "dimension")
     if not 3 <= d <= MAX_DIM:
         raise DomainError(f"low-density construction covers d in [3, {MAX_DIM}]")
     L = b3_overhead(d)
     if columns is None:
         columns = b3_default_columns(d)
-    columns = tuple(int(c) for c in columns)
+    columns = integers(columns, "column patterns")
     if len(columns) != d:
         raise DomainError(f"need {d} column patterns, got {len(columns)}")
     if len(set(columns)) != d:

@@ -8,8 +8,8 @@ as a d-bit word (top row = most significant bit).  Under that
 correspondence the minimum codeword weight equals the per-node
 bisection b of the hop graph, so code tables double as network designs.
 `bisection.cut_blocks` computes the codeword weights for most hop sets;
-`codewords` and `min_weight` here stay a separate, plain enumeration so
-the identity can be checked against the Walsh transform.
+`min_weight` here stays a separate, plain enumeration so the identity
+can be checked against the Walsh transform.
 """
 from __future__ import annotations
 
@@ -19,13 +19,11 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import gf2
 from .errors import DomainError, FormatError
-from .graph import GeneratorSet, read_lines, read_text
+from .graph import GeneratorSet, check_dim, integers, read_lines, read_text
 from .walsh import MAX_DIM
 
 if TYPE_CHECKING:
     from collections.abc import Iterable
-
-    import numpy as np
 
 
 class LinearCode(namedtuple("LinearCode", "width rows")):
@@ -34,9 +32,10 @@ class LinearCode(namedtuple("LinearCode", "width rows")):
     __slots__ = ()
 
     def __new__(cls, width: int, rows: Iterable[int]):
+        (width,) = integers([width], "code width")
         if width < 1:
             raise DomainError(f"code width must be at least 1, got {width}")
-        rows = tuple(int(r) for r in rows)
+        rows = integers(rows, "code rows")
         if not rows:
             raise DomainError("a code needs at least one generator row")
         for r in rows:
@@ -91,34 +90,25 @@ def hops_to_code(gens: GeneratorSet) -> LinearCode:
     return LinearCode(gens.m, tuple(gf2.transpose(gens.hops, gens.d)[::-1]))
 
 
-def codewords(code: LinearCode) -> np.ndarray:
-    """All 2^k codewords (repeats if rows are dependent); int64, so width <= 63."""
+def min_weight(code: LinearCode) -> int:
+    """Smallest Hamming weight over the nonzero codewords, from all 2^k
+    of them as int64 (so width <= 63), by plain doubling.
+
+    Whenever the rows are independent this equals the bisection b of
+    code_to_hops(code), i.e. (m - max nonzero-index eigenvalue) / 2.
+    """
     if code.width > 63:
         raise DomainError(f"codewords need width <= 63, got {code.width}")
     if code.k > MAX_DIM:
         raise DomainError(f"2^{code.k} codewords is past the supported limit")
+    if not any(code.rows):
+        raise DomainError("code has no nonzero codeword")
     import numpy as np
 
     words = np.zeros(1, dtype=np.int64)
     for r in code.rows:
         words = np.concatenate([words, words ^ r])
-    return words
-
-
-def min_weight(code: LinearCode) -> int:
-    """Smallest Hamming weight over the nonzero codewords.
-
-    Whenever the rows are independent this equals the bisection b of
-    code_to_hops(code), i.e. (m - max nonzero-index eigenvalue) / 2.
-    """
-    import numpy as np
-
-    words = codewords(code)
-    weights = np.bitwise_count(words)
-    nonzero = weights[words != 0]
-    if nonzero.size == 0:
-        raise DomainError("code has no nonzero codeword")
-    return int(nonzero.min())
+    return int(np.bitwise_count(words[words != 0]).min())
 
 
 class EquivalenceMap(namedtuple("EquivalenceMap", "d rows")):
@@ -127,7 +117,7 @@ class EquivalenceMap(namedtuple("EquivalenceMap", "d rows")):
     __slots__ = ()
 
     def __new__(cls, d: int, rows: Iterable[int]):
-        rows = tuple(int(r) for r in rows)
+        d, rows = check_dim(d), integers(rows, "map rows")
         if len(rows) != d:
             raise DomainError(f"need {d} rows, got {len(rows)}")
         for r in rows:
@@ -148,25 +138,20 @@ class EquivalenceMap(namedtuple("EquivalenceMap", "d rows")):
         return GeneratorSet(self.d, tuple(self.apply(h) for h in gens.hops))
 
 
-def diagonalize(gens: GeneratorSet):
-    """Rewrite an equivalent hop set whose first d hops are the units.
-
-    Returns (new_gens, emap) where emap carries the old hop values onto
-    the new ones (the list order additionally moves pivots forward).
+def diagonalize(gens: GeneratorSet) -> GeneratorSet:
+    """An equivalent hop set whose first d hops are the units: the image
+    of the hops under one invertible map, pivots moved to the front.
     Pivots are chosen lightest-first so the tail keeps low weight.
     """
     d = gens.d
     hops = list(gens.hops)
-    rows = [1 << i for i in range(d)]
     for c in range(d):
-        cands = [i for i, h in enumerate(hops) if h >> c & 1]
-        pivot = min(cands, key=lambda i: (hops[i].bit_count(), i))
+        _, pivot = min((h.bit_count(), i) for i, h in enumerate(hops) if h >> c & 1)
         for c2 in range(d):
             if c2 != c and hops[pivot] >> c2 & 1:
                 hops = gf2.transvect(hops, c, c2)
-                rows = gf2.transvect(rows, c, c2)
         hops[pivot], hops[c] = hops[c], hops[pivot]
-    return GeneratorSet(d, tuple(hops)), EquivalenceMap(d, tuple(rows))
+    return GeneratorSet(d, tuple(hops))
 
 
 class MinChangeResult(NamedTuple):

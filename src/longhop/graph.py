@@ -20,6 +20,7 @@ still unseen), so only the hops beyond those are gathered.
 """
 from __future__ import annotations
 
+import operator
 import re
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
@@ -36,10 +37,19 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def check_dim(d: int) -> None:
-    """Raise DomainError unless 1 <= d <= MAX_DIM; call it before any 1 << d."""
-    if not 1 <= d <= MAX_DIM:
+def integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """values as ints; a float or a string is a DomainError, not truncated."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise DomainError(f"{what}: {exc}") from None
+
+
+def check_dim(d: int) -> int:
+    """d as an int, if an integer (not a bool) in [1, MAX_DIM]; call it before 1 << d."""
+    if isinstance(d, bool) or not 1 <= integers([d], "dimension")[0] <= MAX_DIM:
         raise DomainError(f"dimension must be in [1, {MAX_DIM}], got {d}")
+    return operator.index(d)
 
 
 class GeneratorSet(namedtuple("GeneratorSet", "d hops")):
@@ -51,8 +61,7 @@ class GeneratorSet(namedtuple("GeneratorSet", "d hops")):
     __slots__ = ()
 
     def __new__(cls, d: int, hops: Iterable[int]):
-        check_dim(d)
-        hops = tuple(int(h) for h in hops)
+        d, hops = check_dim(d), integers(hops, "hops")
         if not hops:
             raise DomainError("a generator set needs at least one hop")
         n = 1 << d
@@ -138,9 +147,9 @@ def write_table(
     """Write one line per v in rows: a hex label for v, then a tab and
     v ^ h in `digits` hex digits for each h in hops, then row key(v) of
     the C-contiguous uint8 table `tails` (row 0 when keys is None), NUL
-    bytes dropped.  keys yields (start, array) blocks in row order, with
-    key(start + i) = array[i], so that the keys of n rows need not be
-    held at once; blocks that miss rows are skipped.
+    bytes dropped.  keys yields (start, array) blocks that cover rows in
+    order, with key(start + i) = array[i], so that the keys of n rows
+    need not be held at once.
     The label is v zero-padded to `digits` digits when there are no hops
     (a spectrum), else v at its own width and a `:` (a wiring table).
 
@@ -175,9 +184,8 @@ def write_table(
     step = max(1, min(_ROWS_PER_WRITE, step))
     blocks = [(rows.start, None)] if keys is None else keys
     for origin, row_keys in blocks:
-        lo = max(origin, rows.start)
-        hi = rows.stop if row_keys is None else min(origin + row_keys.size, rows.stop)
-        for start in range(lo, hi, step):
+        hi = rows.stop if row_keys is None else origin + row_keys.size
+        for start in range(origin, hi, step):
             stop = min(start + step, hi)
             parts = []
             while start < stop:
@@ -306,16 +314,22 @@ def format_hop_lines(gens: GeneratorSet) -> list[str]:
     return [f"{h:0{w}X}" for h in gens.hops]
 
 
-def parse_hop_lines(d: int, lines: Iterable[str]) -> GeneratorSet:
+_HEX = re.compile("[0-9A-Fa-f]+")
+
+
+def parse_hex(text: str) -> int:
+    """The word that text spells in _HEX, the one grammar of hop lines and
+    hex options, or a FormatError (int(text, 16) also takes 0x7, +7, 7_0)."""
+    if _HEX.fullmatch(text) is None:
+        raise FormatError(f"bad hex word: {text!r}")
+    return int(text, 16)
+
+
+def parse_hop_lines(d: int, lines: Sequence[str]) -> GeneratorSet:
     """Inverse of format_hop_lines; any fault is a FormatError."""
-    hops = []
-    for line in lines:
-        try:
-            hops.append(int(line, 16))
-        except ValueError:
-            raise FormatError(f"bad hop line: {line!r}") from None
+    all_hex = all(lines) and _HEX.fullmatch("".join(lines)) is not None
     try:
-        return GeneratorSet(d, tuple(hops))
+        return GeneratorSet(d, [int(x, 16) if all_hex else parse_hex(x) for x in lines])
     except DomainError as exc:
         raise FormatError(str(exc)) from None
 
@@ -331,7 +345,7 @@ def parse_hops(text: str) -> GeneratorSet:
     lines = read_lines(text)
     if not lines:
         raise FormatError("empty hop list")
-    head = re.fullmatch(r"d=([-+]?\d+)\s+q=2", lines[0])
+    head = re.fullmatch(r"d=([-+]?[0-9]+)\s+q=2", lines[0])
     if head is None:
         raise FormatError(f"bad hop-list header: {lines[0]!r}")
     return parse_hop_lines(int(head[1]), lines[1:])

@@ -211,8 +211,8 @@ def record_line(rec: SolutionRecord) -> str:
 
 # A record header as dumps writes it: `record ` and then record_line(rec).
 _HEADER = re.compile(
-    r"record +d=([-+]?\d+) +m=([-+]?\d+) +b=([-+]?\d+) +diam=([-+]?\d+)"
-    r" +avg=([-+]?\d+)/([-+]?\d+) +prov=(.*)"
+    r"record +d=([-+]?[0-9]+) +m=([-+]?[0-9]+) +b=([-+]?[0-9]+)"
+    r" +diam=([-+]?[0-9]+) +avg=([-+]?[0-9]+)/([-+]?[0-9]+) +prov=(.*)"
 )
 
 

@@ -155,6 +155,39 @@ def gf2_rank(vectors):
     return len(basis)
 
 
+def equivalence(d, hops, images):
+    """The images of the d unit words under an invertible linear map M of
+    Z_2^d with {M(h) : h in hops} = set(images), or None if no such map
+    exists.  The spanning hops hold a basis, taken greedily; each
+    injective choice of the basis's images among `images` is tried, and
+    a choice is dropped once a hop in the span mapped so far lands
+    outside `images`."""
+    basis = []
+    for h in hops:
+        if gf2_rank(basis + [h]) > len(basis):
+            basis.append(h)
+    hop_set, targets = set(hops), set(images)
+    if len(basis) != d or len(hop_set) != len(targets):
+        return None
+
+    def search(known):
+        # known maps each word of the span of basis[:i] to its image.
+        i = len(known).bit_length() - 1
+        if i == d:
+            return tuple(known[1 << j] for j in range(d))
+        for t in targets:
+            if t in known.values():
+                continue
+            grown = {**known, **{x ^ basis[i]: y ^ t for x, y in known.items()}}
+            if all(y in targets for x, y in grown.items() if x in hop_set):
+                found = search(grown)
+                if found is not None:
+                    return found
+        return None
+
+    return search({0: 0})
+
+
 def optimize_direct(d, m):
     """Referee for bisection.optimize_direct: every m-subset scored on its
     own, its b from its cut counts and its diameter from its BFS.

@@ -196,7 +196,9 @@ def test_criterion_5_equivalence_invariance():
             assert bisection_fwht(moved).b == base_rep.b
             assert sorted(cut_counts(moved).tolist()) == base_counts
             assert distance_profile(moved).counts == base_hist
-        normal, _ = diagonalize(gens)
+        normal = diagonalize(gens)
+        assert normal.hops[: gens.d] == tuple(1 << i for i in range(gens.d))
+        assert oracle.equivalence(gens.d, gens.hops, normal.hops) is not None
         assert bisection_fwht(normal).b == base_rep.b
         assert sorted(cut_counts(normal).tolist()) == base_counts
         assert distance_profile(normal).counts == base_hist

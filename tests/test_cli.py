@@ -144,8 +144,8 @@ def test_spectrum_blocks_match_rows_one_at_a_time(monkeypatch, tmp_path):
 
 
 def test_spectrum_memory_per_node(tmp_path):
-    # The counts come from cut_blocks 2^16 at a time, and rows are turned
-    # into ints, formatted and written one block at a time, so nothing
+    # The counts come from cut_blocks 2^16 at a time, and rows are built
+    # as bytes from a template and written one block at a time, so nothing
     # grows with n; holding the whole table as ints or text would.
     path = tmp_path / "b3_18.hops"
     path.write_text(format_hops(low_density_b3(18)))
@@ -191,6 +191,33 @@ def test_table_digests(capsys, seeded_db, db_path, tmp_path, table):
     assert main([*argv, "-o", str(out_file)]) == 0
     assert out_file.read_bytes() == out.encode()
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == TABLE_DIGESTS[table]
+
+
+# sha256 of the bytes `lh diag` printed on each family, one run after
+# another, while diagonalize also built the map it used.
+DIAG_DIGESTS = {
+    "b3(3..24)":
+        "7a0482a31e0add0ccb42908669905e18edbddc79312b154f5e4909e26ba3614d",
+    "seeded records":
+        "f59500b45fcf7bf051f0c312088320fb42053bbf0edcbc6fb04bd69112121eb7",
+}
+
+
+@pytest.mark.parametrize("family", DIAG_DIGESTS)
+def test_diag_digests(capsys, seeded_db, tmp_path, family):
+    if family == "b3(3..24)":
+        sets = [low_density_b3(d) for d in range(3, 25)]
+    else:
+        sets = [rec.gens for rec in seeded_db.records()]
+        assert len(sets) == 64
+    digest = hashlib.sha256()
+    hops_file = tmp_path / "set.hops"
+    for gens in sets:
+        hops_file.write_text(format_hops(gens))
+        code, out, err = run(capsys, "diag", str(hops_file))
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    assert digest.hexdigest() == DIAG_DIGESTS[family]
 
 
 @pytest.mark.parametrize("rows", ["F..10", "FF..100", "FFF..1000"])
@@ -642,6 +669,12 @@ def test_output_file_is_replaced_only_once_complete(
         ["design", "-P", "96", "-R", "12", "--phi", "1/0"],
         ["design", "-P", "96", "-R", "12", "--weights", "a,b"],
         ["build", "b3", "-d", "5", "--columns", "zz,3"],
+        # int(x, 16) takes each of these; the hex grammar does not.
+        ["build", "b3", "-d", "3", "--columns", "0x3,5,6"],
+        ["build", "b3", "-d", "3", "--columns", "3,+5,6"],
+        ["build", "b3", "-d", "3", "--columns", "3,5,\uff16"],
+        ["wire", "--record", "5,9", "-R", "12", "--rows", "0x0..0x1"],
+        ["wire", "--record", "5,9", "-R", "12", "--rows", "0..1_0"],
         ["build", "hd", "-d", "-3", "-m", "1"],
         # Refused before 2^24 hops are built.
         ["build", "hd", "-d", "25", "-m", str(1 << 24)],
@@ -651,7 +684,7 @@ def test_output_file_is_replaced_only_once_complete(
     ],
 )
 def test_bad_numeric_options_are_error_lines(db_path, argv):
-    if argv[0] == "design":
+    if argv[0] in ("design", "wire"):
         argv = [*argv, "--db", str(db_path)]
     proc = child([sys.executable, "-m", "longhop.cli", *argv])
     assert proc.returncode == 1

@@ -3,6 +3,7 @@
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -161,6 +162,22 @@ def test_low_density_b3_custom_columns():
 def test_low_density_b3_rejects_bad_columns(d, columns):
     with pytest.raises(DomainError):
         low_density_b3(d, columns=columns)
+
+
+@pytest.mark.parametrize(
+    "d,columns,message",
+    [
+        (3, (3, 5, 7.5), "column patterns: 'float'"),
+        (3, ("3", "5", "7"), "column patterns: 'str'"),
+        (3.0, (3, 5, 7), "dimension: 'float'"),
+        (True, (3,), "covers d in"),
+    ],
+)
+def test_low_density_b3_takes_integers_only(d, columns, message):
+    # int() would truncate 7.5 to 7 and read the strings as decimal.
+    with pytest.raises(DomainError, match=message):
+        low_density_b3(d, columns=columns)
+    assert low_density_b3(np.int64(3), columns=np.array([3, 5, 7])).hops == (1, 2, 4, 3, 5, 7)
 
 
 def test_low_density_b3_dimension_guard():

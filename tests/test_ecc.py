@@ -15,7 +15,6 @@ from longhop.ecc import (
     LinearCode,
     MinChangeResult,
     code_to_hops,
-    codewords,
     diagonalize,
     format_code,
     hops_to_code,
@@ -126,18 +125,23 @@ def test_codes_wider_than_63_columns_translate():
     assert parse_code(format_code(code)) == code
     assert code_to_hops(code) == gens
     # Only the int64 codeword enumeration is capped at 63 columns.
-    for engine in (codewords, min_weight):
-        with pytest.raises(DomainError, match="width <= 63"):
-            engine(code)
     with pytest.raises(DomainError, match="width <= 63"):
-        codewords(LinearCode(64, (1,)))
+        min_weight(code)
+    with pytest.raises(DomainError, match="width <= 63"):
+        min_weight(LinearCode(64, (1,)))
+    assert min_weight(LinearCode(63, (1 << 62,))) == 1
+    with pytest.raises(DomainError, match="past the supported limit"):
+        min_weight(LinearCode(63, tuple(range(1, 26))))
 
 
 def test_codewords_and_min_weight():
-    words = sorted(codewords(CODE43).tolist())
-    assert words == sorted(oracle.codewords(CODE43.rows))
-    assert min_weight(CODE74) == 3
-    assert min_weight(CODE43) == 2
+    # Dependent rows repeat codewords; zero words never count.
+    codes = [CODE74, CODE43, LinearCode(4, (0b1100, 0b1100, 0b0011)), LinearCode(3, (1, 1))]
+    for code in codes:
+        weights = [bin(w).count("1") for w in oracle.codewords(code.rows) if w]
+        assert len(oracle.codewords(code.rows)) == 1 << code.k
+        assert min_weight(code) == min(weights) == oracle.min_weight(code.rows)
+    assert (min_weight(CODE74), min_weight(CODE43)) == (3, 2)
     with pytest.raises(DomainError):
         min_weight(LinearCode(3, (0,)))
 
@@ -236,17 +240,30 @@ def test_diagonalize_systematic_form():
             if gf2.spans(hops, d):
                 break
         gens = GeneratorSet(d, hops)
-        normal, emap = diagonalize(gens)
+        normal = diagonalize(gens)
         assert normal.hops[:d] == tuple(1 << i for i in range(d))
-        assert sorted(emap.apply(h) for h in gens.hops) == sorted(normal.hops)
+        rows = oracle.equivalence(d, gens.hops, normal.hops)
+        assert sorted(EquivalenceMap(d, rows).apply_to(gens).hops) == sorted(normal.hops)
         assert bisection_fwht(normal).b == bisection_fwht(gens).b
 
 
 def test_diagonalize_keeps_systematic_sets():
     gens = GeneratorSet(4, HOPS74)
-    normal, emap = diagonalize(gens)
-    assert normal == gens
-    assert emap.rows == (1, 2, 4, 8)
+    assert diagonalize(gens) == gens
+    assert oracle.equivalence(4, gens.hops, gens.hops) is not None
+
+
+def test_the_oracle_recovers_a_map_or_finds_none():
+    rng = random.Random(29)
+    for gens in (GeneratorSet(4, HOPS74), low_density_b3(6), GeneratorSet(3, (1, 2, 4, 7))):
+        for _ in range(5):
+            moved = EquivalenceMap(gens.d, gf2.random_invertible(gens.d, rng)).apply_to(gens)
+            rows = oracle.equivalence(gens.d, gens.hops, moved.hops[::-1])
+            assert set(EquivalenceMap(gens.d, rows).apply_to(gens).hops) == set(moved.hops)
+    # b = 2 against b = 1, and hop XOR 0 against 7: no map links them.
+    assert oracle.equivalence(3, (1, 2, 4, 7), (1, 2, 4, 3)) is None
+    assert oracle.equivalence(3, (1, 2, 4, 7), (7, 6, 5, 3)) is None
+    assert oracle.equivalence(3, (1, 2, 4), (1, 2, 4, 7)) is None
 
 
 def test_diagonalize_needs_span():

@@ -117,6 +117,53 @@ def test_parse_hops_rejects(text):
         parse_hops(text)
 
 
+@pytest.mark.parametrize(
+    "line", ["0x7", "+7", "-7", "7_0", "\uff17", "\u0667", "7 0", "7h"]
+)
+def test_hop_lines_are_hex_digits_only(line):
+    # int(line, 16) reads 0x7, +7 and the full-width and Arabic-Indic
+    # sevens as 7, 7_0 as 0x70 and -7 as a negative hop.
+    text = f"d=8 q=2\n1\n2\n4\n8\n10\n20\n40\n80\n{line}\n"
+    with pytest.raises(FormatError) as exc:
+        parse_hops(text)
+    assert str(exc.value) == f"bad hex word: {line!r}"
+
+
+@pytest.mark.parametrize("digit", ["\uff13", "\u0663", "\U0001d7d1"])
+def test_the_header_dimension_is_ascii_digits(digit):
+    with pytest.raises(FormatError, match="bad hop-list header"):
+        parse_hops(f"d={digit} q=2\n1\n2\n4\n")
+
+
+def test_hop_lines_take_either_case_any_width_crlf_and_comments():
+    text = "d=9 q=2\r\n# c\r\n\r\n1\r\n2 # inline\r\n  04\r\n8\r\n010\r\n20\r\n40\r\n80\r\n1aF\r\n100\r\n"
+    assert parse_hops(text).hops == (1, 2, 4, 8, 16, 32, 64, 128, 0x1AF, 0x100)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GeneratorSet(3, (1, 2, 4.9)),
+        lambda: GeneratorSet(3, ("1", "2", "4")),
+        lambda: GeneratorSet(3, (1, 2, 4, np.float64(7))),
+        lambda: GeneratorSet(3.5, (1, 2, 4)),
+        lambda: GeneratorSet(True, (1,)),
+        lambda: GeneratorSet(np.True_, (1,)),
+        lambda: graph.check_dim(3.0),
+        lambda: graph.check_dim(False),
+    ],
+)
+def test_dimensions_and_hops_are_integers(build):
+    with pytest.raises(DomainError, match="cannot be interpreted as an integer|got (True|False)"):
+        build()
+
+
+def test_numpy_integers_are_integers():
+    gens = GeneratorSet(np.int64(3), np.array([1, 2, 4], dtype=np.uint8))
+    assert type(gens.d) is int and gens == GeneratorSet(3, (1, 2, 4))
+    assert graph.check_dim(np.int32(24)) == 24
+
+
 @given(generator_sets())
 def test_format_parse_round_trip(gens):
     assert parse_hops(format_hops(gens)) == gens

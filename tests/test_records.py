@@ -75,6 +75,16 @@ def test_equal_records_compare_and_hash_equal(make):
         (lambda: LinearCode(3, (8,)), DomainError, "wider than 3 bits"),
         (lambda: EquivalenceMap(3, (1, 2, 3)), DomainError, "invertible"),
         (lambda: EquivalenceMap(3, (1, 2)), DomainError, "need 3 rows"),
+        # Fields are integers: int() would truncate 4.9 and parse "4".
+        (lambda: GeneratorSet(3, (1, 2, 4.9)), DomainError, "hops: 'float'"),
+        (lambda: GeneratorSet(3, ("1", "2", "4")), DomainError, "hops: 'str'"),
+        (lambda: GeneratorSet(3.5, (1, 2, 4)), DomainError,
+         "dimension: 'float' object cannot be interpreted as an integer"),
+        (lambda: GeneratorSet(True, (1,)), DomainError, r"in \[1, 24\], got True"),
+        (lambda: LinearCode(4, (1.0,)), DomainError, "code rows: 'float'"),
+        (lambda: LinearCode(4.0, (1,)), DomainError, "code width: 'float'"),
+        (lambda: EquivalenceMap(3, (1, 2, 4.5)), DomainError, "map rows: 'float'"),
+        (lambda: EquivalenceMap(3.0, (1, 2, 4)), DomainError, "^dimension: 'float'"),
     ],
 )
 def test_checking_records_refuse_bad_input(build, error, message):
@@ -98,6 +108,14 @@ def test_numpy_ints_become_python_ints():
         assert {type(v) for v in values} == {int}
     assert gens == GeneratorSet(3, (1, 2, 4))
     assert hash(gens) == hash(GeneratorSet(3, [1, 2, 4]))
+
+
+def test_numpy_integer_sizes_become_python_ints():
+    gens = GeneratorSet(np.int8(3), (1, 2, 4))
+    code = LinearCode(np.uint16(4), (0b1100,))
+    emap = EquivalenceMap(np.int64(3), (2, 1, 4))
+    assert [type(x) for x in (gens.d, code.width, emap.d)] == [int, int, int]
+    assert (gens.d, code.width, emap.d) == (3, 4, 3)
 
 
 def test_comparison_row_defaults_are_the_alternatives():

@@ -128,6 +128,28 @@ def test_loads_rejects(text):
 
 
 @pytest.mark.parametrize(
+    "old,new",
+    [
+        ("\n7\n", "\n0x7\n"),
+        ("\n7\n", "\n+7\n"),
+        ("\n7\n", "\n\uff17\n"),
+        ("\n4\n", "\n0_4\n"),
+        ("record d=3 ", "record d=\uff13 "),
+        (" m=4 ", " m=\u0664 "),
+        (" b=2 ", " b=\u0662 "),
+        ("avg=10/8", "avg=\uff11\uff10/8"),
+    ],
+)
+def test_loads_reads_ascii_hex_hops_and_decimal_metrics_only(old, new):
+    text = "record d=3 m=4 b=2 diam=2 avg=10/8 prov=x\n1\n2\n4\n7\n"
+    assert loads(text).query(3, 4).gens.hops == (1, 2, 4, 7)
+    edited = text.replace(old, new, 1)
+    assert edited != text
+    with pytest.raises(FormatError, match="bad hex word|bad record header"):
+        loads(edited)
+
+
+@pytest.mark.parametrize(
     "header,hops,problem",
     [
         ("b=0 diam=2 avg=10/8", "1247", "b=0 is outside [1, 4]"),
