@@ -15,8 +15,8 @@ cache (about 1.2 MB per 64 hops whatever n is), while the hops fit in
 d 64-bit words (m <= 64 d), and else, as on the half-distance rungs,
 from one in-place int32 FWHT of the hop indicator.  `cut_counts` joins
 the blocks for the callers that need every count at once; `lh spectrum`
-writes each block as it comes.  An enumeration oracle for tiny n keeps
-both honest.
+on more than 2^16 nodes writes each block as it comes.  An enumeration
+oracle for tiny n keeps both honest.
 
 `bisection_fwht` needs only the minimum, so when m <= 64 d it first runs
 the Brouwer-Zimmermann minimum-distance algorithm (`_low_weight`;

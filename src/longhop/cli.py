@@ -14,6 +14,7 @@ import stat
 import sys
 import tempfile
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -36,6 +37,13 @@ FAMILIES = (
 # 24-dimension butterfly has q^24 switches and at most 2,467 digits,
 # under the 4,300 digits Python turns an int into.
 MAX_RADIX = 10**100
+# The largest n whose `lh spectrum` rows come from `walsh.fwht_lanes`,
+# without numpy (graph.write_lanes), not from `cut_blocks` and
+# write_table.  On hd(14, 8192), record (16,38) and hd(16, 32768) the
+# lanes took 0.076, 0.095 and 0.118 s end to end, against 0.138, 0.131
+# and 0.149 s through numpy; at n = 2^17, on b3(17) and hd(17, 65536),
+# the two tied within 5 ms (os.wait4, best of 11, 2 cores, numpy 2.4).
+_SPECTRUM_LANES = 1 << 16
 
 
 def _fmt_fraction(fr: Fraction) -> str:
@@ -117,7 +125,27 @@ def _check_radix(radix: int) -> None:
         raise LongHopError("-R above 10^100 gives numbers too long to print")
 
 
-def _parse_range(spec: str, parse=int) -> tuple[int, int]:
+def _decimal(text: str, signed: bool = False) -> int:
+    """text as an int, if it is ASCII digits alone, after a `-` when
+    signed; int() also reads full-width digits, 4_0, +4 and blanks
+    around the digits."""
+    digits = text.removeprefix("-") if signed else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected decimal digits, got {text!r}")
+    return int(text)
+
+
+def _count(text: str) -> int:
+    """The type of the decimal options: _decimal, with a fault raised as
+    a LongHopError, which argparse passes on to main (it turns only a
+    ValueError or a TypeError into a usage message)."""
+    try:
+        return _decimal(text)
+    except ValueError as exc:
+        raise LongHopError(str(exc)) from None
+
+
+def _parse_range(spec: str, parse) -> tuple[int, int]:
     lo, sep, hi = spec.partition("..")
     if not sep:
         raise LongHopError(f"expected a range like 3..8, got {spec!r}")
@@ -152,14 +180,26 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from .bisection import cut_blocks
-    from .graph import hex_width, load_hops, spectrum_tails, write_table
+    from . import graph
 
-    gens = load_hops(args.file)
-    tails = spectrum_tails(gens.m)
+    gens = graph.load_hops(args.file)
+    d, m, n = gens.d, gens.m, gens.n
+    # The rows' source is ready before the header goes out, so a process
+    # without numpy prints nothing above the bound: spectrum_tails loads it.
+    if n <= _SPECTRUM_LANES:
+        from .walsh import fwht_lanes
+
+        rows = partial(graph.write_lanes, d=d, m=m, lanes=fwht_lanes(gens.hops, d))
+    else:
+        from .bisection import cut_blocks
+
+        rows = partial(
+            graph.write_table, rows=range(n), digits=graph.hex_width(d),
+            tails=graph.spectrum_tails(m), keys=cut_blocks(gens),
+        )
     with _output(args.out) as out:
         out.write("# k\tlambda\tcut\n")
-        write_table(out, range(gens.n), hex_width(gens.d), tails, cut_blocks(gens))
+        rows(out)
     return 0
 
 
@@ -249,12 +289,12 @@ def cmd_wire(args) -> int:
     from .designer import WiringTable
     from .graph import parse_hex
 
-    db = _load_db(args)
     try:
         d_text, m_text = args.record.split(",")
-        d, m = int(d_text), int(m_text)
+        d, m = _decimal(d_text), _decimal(m_text)
     except ValueError:
         raise LongHopError("--record takes d,m (decimal)") from None
+    db = _load_db(args)
     rec = db.query(d, m)
     if rec is None:
         raise LongHopError(f"no record (d={d}, m={m}) in the database")
@@ -309,7 +349,8 @@ def cmd_compare(args) -> int:
     if args.sizes:
         from .walsh import MAX_DIM
 
-        lo, hi = _parse_range(args.sizes)
+        # Signed, so that the bounds check names a negative size.
+        lo, hi = _parse_range(args.sizes, partial(_decimal, signed=True))
         # Past it, sizes mean numbers too long to print or too many rows.
         if not (0 <= lo <= MAX_DIM and 0 <= hi <= MAX_DIM):
             raise LongHopError(f"--sizes must lie in 0..{MAX_DIM}, got {args.sizes}")
@@ -367,13 +408,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="emit a constructed hop set")
     kinds = p.add_subparsers(dest="kind", required=True)
     hd = kinds.add_parser("hd", help="half-distance ladder set")
-    hd.add_argument("-d", "--dim", type=int, required=True)
-    hd.add_argument("-m", "--hops", type=int, required=True)
+    hd.add_argument("-d", "--dim", type=_count, required=True)
+    hd.add_argument("-m", "--hops", type=_count, required=True)
     b3 = kinds.add_parser("b3", help="low-density b=3 set")
-    b3.add_argument("-d", "--dim", type=int, required=True)
+    b3.add_argument("-d", "--dim", type=_count, required=True)
     b3.add_argument("--columns", help="comma-separated hex check patterns")
     mesh_p = kinds.add_parser("mesh", help="full mesh")
-    mesh_p.add_argument("-d", "--dim", type=int, required=True)
+    mesh_p.add_argument("-d", "--dim", type=_count, required=True)
     aug = kinds.add_parser("augment", help="append the hop XOR (odd b only)")
     aug.add_argument("file")
     for sp in (hd, b3, mesh_p, aug):
@@ -386,8 +427,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diag)
 
     p = sub.add_parser("design", help="match a (ports, radix, phi) requirement")
-    p.add_argument("-P", "--ports", type=int, required=True)
-    p.add_argument("-R", "--radix", type=int, required=True)
+    p.add_argument("-P", "--ports", type=_count, required=True)
+    p.add_argument("-R", "--radix", type=_count, required=True)
     p.add_argument("--phi", default="1")
     p.add_argument("--at-least", action="store_true")
     p.add_argument("--weights", help="wP,wPhi (default 7/10,3/10)")
@@ -396,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wire", help="emit the per-switch wiring table")
     p.add_argument("--record", required=True, metavar="D,M")
-    p.add_argument("-R", "--radix", type=int, required=True)
+    p.add_argument("-R", "--radix", type=_count, required=True)
     p.add_argument("--rows", help="hex row range like 0..F")
     p.add_argument("--db")
     p.add_argument("-o", "--out")
@@ -418,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="ports/switch and cables/port series")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("-R", "--radix", type=int, required=True)
+    p.add_argument("-R", "--radix", type=_count, required=True)
     p.add_argument("--sizes", help="size range like 3..8")
     p.add_argument("--db")
     p.add_argument("-o", "--out")
@@ -434,8 +475,8 @@ def main(argv=None) -> int:
     # loaded already keeps its environment as it is.
     if "numpy" not in sys.modules:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (LongHopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

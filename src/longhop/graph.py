@@ -24,6 +24,7 @@ import operator
 import re
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
+from itertools import islice, product
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, NamedTuple
 
@@ -289,6 +290,24 @@ def _hex_digits(x: np.ndarray, out: np.ndarray) -> None:
     places = out.shape[-1]
     for i in range(places):
         out[..., i] = lookup[(x >> 4 * (places - 1 - i)) & 15]
+
+
+def write_lanes(stream: IO[str], d: int, m: int, lanes: Sequence[int]) -> None:
+    r"""Write the spectrum rows `{k}\t{lambda_k}\t{C_k}\n`, k in hex as wide
+    as hex_width(d), from lanes[k] = lambda_k + n as `walsh.fwht_lanes`
+    gives them, without numpy: the rows of write_table with spectrum_tails.
+
+    A row's tail depends on its lane alone, so the tail of each of the
+    m + 1 lane values n - m, n - m + 2, ..., n + m is built once; the
+    labels are the first n of the product of hex_width(d) hex digits,
+    which comes in order.  Rows go out _ROWS_PER_WRITE at a time."""
+    n, width = 1 << d, hex_width(d)
+    tails = {n + m - 2 * c: f"\t{m - 2 * c}\t{c}\n" for c in range(m + 1)}
+    labels = map("".join, product("0123456789ABCDEF", repeat=width))
+    for start in range(0, n, _ROWS_PER_WRITE):
+        stop = min(start + _ROWS_PER_WRITE, n)
+        row_tails = map(tails.__getitem__, lanes[start:stop])
+        stream.write("".join(map(str.__add__, islice(labels, stop - start), row_tails)))
 
 
 def read_text(path) -> str:

@@ -17,7 +17,8 @@ from pathlib import Path
 from .bisection import bisection_fwht
 from .errors import DomainError, FormatError
 from .graph import (
-    GeneratorSet, distance_profile, format_hop_lines, parse_hop_lines, read_text,
+    GeneratorSet, distance_profile, format_hop_lines, integers, parse_hop_lines,
+    read_text,
 )
 
 MIN_D = 3
@@ -52,8 +53,9 @@ REFERENCE_EXAMPLES = (
 
 class SolutionRecord(namedtuple("SolutionRecord", "gens b diameter total provenance")):
     """One verified solution: a hop set plus its measured metrics, which
-    must be possible for it: 1 <= b <= m, 1 <= diameter <= d (the hops
-    hold a basis) and n - 1 <= total <= diameter (n - 1).  The provenance
+    must be possible for it: integers (2.5 is refused, not truncated) with
+    1 <= b <= m, 1 <= diameter <= d (the hops hold a basis) and
+    n - 1 <= total <= diameter (n - 1).  The provenance
     is one line, as the store writes it on the record's header."""
 
     __slots__ = ()
@@ -62,6 +64,7 @@ class SolutionRecord(namedtuple("SolutionRecord", "gens b diameter total provena
         cls, gens: GeneratorSet, b: int, diameter: int, total: int, provenance: str
     ):
         m, d, n = gens.m, gens.d, gens.n
+        b, diameter, total = integers((b, diameter, total), "record metrics")
         if not 1 <= b <= m:
             raise DomainError(f"b={b} is outside [1, {m}]")
         if not 1 <= diameter <= d:

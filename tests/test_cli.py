@@ -163,12 +163,18 @@ def test_spectrum_memory_per_node(tmp_path):
 
 
 # sha256 of the bytes `lh spectrum` and `lh wire` printed with one `%`
-# template per row, before the byte-table emitter replaced it.
+# template per row, before the byte-table emitter replaced it; those of
+# hd(14, 8192) and b3(17) are of the byte-table emitter's output, before
+# the sets up to cli._SPECTRUM_LANES nodes took the lanes.
 TABLE_DIGESTS = {
     "spectrum b3(16)":
         "bc5a6e7cafd54fcfe06da99fdd3c944c0c19181300a3e44ed270eda1c929cf18",
     "spectrum (16,38)":
         "fce946163d2a8f6149e4170ddc81f49d6b521238782cf97769f424896b25d775",
+    "spectrum hd(14, 8192)":
+        "a92f10e1b6e09dcf1dd472fcc7f5a4b40b2373776ab271a45333a4e658325ab5",
+    "spectrum b3(17)":
+        "00fa4926209dca44c2f2647fc229323a5f745e0a703852fd2a6931509b1bc63f",
     "wire (16,38) -R 48":
         "c8b2ad42be75c49ebeedc8cdd46aab2f5923f41affe8bf733f2bb999cab175b2",
 }
@@ -178,9 +184,14 @@ TABLE_DIGESTS = {
 def test_table_digests(capsys, seeded_db, db_path, tmp_path, table):
     hops_file = tmp_path / "set.hops"
     if table == "spectrum b3(16)":
-        hops_file.write_text(format_hops(low_density_b3(16)))
+        gens = low_density_b3(16)
+    elif table == "spectrum hd(14, 8192)":
+        gens = lh_hd(14, 8192)
+    elif table == "spectrum b3(17)":
+        gens = low_density_b3(17)
     else:
-        hops_file.write_text(format_hops(seeded_db.query(16, 38).gens))
+        gens = seeded_db.query(16, 38).gens
+    hops_file.write_text(format_hops(gens))
     if table.startswith("spectrum"):
         argv = ["spectrum", str(hops_file)]
     else:
@@ -191,6 +202,33 @@ def test_table_digests(capsys, seeded_db, db_path, tmp_path, table):
     assert main([*argv, "-o", str(out_file)]) == 0
     assert out_file.read_bytes() == out.encode()
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == TABLE_DIGESTS[table]
+
+
+@pytest.mark.parametrize("d", range(1, cli._SPECTRUM_LANES.bit_length()))
+def test_the_lane_writer_matches_the_numpy_writer(capsys, monkeypatch, tmp_path, d):
+    # Up to the bound, a seeded random spanning set and every nonzero
+    # word (m = n - 1, where lambda_k = -1 for every k but 0), through
+    # the lanes and through cut_blocks and write_table, to stdout and -o.
+    n, lanes = 1 << d, cli._SPECTRUM_LANES
+    rng = random.Random(d)
+    while True:
+        hops = rng.sample(range(1, n), rng.randint(d, n - 1))
+        if gf2.spans(hops, d):
+            break
+    for gens in (GeneratorSet(d, hops), GeneratorSet(d, range(1, n))):
+        hops_file = tmp_path / "set.hops"
+        hops_file.write_text(format_hops(gens))
+        tables = []
+        for bound in (lanes, 0):
+            monkeypatch.setattr(cli, "_SPECTRUM_LANES", bound)
+            code, out, err = run(capsys, "spectrum", str(hops_file))
+            assert (code, err) == (0, "")
+            out_file = tmp_path / f"{bound}.tsv"
+            assert main(["spectrum", str(hops_file), "-o", str(out_file)]) == 0
+            assert out_file.read_bytes() == out.encode()
+            tables.append(out)
+        assert tables[0] == tables[1]
+        assert tables[0].count("\n") == 1 + n
 
 
 # sha256 of the bytes `lh diag` printed on each family, one run after
@@ -269,6 +307,7 @@ def table_cases(draw):
 @given(table_cases())
 def test_tables_match_the_percent_referee(tmp_path_factory, case):
     # Odd and even m, and cuts past m/2, so lambda = m - 2 cut goes negative.
+    # The stdout table comes from the lanes, the -o table from write_table.
     gens, radix, lo, hi, budget = case
     work = tmp_path_factory.mktemp("tables")
     hops_file = work / "set.hops"
@@ -278,7 +317,8 @@ def test_tables_match_the_percent_referee(tmp_path_factory, case):
             mock.patch.object(graph, "_BYTES_PER_WRITE", budget):
         with redirect_stdout(stdout):
             assert main(["spectrum", str(hops_file)]) == 0
-        assert main(["spectrum", str(hops_file), "-o", str(work / "s.tsv")]) == 0
+        with mock.patch.object(cli, "_SPECTRUM_LANES", 0):
+            assert main(["spectrum", str(hops_file), "-o", str(work / "s.tsv")]) == 0
         WiringTable(gens, radix).write(wiring, lo, hi)
     cuts = oracle.cut_counts(gens.d, gens.hops)
     want = oracle.spectrum_table(gens.d, gens.m, cuts)
@@ -325,7 +365,8 @@ def test_spectrum_memory_does_not_grow_with_n(tmp_path):
 @pytest.mark.parametrize("bits", [1, 2, 4])
 def test_spectrum_streams_cut_blocks_of_any_size(monkeypatch, tmp_path, bits):
     # Blocks of 2, 4 or 16 cut counts against writes of 3 rows: the
-    # writes start over at each block.
+    # writes start over at each block.  n = 128 would take the lanes.
+    monkeypatch.setattr(cli, "_SPECTRUM_LANES", 0)
     monkeypatch.setattr(bisection, "_CUT_BITS", bits)
     monkeypatch.setattr(graph, "_ROWS_PER_WRITE", 3)
     gens = low_density_b3(7)
@@ -635,11 +676,15 @@ def test_output_file_is_replaced_only_once_complete(
     }[command]
     # Three rows per write; the third block of rows fails.
     monkeypatch.setattr(graph, "_ROWS_PER_WRITE", 3)
-    # cmd_spectrum imports write_table from graph when it runs.
-    owner = graph if command == "spectrum" else designer
-    write_table = owner.write_table
+    # cmd_spectrum looks its writer up in graph when it runs; fq3 takes
+    # the lanes.
+    if command == "spectrum":
+        owner, name = graph, "write_lanes"
+    else:
+        owner, name = designer, "write_table"
+    write = getattr(owner, name)
     with monkeypatch.context() as patch:
-        patch.setattr(owner, "write_table", lambda stream, *args, **kwargs: write_table(
+        patch.setattr(owner, name, lambda stream, *args, **kwargs: write(
             FailingStream(stream, 2), *args, **kwargs
         ))
         code, out, err = run(capsys, *argv, "-o", str(out_file))
@@ -681,6 +726,18 @@ def test_output_file_is_replaced_only_once_complete(
         ["build", "mesh", "-d", "-1"],
         ["compare", "--family", "hypercube", "-R", "16", "--sizes=-1..2"],
         ["compare", "--family", "folded_cube", "-R", "16", "--sizes=-1..2"],
+        # int() reads each of these; the decimal options take ASCII digits
+        # alone.
+        ["build", "hd", "-d", "\uff13", "-m", "4"],
+        ["build", "hd", "-d", "3", "-m", "4_0"],
+        ["build", "mesh", "-d", "+3"],
+        ["design", "-P", " 96", "-R", "12"],
+        ["design", "-P", "96", "-R", "1_2"],
+        ["wire", "--record", "5,\uff19", "-R", "12"],
+        ["wire", "--record", "5, 9", "-R", "12"],
+        ["wire", "--record", "5,9", "-R", "+12"],
+        ["compare", "--family", "hypercube", "-R", "1_6"],
+        ["compare", "--family", "hypercube", "-R", "16", "--sizes", "1..\uff12"],
     ],
 )
 def test_bad_numeric_options_are_error_lines(db_path, argv):
@@ -1147,6 +1204,8 @@ COLD = [
     (["bisect", "{b3_24}"], f"bisection {HOP_MODULES}"),
     (["bisect", "{hd15}"], f"bisection {HOP_MODULES}"),
     (["oracle", "{fq3}"], f"bisection {HOP_MODULES}"),
+    (["spectrum", "{hd14}"], HOP_MODULES),
+    (["spectrum", "{record}"], HOP_MODULES),
 ]
 
 
@@ -1197,12 +1256,14 @@ def test_cold_commands_do_not_import_numpy(
     tmp_path, seeded_db, db_path, code74_file, fq3_file, argv, modules
 ):
     # Record (16,38) and b3(24) need the codeword enumeration to finish;
-    # hd(15, 16384), with m > 64 d, the packed transform.
+    # hd(15, 16384), with m > 64 d, the packed transform.  The spectra of
+    # n <= 2^16 nodes come from the packed transform too.
     files = {"db": db_path, "code": code74_file, "fq3": fq3_file}
     for name, gens in [
         ("record", seeded_db.query(16, 38).gens),
         ("b3_12", low_density_b3(12)),
         ("b3_24", low_density_b3(24)),
+        ("hd14", lh_hd(14, 8192)),
         ("hd15", lh_hd(15, 16384)),
     ]:
         files[name] = tmp_path / f"{name}.hops"
@@ -1211,3 +1272,14 @@ def test_cold_commands_do_not_import_numpy(
     loaded = sorted(f"longhop.{m}" for m in ["cli", "errors", *modules.split()])
     heavy = "fractions" if argv[0] in PRINT_FRACTIONS else ""
     assert (proc.returncode, proc.stderr) == (0, " ".join(loaded) + f"\n{heavy}\n")
+
+
+def test_a_spectrum_above_the_lane_bound_loads_numpy(tmp_path):
+    hops_file = tmp_path / "b3_17.hops"
+    hops_file.write_text(format_hops(low_density_b3(17)))
+    argv = ["spectrum", str(hops_file), "-o", str(tmp_path / "b3_17.tsv")]
+    proc = child([sys.executable, "-c", COLD_SCRIPT, *argv])
+    loaded = sorted(f"longhop.{m}" for m in f"cli errors bisection {HOP_MODULES}".split())
+    modules, heavy = proc.stderr.splitlines()
+    assert (proc.returncode, modules) == (0, " ".join(loaded))
+    assert "numpy" in heavy.split()

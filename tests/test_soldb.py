@@ -171,6 +171,17 @@ def test_loads_rejects_a_record_no_hop_set_can_have(header, hops, problem):
     assert str(exc.value) == f"record (d=3, m={m}): {problem}"
 
 
+@pytest.mark.parametrize(
+    "metrics", [(2.5, 2, 10), (2, 2.0, 10), (2, 2, 10.0), (2, 2, "10")],
+    ids=["b", "diameter", "total", "text"],
+)
+def test_a_record_takes_integer_metrics_only(metrics):
+    # loads reads decimal digits only, so a record built with 2.5 could
+    # be written to a store but never read back.
+    with pytest.raises(DomainError, match="record metrics"):
+        SolutionRecord(GeneratorSet(3, (1, 2, 4, 7)), *metrics, "x")
+
+
 def test_ingest_code_file(tmp_path):
     path = tmp_path / "code74.code"
     path.write_text(CODE74_TEXT)
