@@ -9,14 +9,14 @@ when the hops span Z_2^d, and `GeneratorSet` refuses hops that do not.
 The distance profile is a direction-optimizing BFS (Beamer, Asanovic and
 Patterson, SC 2012) run in the systematic basis: the linear map that
 sends d independent hops to the unit vectors is a graph isomorphism, so
-it first maps the hops there.  Each level then takes the cheaper of two
-steps.  The sparse step works from node lists: it pushes frontier ^ h
-while the frontier is the shorter list, and pulls into the unseen nodes
-once they are.  The dense step works on packed 64-node words, a block
-that stays in cache at a time: a unit hop is a swap of bits within each
-word or a flip of word blocks, and the first min(m - d, d - 6) other
-hops enter as delayed sources (every XOR of j of them joins level j if
-still unseen), so only the hops beyond those are gathered.
+it first maps the hops there.  Up to 2^17 nodes a node set is one int
+(`bitsets`); above, each level takes the cheaper of two numpy steps:
+the sparse step pushes frontier ^ h from node lists while the frontier
+is the shorter list and then pulls into the unseen nodes; the dense
+step works on packed 64-node words, a block in cache at a time (a unit
+hop swaps bits within each word or flips word blocks, and the first
+min(m - d, d - 6) other hops enter as delayed sources, every XOR of j
+of them joining level j if unseen), so only the rest are gathered.
 """
 from __future__ import annotations
 
@@ -407,11 +407,16 @@ _BLOCK = 1 << 15
 _SWAP_MASKS = tuple(
     sum(1 << p for p in range(64) if not p >> j & 1) for j in range(6)
 )
+# The largest n whose profile comes from longhop.bitsets: at 2^17, `lh
+# metrics` on b3(17), hd(17, 65536) and random 256- and 1024-hop sets ran
+# 24-60 ms faster than through numpy; at 2^18, hd(18, 2^17) and a random
+# 1024-hop set ran 10-32 ms slower (os.wait4, medians of 11, 2 cores).
+_PROFILE_INTS = 1 << 17
 
 
 def distance_profile(gens: GeneratorSet) -> DistanceProfile:
     """Level-synchronous BFS from node 0 that keeps only the size of each
-    level; O(n) bytes whatever m is.
+    level: on Python-int bitsets up to _PROFILE_INTS nodes, else as below.
 
     The hops are first mapped by _systematic_hops so that d of them are
     unit vectors; the other r are the extras.  Unseen nodes and each
@@ -445,6 +450,10 @@ def distance_profile(gens: GeneratorSet) -> DistanceProfile:
     sources fill before any hop is gathered: 0.08 s in-process at d = 20
     (2 cores).
     """
+    if gens.n <= _PROFILE_INTS:
+        from .bitsets import profile_ints
+
+        return profile_ints(gens)
     import numpy as np
 
     n, d, m = gens.n, gens.d, gens.m

@@ -39,6 +39,18 @@ def fq3_file(tmp_path):
     return str(path)
 
 
+# b3(18) is the smallest b3 set above graph._PROFILE_INTS, so its
+# profile comes from the numpy BFS.
+B3_18_METRICS = "diam=10 avg=1702800/262144 (6.49566650390625)\n"
+
+
+@pytest.fixture()
+def b3_18_file(tmp_path):
+    path = tmp_path / "b3_18.hops"
+    path.write_text(format_hops(low_density_b3(18)))
+    return str(path)
+
+
 @pytest.fixture()
 def code74_file(tmp_path):
     path = tmp_path / "code74.code"
@@ -1023,10 +1035,10 @@ def test_wire_refuses_a_radix_past_its_bound(db_path, tmp_path):
     assert out_file.read_text() == "keep"
 
 
-def test_a_numpy_command_without_numpy_is_an_error_line(capsys, monkeypatch, fq3_file):
+def test_a_numpy_command_without_numpy_is_an_error_line(capsys, monkeypatch, b3_18_file):
     # None in sys.modules makes `import numpy` raise ModuleNotFoundError.
     monkeypatch.setitem(sys.modules, "numpy", None)
-    code, out, err = run(capsys, "metrics", fq3_file)
+    code, out, err = run(capsys, "metrics", b3_18_file)
     assert (code, out) == (1, "")
     assert err.startswith("error: lh metrics needs numpy: ") and err.count("\n") == 1
 
@@ -1181,15 +1193,21 @@ COLD_SCRIPT = (
     "sys.exit(code)\n"
 )
 # The cold commands that print a fraction, and so load `fractions`.
-PRINT_FRACTIONS = ("design", "compare", "oracle")
+PRINT_FRACTIONS = ("design", "compare", "oracle", "metrics")
 
 # Commands that never load numpy, each with the longhop modules it loads
 # besides cli and errors: only what it runs.
 STORE_MODULES = "bisection gf2 graph soldb walsh"
 HOP_MODULES = "gf2 graph walsh"
+# Store commands that measure records load the numpy-free BFS, as
+# `lh metrics` does.
+MEASURE_MODULES = f"bitsets {STORE_MODULES}"
 COLD = [
     (["design", "-P", "96", "-R", "12", "--db", "{db}"], f"designer {STORE_MODULES}"),
     (["db", "list", "--db", "{db}"], STORE_MODULES),
+    (["db", "verify", "--db", "{db}"], MEASURE_MODULES),
+    (["db", "seed", "--db", "{seeded}"], f"constructions {MEASURE_MODULES}"),
+    (["db", "ingest", "{code}", "--db", "{seeded}"], f"ecc {MEASURE_MODULES}"),
     (["compare", "--family", "lh_vs_hypercube", "-R", "24", "--db", "{db}"],
      f"compare {STORE_MODULES}"),
     (["compare", "--family", "dragonfly", "-R", "15"], "compare"),
@@ -1204,6 +1222,9 @@ COLD = [
     (["bisect", "{b3_24}"], f"bisection {HOP_MODULES}"),
     (["bisect", "{hd15}"], f"bisection {HOP_MODULES}"),
     (["oracle", "{fq3}"], f"bisection {HOP_MODULES}"),
+    (["metrics", "{record}"], f"bitsets {HOP_MODULES}"),
+    (["metrics", "{hd15}"], f"bitsets {HOP_MODULES}"),
+    (["metrics", "{b3_17}"], f"bitsets {HOP_MODULES}"),
     (["spectrum", "{hd14}"], HOP_MODULES),
     (["spectrum", "{record}"], HOP_MODULES),
 ]
@@ -1223,7 +1244,7 @@ THREADS_SCRIPT = (
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux /proc")
 @pytest.mark.parametrize("setting", [None, "2"])
-def test_numpy_commands_run_one_blas_thread_unless_told(fq3_file, setting):
+def test_numpy_commands_run_one_blas_thread_unless_told(b3_18_file, setting):
     # OpenBLAS reads its thread count from these when numpy loads; the
     # child gets none of them from this process, only `setting`.
     blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -1232,10 +1253,10 @@ def test_numpy_commands_run_one_blas_thread_unless_told(fq3_file, setting):
     if setting:
         env["OPENBLAS_NUM_THREADS"] = setting
     proc = subprocess.run(
-        [sys.executable, "-c", THREADS_SCRIPT, "metrics", fq3_file],
+        [sys.executable, "-c", THREADS_SCRIPT, "metrics", b3_18_file],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert (proc.returncode, proc.stdout) == (0, "diam=2 avg=10/8 (1.25)\n")
+    assert (proc.returncode, proc.stdout) == (0, B3_18_METRICS)
     # OpenBLAS runs at most one thread per CPU it may use.
     threads = min(int(setting or 1), len(os.sched_getaffinity(0)))
     assert proc.stderr == f"{threads} {setting or 1}\n"
@@ -1257,11 +1278,16 @@ def test_cold_commands_do_not_import_numpy(
 ):
     # Record (16,38) and b3(24) need the codeword enumeration to finish;
     # hd(15, 16384), with m > 64 d, the packed transform.  The spectra of
-    # n <= 2^16 nodes come from the packed transform too.
-    files = {"db": db_path, "code": code74_file, "fq3": fq3_file}
+    # n <= 2^16 nodes come from the packed transform too, and distance
+    # profiles of n <= 2^17 nodes from Python-int bitsets.
+    files = {
+        "db": db_path, "code": code74_file, "fq3": fq3_file,
+        "seeded": tmp_path / "seeded.db",
+    }
     for name, gens in [
         ("record", seeded_db.query(16, 38).gens),
         ("b3_12", low_density_b3(12)),
+        ("b3_17", low_density_b3(17)),
         ("b3_24", low_density_b3(24)),
         ("hd14", lh_hd(14, 8192)),
         ("hd15", lh_hd(15, 16384)),
@@ -1272,6 +1298,15 @@ def test_cold_commands_do_not_import_numpy(
     loaded = sorted(f"longhop.{m}" for m in ["cli", "errors", *modules.split()])
     heavy = "fractions" if argv[0] in PRINT_FRACTIONS else ""
     assert (proc.returncode, proc.stderr) == (0, " ".join(loaded) + f"\n{heavy}\n")
+
+
+def test_metrics_above_the_bitset_bound_loads_numpy(b3_18_file):
+    proc = child([sys.executable, "-c", COLD_SCRIPT, "metrics", b3_18_file])
+    loaded = sorted(f"longhop.{m}" for m in f"cli errors {HOP_MODULES}".split())
+    modules, heavy = proc.stderr.splitlines()
+    assert (proc.returncode, proc.stdout) == (0, B3_18_METRICS)
+    assert modules == " ".join(loaded)
+    assert "numpy" in heavy.split()
 
 
 def test_a_spectrum_above_the_lane_bound_loads_numpy(tmp_path):

@@ -12,8 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from longhop import gf2, graph
-from longhop.constructions import hd_metrics, lh_hd, low_density_b3
+from longhop import bitsets, gf2, graph
+from longhop.constructions import hd_ladder, hd_metrics, lh_hd, low_density_b3
 from longhop.designer import WiringTable
 from longhop.errors import DisconnectedGraph, DomainError, FormatError
 from longhop.graph import (
@@ -270,18 +270,21 @@ def test_half_distance_rungs_skip_the_span_scan(monkeypatch):
     assert lh_hd(15, 16384).m == 16384
 
 
-def test_distance_profile_memory_is_independent_of_m():
+def test_distance_profile_memory_is_independent_of_m(monkeypatch):
     # n = 8192 with m = 4096 hops: a frontier x m int64 block would be
-    # 128 MB, while per-node state is a few tens of KB.
+    # 128 MB, while the numpy BFS keeps a few tens of KB per node set and
+    # the bitsets about 105 bytes a hop besides.
     gens = lh_hd(13, 4096)
-    tracemalloc.start()
-    try:
-        prof = distance_profile(gens)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (prof.diameter, prof.counts[-1]) == (2, 4095)
-    assert peak < 1 << 20
+    for bound in (graph._PROFILE_INTS, 0):
+        monkeypatch.setattr(graph, "_PROFILE_INTS", bound)
+        tracemalloc.start()
+        try:
+            prof = distance_profile(gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (prof.diameter, prof.counts[-1]) == (2, 4095)
+        assert peak < 1 << 20
 
 
 def test_spectrum_tails_memory_per_node():
@@ -344,8 +347,10 @@ def test_distance_profile_memory_per_node_with_gathered_hops():
 
 
 def record_steps(mp, steps):
-    """Patch graph._sparse_level and graph._dense_level so that each also
-    notes in steps that it computed a level."""
+    """Run the numpy BFS at every n, and patch graph._sparse_level and
+    graph._dense_level so that each also notes in steps that it computed
+    a level."""
+    mp.setattr(graph, "_PROFILE_INTS", 0)
     sparse, dense = graph._sparse_level, graph._dense_level
 
     def sparse_step(*args):
@@ -361,7 +366,7 @@ def record_steps(mp, steps):
 
 
 def force_steps(mp, steps, step):
-    """Record the steps, and make every level take `step`."""
+    """Record the steps on the numpy BFS, and make every level take `step`."""
     record_steps(mp, steps)
     mp.setattr(graph, "_SPARSE_COST", 0 if step == "sparse" else float("inf"))
 
@@ -421,7 +426,10 @@ def capped_sets(draw, above=1):
 @given(capped_sets())
 @settings(deadline=None, max_examples=60)
 def test_distance_profile_around_the_source_cap_matches_bfs_oracle(gens):
-    assert_matches_oracle(gens)
+    # The cap is the numpy BFS's; the sets are below _PROFILE_INTS.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_PROFILE_INTS", 0)
+        assert_matches_oracle(gens)
 
 
 @given(capped_sets(), st.integers(0, 2**32))
@@ -496,6 +504,7 @@ def test_interleaved_steps_match_bfs_oracle(gens, sparse, log_block):
     # own, which every step must mask off; a push lists only the words
     # its frontier's level was written to.
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_PROFILE_INTS", 0)
         mp.setattr(graph, "_SPARSE_COST", _Drawn(sparse))
         mp.setattr(graph, "_BLOCK", 1 << log_block)
         assert_matches_oracle(gens)
@@ -531,6 +540,7 @@ def test_systematic_hops_are_the_hops_under_one_invertible_map(case):
     gens, placement = case
     d = gens.d
     out = graph._systematic_hops(gens).tolist()
+    assert bitsets._systematic_ints(gens) == out
     assert set(out) >= {1 << i for i in range(d)}
     # The pairs (h, out) span a rank-d space exactly when out is a linear
     # map of the spanning hops, and the map is invertible when out spans.
@@ -586,3 +596,87 @@ def test_gathered_hops_are_grouped_once_and_only_once_gathered(monkeypatch):
     assert_matches_oracle(_every_lo_set())
     assert steps.count("dense") == len(steps) > 1
     assert len(grouped) == 1 and grouped[0] > 0
+
+
+def numpy_profile(gens):
+    """distance_profile through the numpy BFS, whatever n is."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_PROFILE_INTS", 0)
+        return distance_profile(gens)
+
+
+def assert_engines_agree(gens):
+    """The Python-int engine gives the numpy BFS's profile, and the
+    plain BFS oracle's where that takes at most 2^16 node-hop steps."""
+    prof = bitsets.profile_ints(gens)
+    assert prof == numpy_profile(gens)
+    if gens.n * gens.m <= 1 << 16:
+        want = oracle.distances(gens.d, gens.hops)
+        assert prof.counts == tuple(np.bincount(want).tolist())
+    return prof
+
+
+@st.composite
+def bitset_sets(draw):
+    """Spanning sets at d = 1..17, up to the bound _PROFILE_INTS, with a
+    few hops past d, any number up to n - 1, or all but a few of the
+    nonzero words."""
+    d = draw(st.integers(1, 17))
+    n = 1 << d
+    m = draw(
+        st.one_of(
+            st.integers(d, min(n - 1, 3 * d)),
+            st.integers(d, n - 1),
+            st.integers(max(d, n - 4), n - 1),
+        )
+    )
+    hops = random.Random(draw(st.integers(0, 2**32))).sample(range(1, n), m)
+    assume(gf2.spans(hops, d))
+    return GeneratorSet(d, hops)
+
+
+def test_the_int_engine_runs_up_to_its_bound(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bitsets, "profile_ints", lambda gens: calls.append(gens.d))
+    distance_profile(low_density_b3(17))
+    assert calls == [17] and graph._PROFILE_INTS == 1 << 17
+    assert distance_profile(low_density_b3(18)).n == 1 << 18
+    assert calls == [17]
+
+
+@given(bitset_sets())
+@settings(deadline=None, max_examples=60)
+def test_int_engine_matches_the_oracle_and_the_numpy_bfs(gens):
+    assert_engines_agree(gens)
+
+
+@pytest.mark.parametrize("d", range(1, 18))
+def test_int_engine_gives_every_hd_rung_its_closed_form(d):
+    for m in hd_ladder(d):
+        prof = assert_engines_agree(lh_hd(d, m))
+        _, diameter, avg = hd_metrics(d, m)
+        assert (prof.diameter, prof.avg) == (diameter, avg)
+
+
+def test_int_engine_matches_the_numpy_bfs_on_every_seeded_record(seeded_db):
+    records = seeded_db.records()
+    assert len(records) == 64
+    for rec in records:
+        prof = assert_engines_agree(rec.gens)
+        assert (prof.diameter, prof.total) == (rec.diameter, rec.total)
+
+
+@pytest.mark.parametrize("d", [16, 17])
+def test_int_engine_memory_per_hop(d):
+    # On the m = n/2 rungs the hop list, gf2.transpose's bit strings and
+    # the n-byte map of level 1 dominate: about 105 bytes a hop, against
+    # n/8 bytes for each node set.
+    gens = lh_hd(d, 1 << (d - 1))
+    tracemalloc.start()
+    try:
+        prof = distance_profile(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prof.counts == (1, gens.m, gens.m - 1)
+    assert peak < 120 * gens.m
