@@ -1301,12 +1301,24 @@ def test_cold_commands_do_not_import_numpy(
 
 
 def test_metrics_above_the_bitset_bound_loads_numpy(b3_18_file):
+    # bitsets holds the numpy BFS as well as the Python-int one.
     proc = child([sys.executable, "-c", COLD_SCRIPT, "metrics", b3_18_file])
-    loaded = sorted(f"longhop.{m}" for m in f"cli errors {HOP_MODULES}".split())
+    loaded = sorted(f"longhop.{m}" for m in f"cli errors bitsets {HOP_MODULES}".split())
     modules, heavy = proc.stderr.splitlines()
     assert (proc.returncode, proc.stdout) == (0, B3_18_METRICS)
     assert modules == " ".join(loaded)
     assert "numpy" in heavy.split()
+
+
+@pytest.mark.parametrize("command", ["bisect", "spectrum"])
+def test_commands_that_run_no_profile_do_not_load_the_bfs(tmp_path, b3_18_file, command):
+    # Above both numpy-free bounds as well: the profile engines sit in
+    # bitsets, which only distance_profile loads.
+    out = ["-o", str(tmp_path / "b3_18.tsv")] if command == "spectrum" else []
+    proc = child([sys.executable, "-c", COLD_SCRIPT, command, b3_18_file, *out])
+    modules = proc.stderr.splitlines()[0].split()
+    assert proc.returncode == 0
+    assert "longhop.graph" in modules and "longhop.bitsets" not in modules
 
 
 def test_a_spectrum_above_the_lane_bound_loads_numpy(tmp_path):

@@ -1,6 +1,7 @@
 """Generator sets, the hop-list file format, and BFS metrics."""
 
 import io
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,11 +9,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
 from longhop import bitsets, gf2, graph
+from longhop.bisection import cut_blocks
 from longhop.constructions import hd_ladder, hd_metrics, lh_hd, low_density_b3
 from longhop.designer import WiringTable
 from longhop.errors import DisconnectedGraph, DomainError, FormatError
@@ -301,6 +303,22 @@ def test_spectrum_tails_memory_per_node():
     assert peak < 16 << 16
 
 
+def test_write_table_traces_less_than_its_tail_table():
+    # NULs are dropped from each written block that holds one, so nothing
+    # copies the whole tail table (2 MB at m = 2^17) to learn whether the
+    # rows hold any.
+    gens = lh_hd(18, 1 << 17)
+    tails, keys = spectrum_tails(gens.m), list(cut_blocks(gens))
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            graph.write_table(sink, range(gens.n), hex_width(gens.d), tails, keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < tails.nbytes
+
+
 def test_distance_profile_memory_per_node():
     # b3(20) runs dense levels on packed words from level 5 on; the sparse
     # levels before them hold node lists of a few thousand entries.
@@ -347,11 +365,11 @@ def test_distance_profile_memory_per_node_with_gathered_hops():
 
 
 def record_steps(mp, steps):
-    """Run the numpy BFS at every n, and patch graph._sparse_level and
-    graph._dense_level so that each also notes in steps that it computed
+    """Run the numpy BFS at every n, and patch bitsets._sparse_level and
+    bitsets._dense_level so that each also notes in steps that it computed
     a level."""
     mp.setattr(graph, "_PROFILE_INTS", 0)
-    sparse, dense = graph._sparse_level, graph._dense_level
+    sparse, dense = bitsets._sparse_level, bitsets._dense_level
 
     def sparse_step(*args):
         steps.append("sparse")
@@ -361,14 +379,14 @@ def record_steps(mp, steps):
         steps.append("dense")
         return dense(*args)
 
-    mp.setattr(graph, "_sparse_level", sparse_step)
-    mp.setattr(graph, "_dense_level", dense_step)
+    mp.setattr(bitsets, "_sparse_level", sparse_step)
+    mp.setattr(bitsets, "_dense_level", dense_step)
 
 
 def force_steps(mp, steps, step):
     """Record the steps on the numpy BFS, and make every level take `step`."""
     record_steps(mp, steps)
-    mp.setattr(graph, "_SPARSE_COST", 0 if step == "sparse" else float("inf"))
+    mp.setattr(bitsets, "_SPARSE_COST", 0 if step == "sparse" else float("inf"))
 
 
 @pytest.fixture()
@@ -441,7 +459,7 @@ def test_distance_profile_is_invariant_under_invertible_maps(gens, seed):
 
 
 class _Drawn:
-    """Stands for graph._SPARSE_COST: the i-th level's sparse step costs
+    """Stands for bitsets._SPARSE_COST: the i-th level's sparse step costs
     nothing when steps[i] is true and more than any dense step when it
     is false (true once the list runs out), so levels take the steps in
     the order drawn."""
@@ -476,7 +494,7 @@ def test_dense_step_in_blocks_of_a_few_words_matches_bfs_oracle(gens, log_block)
     entries = []
     with pytest.MonkeyPatch.context() as mp:
         force_steps(mp, entries, "dense")
-        mp.setattr(graph, "_BLOCK", 1 << log_block)
+        mp.setattr(bitsets, "_BLOCK", 1 << log_block)
         prof = assert_matches_oracle(gens)
     assert entries == ["dense"] * prof.diameter
 
@@ -505,8 +523,8 @@ def test_interleaved_steps_match_bfs_oracle(gens, sparse, log_block):
     # its frontier's level was written to.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_PROFILE_INTS", 0)
-        mp.setattr(graph, "_SPARSE_COST", _Drawn(sparse))
-        mp.setattr(graph, "_BLOCK", 1 << log_block)
+        mp.setattr(bitsets, "_SPARSE_COST", _Drawn(sparse))
+        mp.setattr(bitsets, "_BLOCK", 1 << log_block)
         assert_matches_oracle(gens)
 
 
@@ -539,7 +557,7 @@ def unit_placements(draw):
 def test_systematic_hops_are_the_hops_under_one_invertible_map(case):
     gens, placement = case
     d = gens.d
-    out = graph._systematic_hops(gens).tolist()
+    out = bitsets._systematic_hops(gens).tolist()
     assert bitsets._systematic_ints(gens) == out
     assert set(out) >= {1 << i for i in range(d)}
     # The pairs (h, out) span a rank-d space exactly when out is a linear
@@ -583,16 +601,16 @@ def test_gathered_hops_are_grouped_once_and_only_once_gathered(monkeypatch):
     # rungs fill their one dense level without a gather, so never sort;
     # a set that gathers on every level groups its hops once.
     grouped = []
-    by_lo = graph._by_lo
+    by_lo = bitsets._by_lo
     monkeypatch.setattr(
-        graph, "_by_lo", lambda rest: grouped.append(rest.size) or by_lo(rest)
+        bitsets, "_by_lo", lambda rest: grouped.append(rest.size) or by_lo(rest)
     )
     steps = []
     record_steps(monkeypatch, steps)
     assert distance_profile(lh_hd(14, 8192)).counts == (1, 8192, 8191)
     assert (steps, grouped) == (["sparse", "dense"], [])
     steps.clear()
-    monkeypatch.setattr(graph, "_SPARSE_COST", float("inf"))
+    monkeypatch.setattr(bitsets, "_SPARSE_COST", float("inf"))
     assert_matches_oracle(_every_lo_set())
     assert steps.count("dense") == len(steps) > 1
     assert len(grouped) == 1 and grouped[0] > 0
@@ -644,10 +662,27 @@ def test_the_int_engine_runs_up_to_its_bound(monkeypatch):
     assert calls == [17]
 
 
+def _random_set(d, m, seed):
+    return GeneratorSet(d, random.Random(seed).sample(range(1, 1 << d), m))
+
+
+# Random sets whose last level holds fewer than (m - d)/d nodes, the
+# bound under which profile_ints once tested each node the units left
+# against the hop set instead of walking the other hops.  Only the
+# d = 12, m = 32 set took that step (on level 4, for one node); on the
+# other two the units fill the last level.
+FEW_LEFT = [_random_set(12, 256, 0), _random_set(16, 1024, 0), _random_set(12, 32, 23)]
+
+
 @given(bitset_sets())
+@example(FEW_LEFT[0])
+@example(FEW_LEFT[1])
+@example(FEW_LEFT[2])
 @settings(deadline=None, max_examples=60)
 def test_int_engine_matches_the_oracle_and_the_numpy_bfs(gens):
-    assert_engines_agree(gens)
+    prof = assert_engines_agree(gens)
+    if gens in FEW_LEFT:
+        assert prof.counts[-1] * gens.d < gens.m - gens.d
 
 
 @pytest.mark.parametrize("d", range(1, 18))
